@@ -110,7 +110,6 @@ def _experiment_from_json(cfg: dict, where: str):
     p_grid = _require(cfg, "p_grid_db", f"{where}.p_grid_db")
     trials = int(cfg.get("trials_per_point", 10**6))
     seed = int(_require(cfg, "seed", f"{where}.seed"))
-    grid_resolution = cfg.get("grid_resolution")
     estimator = cfg.get("estimator", "plain")
 
     labeled: list[tuple[str, CodebookSpec, int]] = []
@@ -130,15 +129,14 @@ def _experiment_from_json(cfg: dict, where: str):
         except CodebookError as exc:
             raise CliError(str(exc)) from exc
         labeled.append((label, spec, int(entry.get("trials_per_point", trials))))
-    return network, labeled, p_grid, trials, seed, grid_resolution, estimator
+    return network, labeled, p_grid, trials, seed, estimator
 
 
 def cmd_simulate(args) -> int:
     cfg_path = _config_path(args.config)
     cfg = _load_json(cfg_path, "config")
     where = str(cfg_path)
-    (network, labeled, p_grid, trials, seed, grid_resolution,
-     estimator) = _experiment_from_json(cfg, where)
+    network, labeled, p_grid, trials, seed, estimator = _experiment_from_json(cfg, where)
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,7 +144,7 @@ def cmd_simulate(args) -> int:
     for label, spec, entry_trials in labeled:
         try:
             plan = SimulationPlan(network, spec, tuple(p_grid), entry_trials,
-                                  seed, grid_resolution, estimator)
+                                  seed, estimator=estimator)
             curve = estimate_ser(plan)
         except (CodebookError, ValueError) as exc:
             raise CliError(f"{where}: codebook {label!r}: {exc}") from exc

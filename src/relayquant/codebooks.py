@@ -10,16 +10,18 @@ optimized per channel state by an inner maximizer.  A power-dependent variant
 resolves eps = 1/log(P) at each power level, so one spec object describes a
 whole family of per-power codebooks.
 
-The continuous maximizer exploits that, for fixed magnitudes, the best phases
-align every numerator term: set arg(x_q) = -arg(f_q g_q).  The numerator of
-the SNR is then maximized while the denominator depends on magnitudes only,
-leaving an R-dimensional magnitude search which is done on a per-axis grid
-followed by a local step-halving refinement.
+The continuous maximizer is exact.  For fixed magnitudes the best phases
+align every numerator term: set arg(x_q) = -arg(f_q g_q).  That leaves the
+magnitude problem max (u.m)^2 / (1 + w.(m*m)) over a box, whose objective is
+quasi-concave; its KKT conditions put the optimum on the one-parameter curve
+m(c) = clip(c u / w, lo, 1), which has at most 2R breakpoints and one
+closed-form stationary point between each pair (Jing & Jafarkhani, IEEE
+Trans. IT 55(6), 2009).  Checking those O(R) candidates costs O(R^2) per
+channel state and needs no tuning knob.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -40,10 +42,6 @@ from .model import (
 
 UNITARY_TOL = 1e-10
 
-# Widest per-axis magnitude grids used by default; refinement narrows the rest.
-def default_grid_resolution(relay_count: int) -> int:
-    return 64 if relay_count <= 2 else 32
-
 
 class CodebookError(ValueError):
     pass
@@ -51,11 +49,7 @@ class CodebookError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteCodebook:
-    """A finite list of beamforming vectors, stored as a (K, R) complex matrix.
-
-    `admissible` records whether every vector has a unit-magnitude peak
-    (infinity norm 1 within 1e-9), a structural property some checks key on.
-    """
+    """A finite list of beamforming vectors, stored as a (K, R) complex matrix."""
 
     vectors: np.ndarray
     label: str = ""
@@ -80,11 +74,6 @@ class FiniteCodebook:
     @property
     def relay_count(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def admissible(self) -> bool:
-        peaks = np.abs(self.vectors).max(axis=1)
-        return bool(np.all(np.abs(peaks - 1.0) <= 1e-9))
 
 
 @dataclass(frozen=True)
@@ -218,147 +207,92 @@ def resolve_epsilon(spec, power: PowerLevel) -> float:
 # Continuous-family inner maximizer
 # ---------------------------------------------------------------------------
 
-_REFINE_HALVINGS = 10
-_MAX_GRID_CELLS = 8_000_000  # per slice of trials, keeps intermediates ~64 MB
-
-
-def _axis_points(lo: float, grid: int) -> np.ndarray:
-    pts = np.linspace(lo, 1.0, grid)
-    return np.unique(pts)
-
-
-def _magnitude_grid(relay_count: int, grid: int, pinned: Optional[int], lo: float):
-    axes = []
-    for r in range(relay_count):
-        axes.append(_axis_points(lo if pinned is not None and r == pinned else 0.0, grid))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    combos = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    spacing = np.array([(ax[-1] - ax[0]) / (len(ax) - 1) if len(ax) > 1 else 0.0
-                        for ax in axes])
-    return combos, spacing
-
-
-def _refine(mag, us, ws, p0, spacing, lo_bounds):
-    """Coordinate refinement: try +/- step on each axis, halving the step.
-
-    Keeps running numerator/denominator sums so each probe is O(n), not O(nR).
-    Returns the refined SNR values; `mag` is updated in place.
-    """
-    num = np.zeros(mag.shape[0])
-    den = np.ones(mag.shape[0])
-    for r in range(mag.shape[1]):
-        num += us[:, r] * mag[:, r]
-        den += ws[:, r] * mag[:, r] * mag[:, r]
-    val = p0 * num * num / den
-    step = spacing.copy()
-    for _ in range(_REFINE_HALVINGS):
-        for r in range(mag.shape[1]):
-            if step[r] == 0.0:
-                continue
-            for sign in (1.0, -1.0):
-                col = np.clip(mag[:, r] + sign * step[r], lo_bounds[r], 1.0)
-                num_c = num + us[:, r] * (col - mag[:, r])
-                den_c = den + ws[:, r] * (col * col - mag[:, r] * mag[:, r])
-                cand = p0 * num_c * num_c / den_c
-                gain = cand > val
-                if np.any(gain):
-                    mag[gain, r] = col[gain]
-                    num[gain] = num_c[gain]
-                    den[gain] = den_c[gain]
-                    val[gain] = cand[gain]
-        step *= 0.5
-    return val
-
 
 def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
                          power: PowerLevel, epsilon: float,
                          pinned_relay: Optional[int],
                          grid_resolution: Optional[int] = None):
-    """Approximate per-state maximum SNR over a constrained family, vectorized.
+    """Exact per-state maximum SNR over a constrained family, vectorized.
 
     f, g: (n, R).  Returns (magnitudes (n, R), snr (n,)).  Phases are implied:
-    the maximizer co-phases, arg(x_q) = -arg(f_q g_q).  The magnitude search
-    runs a per-axis grid (pinned axis restricted to [sqrt(eps), 1], endpoints
-    included) and then one coordinate refinement pass halving the step
-    _REFINE_HALVINGS times.
+    the maximizer co-phases, arg(x_q) = -arg(f_q g_q), which leaves
+
+        max  p0 (u.m)^2 / (1 + w.(m*m))   over   lo_r <= m_r <= 1
+
+    with u_r = |f_r g_r| sqrt(rho_r), w_r = |g_r|^2 rho_r, and lo_r =
+    sqrt(epsilon) at the pinned relay, 0 elsewhere.  The KKT conditions put
+    the optimum on the curve m(c) = clip(c u / w, lo, 1), c >= 0.  Between
+    two consecutive breakpoints c = lo_r w_r / u_r and c = w_r / u_r the
+    clipped coordinates stay fixed, and the objective peaks at
+    c = (1 + sum_fixed w_r m_r^2) / sum_fixed u_r m_r.  Each segment's peak,
+    clipped into the segment, is a candidate; the best candidate is the
+    maximum.  The work is O(R^2) per state.
+
+    grid_resolution is ignored.  It sized the magnitude grid of an earlier,
+    approximate maximizer, and callers that pass it positionally (such as
+    the benchmark in perfbench/) keep working.
     """
     n, r_count = f.shape
-    grid = grid_resolution or default_grid_resolution(r_count)
-    if grid < 2:
-        raise CodebookError("grid_resolution must be at least 2")
     if not 0.0 <= epsilon <= 1.0:
         raise CodebookError(f"epsilon must lie in [0, 1], got {epsilon}")
-    pinned0 = None
+    lo = np.zeros(r_count)
     if pinned_relay is not None:
         if not 1 <= pinned_relay <= r_count:
             raise CodebookError(f"pinned relay {pinned_relay} out of range 1..{r_count}")
-        pinned0 = pinned_relay - 1
+        lo[pinned_relay - 1] = math.sqrt(epsilon)
 
-    p = power.linear
-    p0 = config.power_scalers[0] * p
+    p0 = config.power_scalers[0] * power.linear
     rho = relay_gains(f, config, power)
-    u = np.abs(f) * np.abs(g) * np.sqrt(rho)
-    w = (g.real * g.real + g.imag * g.imag) * rho
+    # relay-major (R, n) layout: sums over relays add contiguous rows
+    u = np.ascontiguousarray((np.abs(f) * np.abs(g) * np.sqrt(rho)).T)
+    w = np.ascontiguousarray(((g.real * g.real + g.imag * g.imag) * rho).T)
+    lo = lo[:, None]
 
-    lo = math.sqrt(epsilon) if pinned0 is not None else 0.0
-    combos, spacing = _magnitude_grid(r_count, grid, pinned0, lo)
-    n_cells = combos.shape[0]
-    lo_bounds = np.zeros(r_count)
-    if pinned0 is not None:
-        lo_bounds[pinned0] = lo
+    # Along the curve m_r leaves lo_r at c = enter_r and reaches 1 at
+    # c = leave_r.  A relay with u_r = 0 adds nothing to the numerator, so
+    # it stays at lo_r: both of its breakpoints are infinite.  A relay with
+    # lo_r = 0 leaves it at c = 0, which adds no breakpoint.
+    active = u > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(active, u / w, 0.0)
+        leave = np.where(active, w / u, np.inf)
+        enter = np.where(active, lo * leave, np.inf)
+    edges = np.sort(np.concatenate([enter[lo[:, 0] > 0.0], leave]), axis=0)
+    lefts = np.concatenate([np.zeros((1, n)), edges])
+    rights = np.concatenate([edges, np.full((1, n), np.inf)])
 
-    # The grid stage only picks a refinement start, so it runs in float32 on
-    # contiguous per-axis rows; the refinement recomputes values in float64.
-    axis32 = np.ascontiguousarray(combos.T, dtype=np.float32)
-    axis32sq = np.ascontiguousarray((combos * combos).T, dtype=np.float32)
-    u32 = u.astype(np.float32)
-    w32 = w.astype(np.float32)
-
-    best_mag = np.empty((n, r_count))
-    best_val = np.empty(n)
-    slice_len = min(n, max(64, _MAX_GRID_CELLS // max(1, n_cells)))
-    num = np.empty((slice_len, n_cells), dtype=np.float32)
-    den = np.empty((slice_len, n_cells), dtype=np.float32)
-    work = np.empty((slice_len, n_cells), dtype=np.float32)
-    for start in range(0, n, slice_len):
-        sl = slice(start, min(n, start + slice_len))
-        us, ws = u32[sl], w32[sl]
-        m = us.shape[0]
-        numv, denv, workv = num[:m], den[:m], work[:m]
-        np.multiply(us[:, 0, None], axis32[0][None, :], out=numv)
-        np.multiply(ws[:, 0, None], axis32sq[0][None, :], out=denv)
-        denv += 1.0
-        for r in range(1, r_count):
-            np.multiply(us[:, r, None], axis32[r][None, :], out=workv)
-            numv += workv
-            np.multiply(ws[:, r, None], axis32sq[r][None, :], out=workv)
-            denv += workv
-        numv *= numv
-        numv /= denv
-        pick = np.argmax(numv, axis=1)
-        mag = combos[pick].copy()
-        val = _refine(mag, u[sl], w[sl], p0, spacing, lo_bounds)
-        best_mag[sl] = mag
-        best_val[sl] = val
-    return best_mag, best_val
+    best_mag = np.empty((r_count, n))
+    best_val = np.full(n, -np.inf)
+    for left, right in zip(lefts, rights):
+        fixed = np.where(right <= enter, lo, left >= leave)
+        num0 = (u * fixed).sum(axis=0)
+        den0 = 1.0 + (w * fixed * fixed).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # num0 = 0 (nothing fixed above 0): the objective rises through
+            # the segment, and the peak is its right end
+            c = np.clip(den0 / num0, left, right)
+            # m(c), with coordinates at a breakpoint set exactly to 1 or lo_r
+            mag = np.where(c >= leave, 1.0, np.where(c <= enter, lo, c * slope))
+        np.clip(mag, lo, 1.0, out=mag)
+        num = (u * mag).sum(axis=0)
+        val = p0 * num * num / (1.0 + (w * mag * mag).sum(axis=0))
+        better = val > best_val
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_mag, mag, where=better)
+    return best_mag.T, best_val
 
 
 def constrained_best_vector(spec, h: ChannelState, config: NetworkConfig,
-                            power: PowerLevel,
-                            grid_resolution: Optional[int] = None):
-    """Approximate SNR maximizer over a constrained family at one channel state.
+                            power: PowerLevel):
+    """Exact SNR maximizer over a constrained family at one channel state.
 
     Returns (BeamformingVector, snr).  The reported SNR is evaluated on the
     co-phased closed form, which equals received_snr of the returned vector
     up to roundoff.
     """
-    epsilon = resolve_epsilon(spec, power)
-    pinned = getattr(spec, "pinned_relay", None)
-    f = h.f[None, :]
-    g = h.g[None, :]
-    mag, val = constrained_best_snr(f, g, config, power, epsilon, pinned, grid_resolution)
-    phases = np.exp(-1j * np.angle(h.f * h.g))
-    return BeamformingVector(mag[0] * phases), float(val[0])
+    evaluator = ConstrainedEvaluator(resolve_epsilon(spec, power),
+                                     getattr(spec, "pinned_relay", None))
+    return evaluator.choose(h, config, power)
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +317,26 @@ class FiniteEvaluator:
 
 
 class ConstrainedEvaluator:
-    """Inner-maximizer evaluation of a constrained continuous family."""
+    """Exact co-phased maximizer of a constrained continuous family at one epsilon."""
 
-    def __init__(self, epsilon: float, pinned_relay: Optional[int],
-                 grid_resolution: Optional[int] = None):
+    def __init__(self, epsilon: float, pinned_relay: Optional[int]):
         if not 0.0 <= epsilon <= 1.0:
             raise CodebookError(f"epsilon must lie in [0, 1], got {epsilon}")
         self.epsilon = float(epsilon)
         self.pinned_relay = pinned_relay
-        self.grid_resolution = grid_resolution
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel) -> np.ndarray:
-        _, val = constrained_best_snr(f, g, config, power, self.epsilon,
-                                      self.pinned_relay, self.grid_resolution)
+        _, val = constrained_best_snr(f, g, config, power, self.epsilon, self.pinned_relay)
         return val
 
     def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):
         mag, val = constrained_best_snr(h.f[None, :], h.g[None, :], config, power,
-                                        self.epsilon, self.pinned_relay,
-                                        self.grid_resolution)
+                                        self.epsilon, self.pinned_relay)
         phases = np.exp(-1j * np.angle(h.f * h.g))
         return BeamformingVector(mag[0] * phases), float(val[0])
 
 
-def resolve_codebook(spec: CodebookSpec, power: PowerLevel,
-                     grid_resolution: Optional[int] = None):
+def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
     """Bind a codebook spec to a power level, yielding a per-state evaluator.
 
     Finite specs ignore the power level; the power-dependent family resolves
@@ -418,8 +347,7 @@ def resolve_codebook(spec: CodebookSpec, power: PowerLevel,
         return FiniteEvaluator(to_finite(spec))
     if isinstance(spec, (ConstrainedSpec, FullCsiSpec, PowerDependentSpec)):
         eps = resolve_epsilon(spec, power)
-        return ConstrainedEvaluator(eps, getattr(spec, "pinned_relay", None),
-                                    grid_resolution)
+        return ConstrainedEvaluator(eps, getattr(spec, "pinned_relay", None))
     raise CodebookError(f"unknown codebook spec: {type(spec).__name__}")
 
 
@@ -529,12 +457,3 @@ def spec_from_json(obj: dict, where: str = "codebook") -> CodebookSpec:
     if kind == "power_dep_constrained":
         return PowerDependentSpec(obj.get("pinned_relay", 0))
     raise CodebookError(f"{where}: unknown codebook type {kind!r}")
-
-
-def load_codebook_file(path) -> CodebookSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CodebookError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return spec_from_json(obj, where=str(path))

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as _rng
-
 # Beamforming magnitudes may exceed 1 by at most this much (hand-entered data).
 MAGNITUDE_TOL = 1e-9
 
@@ -151,11 +149,6 @@ def sample_channel(config: NetworkConfig, gen: np.random.Generator) -> ChannelSt
     """Draw a single channel state from `gen`."""
     f, g = sample_channels(config, gen, 1)
     return ChannelState(f[0], g[0])
-
-
-def channel_stream(seed: int, lane: int, block: int) -> np.random.Generator:
-    """Counter-addressed generator; see relayquant.rng.stream."""
-    return _rng.stream(seed, lane, block)
 
 
 def relay_gains(f, config: NetworkConfig, power: PowerLevel) -> np.ndarray:

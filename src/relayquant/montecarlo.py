@@ -91,7 +91,12 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything that determines one SER curve, including its randomness."""
+    """Everything that determines one SER curve, including its randomness.
+
+    grid_resolution is ignored: it sized the magnitude grid of an earlier,
+    approximate continuous-family maximizer, and the field keeps its sixth
+    position so that plans built positionally (as in perfbench/) still work.
+    """
 
     network: NetworkConfig
     codebook: CodebookSpec
@@ -309,7 +314,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     p_out, ser_out, err_out, n_out = [], [], [], []
     for point, p_db in enumerate(plan.p_grid_db):
         power = PowerLevel.from_db(p_db)
-        evaluator = resolve_codebook(plan.codebook, power, plan.grid_resolution)
+        evaluator = resolve_codebook(plan.codebook, power)
         proposal = None
         if plan.estimator == "importance":
             vectors = evaluator.canonical if isinstance(evaluator, FiniteEvaluator) else None

@@ -10,7 +10,8 @@ gamma-function quotient would overflow.  Together with a pointwise lower
 bound on the ratio density, a classical lower bound on the Gaussian tail,
 and a hard upper bound on the received SNR in terms of the fading ratio,
 these give the test suite analytically known targets to audit the Monte
-Carlo machinery against.
+Carlo machinery against.  The continuous-family maximizer is audited by its
+KKT certificate, which needs no reference value at all.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import rng as _rng
-from .model import BeamformingVector, ChannelState, NetworkConfig, PowerLevel, received_snr
+from .codebooks import constrained_best_snr
+from .model import (
+    BeamformingVector,
+    ChannelState,
+    NetworkConfig,
+    PowerLevel,
+    received_snr,
+    relay_gains,
+    sample_channels,
+)
 from .montecarlo import gaussian_tail
 
 
@@ -114,7 +124,11 @@ def snr_upper_bound_holds(h: ChannelState, x, rset: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# Audit suite: every check must pass; failures indicate implementation bugs
+# Audit suite.  The deterministic checks (Q bound, SNR cap, KKT certificate)
+# fail only on an implementation bug.  The ratio-CDF checks test against a
+# 99%-confidence DKW band, so a correct program fails one of them on about
+# one seed in a hundred; a failure there calls for a rerun at another seed
+# before it is read as a bug.
 # ---------------------------------------------------------------------------
 
 
@@ -244,10 +258,59 @@ def audit_snr_bound(samples: int, seed: int,
     )
 
 
+# Fixed draw budget of the KKT audit in run_audits: the certificate is exact,
+# so its cost need not grow with the suite's sample count.
+KKT_SAMPLES = 4800
+KKT_TOL = 1e-9
+
+
+def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
+    """KKT certificate of constrained_best_snr's magnitudes at R = 2 and 3.
+
+    With N = u.m and D = 1 + w.(m*m), the gradient of N^2 / D in m_r has
+    the sign of g_r = u_r D - N w_r m_r.  At the maximum g_r vanishes at a
+    free coordinate, is >= 0 at m_r = 1 and <= 0 at m_r = lo_r (a pinned
+    relay with lo_r = 1 is fixed).  The statistic is the worst violation of
+    these conditions, with g_r normalized by u_r D + N w_r m_r, over
+    `samples` draws spread evenly over two asymmetric networks, epsilon in
+    {0, 1/16, 1/4, 1} on relay 1 and 0-50 dB.  A magnitude outside
+    [lo_r, 1] counts as a violation of its size.
+    """
+    networks = (NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7)),
+                NetworkConfig(3, (1.0, 0.5, 2.0, 2.0), (1.2, 0.8, 1.0), (1.5, 1.7, 0.7)))
+    cells = [(config, eps, p_db) for config in networks
+             for eps in (0.0, 1.0 / 16.0, 0.25, 1.0) for p_db in range(0, 60, 10)]
+    per_cell = max(1, samples // len(cells))
+    worst = 0.0
+    for i, (config, eps, p_db) in enumerate(cells):
+        power = PowerLevel.from_db(p_db)
+        f, g = sample_channels(config, _rng.stream(seed, 4, i), per_cell)
+        mag, _ = constrained_best_snr(f, g, config, power, eps, 1)
+        rho = relay_gains(f, config, power)
+        u = np.abs(f * g) * np.sqrt(rho)
+        w = np.abs(g) ** 2 * rho
+        lo = np.zeros(config.relay_count)
+        lo[0] = math.sqrt(eps)
+        num = (u * mag).sum(axis=1, keepdims=True)
+        den = 1.0 + (w * mag * mag).sum(axis=1, keepdims=True)
+        grad = (u * den - num * w * mag) / (u * den + num * w * mag)
+        slack = np.where(mag >= 1.0, -grad, np.where(mag <= lo, grad, np.abs(grad)))
+        violation = np.maximum(np.where(lo < 1.0, slack, 0.0), np.maximum(lo - mag, mag - 1.0))
+        worst = max(worst, float(violation.max()))
+    return AuditCheck(
+        name="cophased-kkt",
+        passed=worst <= KKT_TOL,
+        statistic=worst,
+        threshold=KKT_TOL,
+        detail=f"worst normalized KKT violation over {per_cell * len(cells)} draws",
+    )
+
+
 def run_audits(samples: int = 10**6, seed: int = 20260808) -> list[AuditCheck]:
-    """Full audit table: CDF at R in {2,3,4}, PDF bound, Q bound, SNR cap."""
+    """Full audit table: CDF at R in {2,3,4}, PDF bound, Q bound, SNR cap, KKT."""
     checks = [audit_ratio_cdf(r, samples, seed) for r in (2, 3, 4)]
     checks.append(audit_ratio_pdf_bound(2, samples, seed))
     checks.append(audit_q_bound())
     checks.append(audit_snr_bound(max(1000, samples // 10), seed))
+    checks.append(audit_cophased_maximizer(KKT_SAMPLES, seed))
     return checks

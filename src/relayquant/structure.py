@@ -98,6 +98,13 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     return float(mags2.max(axis=1).min())
 
 
+def _nonzero_hitting_sets(cb: FiniteCodebook, zero_tol: float) -> HittingSets:
+    """hitting_sets, after rejecting a zero vector (no set can hit it)."""
+    if bool((_magnitudes(cb) <= zero_tol).all(axis=1).any()):
+        raise ValueError("codebook contains zero vector")
+    return hitting_sets(cb, zero_tol)
+
+
 def diversity_cap(cb: FiniteCodebook, zero_tol: float = ZERO_TOL):
     """Smallest hitting-set size and a witness set achieving it.
 
@@ -106,11 +113,7 @@ def diversity_cap(cb: FiniteCodebook, zero_tol: float = ZERO_TOL):
     because one nonzero index per vector always forms a hitting set.
     Raises if the codebook contains a zero vector (no set can hit it).
     """
-    mags = _magnitudes(cb)
-    if bool((mags <= zero_tol).all(axis=1).any()):
-        raise ValueError("codebook contains zero vector")
-    collection = hitting_sets(cb, zero_tol)
-    witness = collection.min_witness()
+    witness = _nonzero_hitting_sets(cb, zero_tol).min_witness()
     return len(witness), witness
 
 
@@ -222,9 +225,15 @@ class StructuralReport:
 
 
 def analyze_codebook(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> StructuralReport:
-    """Run every structural check and collect the results."""
-    cap, witness = diversity_cap(cb, zero_tol)
-    collection = hitting_sets(cb, zero_tol)
+    """Run every structural check and collect the results.
+
+    The hitting sets are enumerated once; the cap and its witness come from
+    that one collection.
+    """
+    collection = _nonzero_hitting_sets(cb, zero_tol)
+    witness = collection.min_witness()
+    cap = len(witness)
+    card = cardinality_cap(cb)
     full_set = tuple(range(1, cb.relay_count + 1))
     weights = [(witness, min_max_weight(cb, witness))]
     if full_set != witness:
@@ -234,10 +243,10 @@ def analyze_codebook(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> Structur
         label=cb.label,
         relay_count=cb.relay_count,
         codebook_size=len(cb),
-        diversity_cap=min(cap, cardinality_cap(cb)),
+        diversity_cap=min(cap, card),
         min_witness_set=witness,
         cap_from_hitting_sets=cap,
-        cap_from_cardinality=cardinality_cap(cb),
+        cap_from_cardinality=card,
         index_sets=collection.sets,
         min_max_weight=tuple(weights),
         is_omrs=is_omrs(cb, zero_tol),
@@ -278,7 +287,6 @@ def convergence_diagnostic(
     *,
     channel_samples: int = 64,
     seed: int = 0,
-    grid_resolution: Optional[int] = None,
 ) -> list[DiagnosticRow]:
     """Tabulate decay statistics of a power-indexed codebook family.
 
@@ -305,7 +313,7 @@ def convergence_diagnostic(
             gen = _rng.stream(seed, 1_000_000 + i, 0)
             f, g = sample_channels(config, gen, channel_samples)
             pinned = getattr(source, "pinned_relay", None)
-            mag, _ = constrained_best_snr(f, g, config, power, off, pinned, grid_resolution)
+            mag, _ = constrained_best_snr(f, g, config, power, off, pinned)
             overlap = 0.0
             for a in range(mag.shape[0]):
                 for b in range(a + 1, mag.shape[0]):

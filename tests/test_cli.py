@@ -165,3 +165,18 @@ def test_cli_entry_point_subprocess():
         [sys.executable, "-m", "relayquant.cli", "oracle", "--samples", "1000"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
+    family = dict(TINY_CONFIG, codebooks=[
+        {"label": "family", "type": "constrained", "epsilon": 0.25, "pinned_relay": 1},
+        {"label": "X", "type": "full_csi"},
+    ])
+    plain = _write(tmp_path, "plain.json", family)
+    keyed = _write(tmp_path, "keyed.json", dict(family, grid_resolution=8))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "-c", str(plain), "-o", str(out1)]) == 0
+    assert main(["simulate", "-c", str(keyed), "-o", str(out2)]) == 0
+    capsys.readouterr()
+    for name in ("family.csv", "X.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()

@@ -23,7 +23,8 @@ from relayquant import (
     spec_from_json,
     spec_to_json,
 )
-from relayquant.codebooks import resolve_epsilon, to_finite
+from relayquant.codebooks import constrained_best_snr, resolve_epsilon, to_finite
+from relayquant.model import relay_gains
 from relayquant.structure import is_omrs, is_srs
 from tests.conftest import U1, U2
 
@@ -231,3 +232,82 @@ def test_same_codebook_is_phase_blind():
     b = make_srs(3, (1.0, 2.0, 3.0))
     assert same_codebook(a, b)
     assert not same_codebook(a, FiniteCodebook(np.eye(2, dtype=complex)))
+
+
+def _cophased_terms(f, g, config, power):
+    """(u, w, p0) of the co-phased SNR p0 (u.m)^2 / (1 + w.(m*m))."""
+    rho = relay_gains(f, config, power)
+    return np.abs(f * g) * np.sqrt(rho), np.abs(g) ** 2 * rho, config.power_scalers[0] * power.linear
+
+
+def test_exact_maximizer_beats_fine_grid_within_resolution():
+    config = NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7))
+    gen = np.random.default_rng(53)
+    points = 301
+    step = 1.0 / (points - 1)
+    for p_db in (0.0, 15.0, 30.0, 45.0):
+        power = PowerLevel.from_db(p_db)
+        for eps in (0.0, 0.0625, 0.25, 1.0):
+            f = gen.standard_normal((30, 2)) + 1j * gen.standard_normal((30, 2))
+            g = gen.standard_normal((30, 2)) + 1j * gen.standard_normal((30, 2))
+            mag, val = constrained_best_snr(f, g, config, power, eps, 1)
+            u, w, p0 = _cophased_terms(f, g, config, power)
+            lo = np.sqrt(eps)
+            assert np.all(mag[:, 0] >= lo) and np.all((mag >= 0.0) & (mag <= 1.0))
+            attained = p0 * (u * mag).sum(axis=1) ** 2 / (1.0 + (w * mag * mag).sum(axis=1))
+            assert np.allclose(val, attained, rtol=1e-12, atol=0.0)
+
+            m1, m2 = np.meshgrid(np.linspace(lo, 1.0, points), np.linspace(0.0, 1.0, points),
+                                 indexing="ij")
+            num = u[:, 0, None, None] * m1 + u[:, 1, None, None] * m2
+            den = 1.0 + w[:, 0, None, None] * m1 ** 2 + w[:, 1, None, None] * m2 ** 2
+            grid_max = (p0 * num ** 2 / den).reshape(len(f), -1).max(axis=1)
+            assert np.all(val >= grid_max * (1 - 1e-12))
+            # |dF/dm_r| <= 2 p0 (sum u)(u_r + (sum u) w_r) on the box, and every
+            # point of the box lies within step/2 of a grid point in each axis
+            total = u.sum(axis=1, keepdims=True)
+            lipschitz = (2.0 * p0 * total * (u + total * w)).sum(axis=1)
+            assert np.all(val <= grid_max + 0.5 * step * lipschitz)
+
+
+def test_exact_maximizer_edge_cases():
+    gen = np.random.default_rng(59)
+    power = PowerLevel.from_db(20.0)
+    config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+    f = gen.standard_normal((500, 2)) + 1j * gen.standard_normal((500, 2))
+    g = gen.standard_normal((500, 2)) + 1j * gen.standard_normal((500, 2))
+
+    # epsilon 0 on a pinned relay is the unconstrained family
+    pinned = constrained_best_snr(f, g, config, power, 0.0, 1)
+    free = constrained_best_snr(f, g, config, power, 0.0, None)
+    assert np.array_equal(pinned[0], free[0]) and np.array_equal(pinned[1], free[1])
+
+    # epsilon 1 pins the relay at full power; the other relay is optimized
+    # in closed form: m = clip(D0 / N0 * u / w, 0, 1) with the pinned
+    # relay's terms as N0 and D0 - 1
+    mag, val = constrained_best_snr(f, g, config, power, 1.0, 2)
+    assert np.all(mag[:, 1] == 1.0)
+    u, w, p0 = _cophased_terms(f, g, config, power)
+    m = np.clip((1.0 + w[:, 1]) / u[:, 1] * u[:, 0] / w[:, 0], 0.0, 1.0)
+    want = p0 * (u[:, 1] + u[:, 0] * m) ** 2 / (1.0 + w[:, 1] + w[:, 0] * m * m)
+    assert np.allclose(mag[:, 0], m, rtol=1e-12, atol=1e-15)
+    assert np.allclose(val, want, rtol=1e-12, atol=0.0)
+
+    # a relay that hears nothing (f_r = 0) stays at zero and leaves the
+    # other relays' problem unchanged
+    three = NetworkConfig(3, (1.0,) * 4, (1.0,) * 3, (1.0,) * 3)
+    dead = np.concatenate([f, np.zeros((500, 1))], axis=1)
+    live = np.concatenate([g, g[:, :1]], axis=1)
+    mag, val = constrained_best_snr(dead, live, three, power, 0.25, 1)
+    mag2, val2 = constrained_best_snr(f, g, config, power, 0.25, 1)
+    assert np.all(mag[:, 2] == 0.0)
+    assert np.allclose(mag[:, :2], mag2, rtol=1e-12, atol=1e-15)
+    assert np.allclose(val, val2, rtol=1e-12, atol=0.0)
+
+    # one relay: the SNR rises with the magnitude, so full power is optimal
+    single = NetworkConfig(1, (1.0, 1.0), (1.0,), (1.0,))
+    for eps, pin in ((0.0, None), (0.25, 1)):
+        mag, val = constrained_best_snr(f[:, :1], g[:, :1], single, power, eps, pin)
+        assert np.all(mag == 1.0)
+        u, w, p0 = _cophased_terms(f[:, :1], g[:, :1], single, power)
+        assert np.allclose(val, p0 * u[:, 0] ** 2 / (1.0 + w[:, 0]), rtol=1e-12, atol=0.0)

@@ -15,6 +15,7 @@ from relayquant import (
     snr_upper_bound_holds,
 )
 from relayquant.oracles import (
+    audit_cophased_maximizer,
     audit_q_bound,
     audit_ratio_cdf,
     audit_ratio_pdf_bound,
@@ -151,3 +152,24 @@ def test_snr_upper_bound_scalar_api_matches_audit():
         p = PowerLevel(float(gen.uniform(0.5, 1e4)))
         for rset in ({1}, {2}, {1, 2}):
             assert snr_upper_bound_holds(h, x, rset, config, p)
+
+
+def test_cophased_maximizer_kkt_certificate():
+    check = audit_cophased_maximizer(4800, seed=20260808)
+    assert check.passed, check.detail
+    assert check.statistic < 1e-12
+
+
+def test_perturbed_maximizer_fails_kkt_audit(monkeypatch):
+    import relayquant.oracles as oracles
+
+    original = oracles.constrained_best_snr
+
+    def shrunk(*args):
+        mag, val = original(*args)
+        return 0.99 * mag, val
+
+    monkeypatch.setattr(oracles, "constrained_best_snr", shrunk)
+    check = audit_cophased_maximizer(4800, seed=20260808)
+    assert not check.passed
+    assert check.statistic > 0.1

@@ -215,3 +215,26 @@ def test_convergence_diagnostic_fitted_decay_constant():
     rows = convergence_diagnostic(family, powers)
     fitted = fit_log_decay(powers, [row.max_pairwise_overlap for row in rows])
     assert fitted == pytest.approx(c, rel=0.10)
+
+
+def test_analyze_enumerates_hitting_sets_once(monkeypatch, cb_c2, cb_c5):
+    import relayquant.structure as structure
+
+    calls = []
+    original = structure.hitting_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "hitting_sets", counted)
+    for cb in (cb_c2, cb_c5, make_srs(3, np.zeros(3))):
+        calls.clear()
+        structure.analyze_codebook(cb)
+        assert len(calls) == 1
+
+
+def test_analyze_rejects_zero_vector():
+    cb = FiniteCodebook(np.array([[0, 0], [1, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="codebook contains zero vector"):
+        analyze_codebook(cb)

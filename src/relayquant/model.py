@@ -140,8 +140,9 @@ def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int)
     zg = gen.standard_normal((count, r, 2))
     sf = np.sqrt(np.asarray(config.variance_f) / 2.0)
     sg = np.sqrt(np.asarray(config.variance_g) / 2.0)
-    f = (zf[..., 0] + 1j * zf[..., 1]) * sf
-    g = (zg[..., 0] + 1j * zg[..., 1]) * sg
+    # each trailing (re, im) pair of float64 normals is one complex128
+    f = zf.view(np.complex128)[..., 0] * sf
+    g = zg.view(np.complex128)[..., 0] * sg
     return f, g
 
 

@@ -19,14 +19,22 @@ Two estimators are selectable per plan:
   behind outages, and weights its Q value by the likelihood ratio p/q.  The
   estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
   the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
-  to a few percent at 1e6 trials even where the SER is 1e-15.  A trial costs
-  roughly 1.5x (no multi-relay codebook vector) to 2.4x (three of them)
-  what a plain trial costs.
+  to a few percent at 1e6 trials even where the SER is 1e-15.  On the fig2
+  network's five-point grid a trial costs roughly 2.5x (no multi-relay
+  codebook vector) to 3.8x (three of them) what a plain trial costs, since
+  both share one draw across the grid but only this one maps and weights it
+  at every power.
 
-Trials are split into fixed-size chunks; chunk c of grid point i draws from
-the counter stream (seed, i, c) and partial sums are combined in chunk
-order, so the output of either estimator is bit-identical no matter how many
-worker threads run.
+Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
+from the counter stream (seed, 0, c), and evaluates it at every power of the
+grid: the true channel law does not depend on P, and neither do the raw
+draws of the importance proposal, which each power then maps through its own
+mixture.  Per-point partial sums are combined in chunk order, so the output
+of either estimator is bit-identical no matter how many worker threads run,
+and point i of a curve equals a one-point plan at that power.  The points of
+a curve share their draws (common random numbers), so their errors are
+positively correlated, which usually steadies slope fits; each point's
+std_err is still the standard error of that point alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -237,20 +245,28 @@ class DefensiveMixture:
         p0 = self.config.power_scalers[0] * self.power.linear
         return mu, den / (p0 * (c.real ** 2 + c.imag ** 2))
 
-    def sample(self, gen: np.random.Generator, size: int):
-        """Draw `size` channel states from q; returns (f, g, weights p/q).
+    @staticmethod
+    def draw(config: NetworkConfig, gen: np.random.Generator, size: int):
+        """The power-independent randomness of `size` trials, for `transform`.
 
-        f and g have shape (size, R) like sample_channels.  The draws come
-        from `gen` in a fixed order: the true-law gains, the component of
-        each trial, then the fade coins.
+        Returns (f, g, uniform, coins): true-law gains of shape (size, R),
+        the uniform that picks each trial's component, and the (2R, size)
+        fade coins, drawn from `gen` in that order.
+        """
+        f, g = sample_channels(config, gen, size)
+        return f, g, gen.random(size), gen.integers(0, 2, (2 * config.relay_count, size),
+                                                    dtype=np.bool_)
+
+    def transform(self, f, g, uniform, coins):
+        """Map a `draw` to channel states from q; returns (f, g, weights p/q).
+
+        The inputs are left unchanged, so one draw serves every power level.
         """
         r_count = self.config.relay_count
-        f, g = sample_channels(self.config, gen, size)
         h = np.concatenate([f.T, g.T])               # (2R, n), relay-major
-        pick = np.searchsorted(self.cum_alpha, gen.random(size), side="right")
+        pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
-        fade = gen.integers(0, 2, (2 * r_count, size), dtype=np.bool_)
-        fade &= pick > 0
+        fade = coins & (pick > 0)
         scale = np.where(fade, 1.0 / math.sqrt(self.power.linear), 1.0)
         h *= scale
         if self.relay.size:
@@ -267,6 +283,13 @@ class DefensiveMixture:
             h[row, trials] = mu + np.sqrt(s2) * unit
         f, g = h[:r_count], h[r_count:]
         return f.T, g.T, self._weights(h)
+
+    def sample(self, gen: np.random.Generator, size: int):
+        """Draw `size` channel states from q; returns (f, g, weights p/q).
+
+        f and g have shape (size, R) like sample_channels.
+        """
+        return self.transform(*self.draw(self.config, gen, size))
 
     def _weights(self, h):
         """Likelihood ratio p/q at each trial, bounded by 1 / ALPHA_PLAIN."""
@@ -295,7 +318,7 @@ class DefensiveMixture:
         return np.exp(-top) / np.exp(terms).sum(axis=0)
 
 
-def _point_chunks(trials: int):
+def _chunk_sizes(trials: int):
     return [(c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
             for c in range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)]
 
@@ -303,59 +326,63 @@ def _point_chunks(trials: int):
 def estimate_ser(plan: SimulationPlan) -> SerCurve:
     """Monte Carlo SER at every grid point of the plan.
 
-    Deterministic for a fixed plan: chunk randomness is addressed by
-    (seed, point, chunk) and partial sums combine in chunk order, so worker
-    count never changes the output bits.  With plan.estimator "importance"
-    each trial is drawn from a DefensiveMixture and its Q value is weighted
-    by the likelihood ratio.
+    Chunk c draws its trials once, from the counter stream (seed, 0, c), and
+    evaluates them at every grid power; per-point partial sums combine in
+    chunk order, so worker count never changes the output bits, and point i
+    of a curve equals a one-point plan at p_grid_db[i].  With plan.estimator
+    "importance" each power maps the draw through its own DefensiveMixture
+    and weights its Q values by the likelihood ratio.
     """
     config = plan.network
-    workers = worker_count()
-    p_out, ser_out, err_out, n_out = [], [], [], []
-    for point, p_db in enumerate(plan.p_grid_db):
-        power = PowerLevel.from_db(p_db)
-        evaluator = resolve_codebook(plan.codebook, power)
-        proposal = None
-        if plan.estimator == "importance":
-            vectors = evaluator.canonical if isinstance(evaluator, FiniteEvaluator) else None
-            proposal = DefensiveMixture(config, power, vectors)
+    powers = [PowerLevel.from_db(p_db) for p_db in plan.p_grid_db]
+    evaluators = [resolve_codebook(plan.codebook, power) for power in powers]
+    proposals = None
+    if plan.estimator == "importance":
+        proposals = [DefensiveMixture(config, power, ev.canonical
+                                      if isinstance(ev, FiniteEvaluator) else None)
+                     for power, ev in zip(powers, evaluators)]
 
-        def run_chunk(chunk_size, _point=point, _power=power, _ev=evaluator, _q=proposal):
-            chunk, size = chunk_size
-            gen = _rng.stream(plan.seed, _point, chunk)
-            if _q is None:
-                f, g = sample_channels(config, gen, size)
-                weight = 1.0
-            else:
-                f, g, weight = _q.sample(gen, size)
-            snr = _ev.best_snr(f, g, config, _power)
-            q = gaussian_tail(np.sqrt(2.0 * snr)) * weight
-            return float(q.sum()), float(np.square(q).sum())
-
-        chunks = _point_chunks(plan.trials_per_point)
-        if workers == 1 or len(chunks) == 1:
-            partials = [run_chunk(c) for c in chunks]
+    def run_chunk(chunk_size):
+        chunk, size = chunk_size
+        gen = _rng.stream(plan.seed, 0, chunk)
+        if proposals is None:
+            f, g = sample_channels(config, gen, size)
+            weight = 1.0
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(run_chunk, chunks))
+            raw = DefensiveMixture.draw(config, gen, size)
+        sums = []
+        for i, (power, ev) in enumerate(zip(powers, evaluators)):
+            if proposals is not None:
+                f, g, weight = proposals[i].transform(*raw)
+            q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power))) * weight
+            sums.append((float(q.sum()), float(np.square(q).sum())))
+        return sums
 
+    chunks = _chunk_sizes(plan.trials_per_point)
+    workers = worker_count()
+    if workers == 1 or len(chunks) == 1:
+        partials = [run_chunk(c) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run_chunk, chunks))
+
+    n = plan.trials_per_point
+    ser_out, err_out = [], []
+    for point_sums in zip(*partials):
         total = 0.0
         total_sq = 0.0
-        for s1, s2 in partials:
+        for s1, s2 in point_sums:
             total += s1
             total_sq += s2
-        n = plan.trials_per_point
         mean = total / n
         if n > 1:
             var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
             std_err = math.sqrt(var / n)
         else:
             std_err = 0.0
-        p_out.append(float(p_db))
         ser_out.append(mean)
         err_out.append(std_err)
-        n_out.append(n)
-    return SerCurve(tuple(p_out), tuple(ser_out), tuple(err_out), tuple(n_out))
+    return SerCurve(plan.p_grid_db, tuple(ser_out), tuple(err_out), (n,) * len(powers))
 
 
 @dataclass(frozen=True)

@@ -216,12 +216,7 @@ def audit_snr_bound(samples: int, seed: int,
     checked = 0
     for rset in subsets:
         cols = [r - 1 for r in rset]
-        zf = gen.standard_normal((per_subset, r_count, 2))
-        zg = gen.standard_normal((per_subset, r_count, 2))
-        sf = np.sqrt(np.asarray(config.variance_f) / 2.0)
-        sg = np.sqrt(np.asarray(config.variance_g) / 2.0)
-        f = (zf[..., 0] + 1j * zf[..., 1]) * sf
-        g = (zg[..., 0] + 1j * zg[..., 1]) * sg
+        f, g = sample_channels(config, gen, per_subset)
         mags = gen.uniform(0.0, 1.0, (per_subset, r_count))
         phases = gen.uniform(0.0, 2.0 * math.pi, (per_subset, r_count))
         xs = mags * np.exp(1j * phases)

@@ -3,7 +3,8 @@
 Every stream is addressed by (seed, lane, block) through the 256-bit Philox
 counter, so the values drawn from one stream never depend on how many other
 streams were consumed, in which order, or on which thread.  Monte Carlo code
-assigns one lane per power-grid point and one block per trial chunk.
+draws each trial chunk from lane 0, one block per chunk, and evaluates that
+draw at every power-grid point; the audits in oracles use other lanes.
 """
 
 from __future__ import annotations

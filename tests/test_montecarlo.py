@@ -20,8 +20,8 @@ from relayquant import (
     rng,
 )
 from relayquant.cli import main
-from relayquant.codebooks import resolve_codebook
-from relayquant.montecarlo import ALPHA_PLAIN, CSV_HEADER, DefensiveMixture
+from relayquant.codebooks import ConstrainedSpec, PowerDependentSpec, resolve_codebook
+from relayquant.montecarlo import ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, DefensiveMixture
 from relayquant.structure import diversity_cap
 from tests.conftest import U1
 
@@ -93,6 +93,59 @@ def test_ser_monotone_in_codebook_growth():
     a = estimate_ser(SimulationPlan(net, small, (0.0, 10.0, 20.0), 30_000, 77))
     b = estimate_ser(SimulationPlan(net, grown, (0.0, 10.0, 20.0), 30_000, 77))
     assert all(bb <= aa for aa, bb in zip(a.ser, b.ser))
+
+
+def test_curve_point_equals_one_point_plan():
+    # every grid point evaluates the same chunk draws, so point i of a curve
+    # cannot depend on which other powers share its plan
+    net = _fig2_network()
+    grid = (5.0, 15.0, 25.0)
+    c3 = FiniteCodebook(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex))
+    cases = [(c3, "plain"), (c3, "importance"), (PowerDependentSpec(1), "plain"),
+             (PowerDependentSpec(1), "importance")]
+    for spec, estimator in cases:
+        curve = estimate_ser(SimulationPlan(net, spec, grid, 9000, 41, estimator=estimator))
+        for i, p_db in enumerate(grid):
+            one = estimate_ser(SimulationPlan(net, spec, (p_db,), 9000, 41, estimator=estimator))
+            assert list(one.rows()) == [list(curve.rows())[i]], (spec, estimator, p_db)
+
+
+def test_plain_srs_curve_non_increasing_exactly():
+    # on one draw each relay's SNR rises with P, so every trial's Q value,
+    # and hence the sum over the shared draws, falls: no sigma slack needed
+    grid = tuple(float(p) for p in range(0, 42, 3))
+    curve = estimate_ser(SimulationPlan(_fig2_network(), SrsSpec((0.0, 0.0, 0.0)), grid,
+                                        20_000, 8))
+    assert all(b <= a for a, b in zip(curve.ser, curve.ser[1:]))
+
+
+def test_one_stream_per_chunk(monkeypatch):
+    calls = []
+    original = rng.stream
+
+    def counting(seed, lane, block):
+        calls.append((seed, lane, block))
+        return original(seed, lane, block)
+
+    monkeypatch.setattr(rng, "stream", counting)
+    trials = 2 * CHUNK_TRIALS + 17
+    for estimator in ("plain", "importance"):
+        calls.clear()
+        estimate_ser(SimulationPlan(_fig2_network(), SrsSpec((0.0, 0.0, 0.0)),
+                                    (0.0, 10.0, 20.0, 30.0), trials, 3, estimator=estimator))
+        assert sorted(calls) == [(3, 0, 0), (3, 0, 1), (3, 0, 2)]
+
+
+def test_constrained_family_thread_invariant(monkeypatch):
+    plan = SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (5.0, 10.0, 15.0),
+                          3 * CHUNK_TRIALS, 17)
+    curves = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+        buf = io.StringIO()
+        estimate_ser(plan).write_csv(buf)
+        curves.append(buf.getvalue())
+    assert curves[0] == curves[1]
 
 
 def test_phase_rotated_selection_curves_identical():

@@ -17,6 +17,7 @@ from .codebooks import (
     apply_unitary,
     constrained_best_vector,
     make_srs,
+    optimal_encoder,
     resolve_codebook,
     same_codebook,
     spec_from_json,
@@ -27,7 +28,6 @@ from .model import (
     ChannelState,
     NetworkConfig,
     PowerLevel,
-    optimal_encoder,
     received_snr,
     relay_gain,
     sample_channel,

@@ -96,6 +96,15 @@ def _network_from_json(obj, path: str) -> NetworkConfig:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _field(convert, obj: dict, key: str, path: str, default=None):
+    """convert(obj[key]) (or of `default` when given and the key is absent)."""
+    value = obj.get(key, default) if default is not None else _require(obj, key, path)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
 def _safe_label(label: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")
     return safe or "codebook"
@@ -107,9 +116,10 @@ def _experiment_from_json(cfg: dict, where: str):
     entries = _require(cfg, "codebooks", f"{where}.codebooks")
     if not isinstance(entries, list) or not entries:
         raise CliError(f"{where}.codebooks: need a non-empty list")
-    p_grid = _require(cfg, "p_grid_db", f"{where}.p_grid_db")
-    trials = int(cfg.get("trials_per_point", 10**6))
-    seed = int(_require(cfg, "seed", f"{where}.seed"))
+    p_grid = _field(lambda v: tuple(float(p) for p in v), cfg, "p_grid_db",
+                    f"{where}.p_grid_db")
+    trials = _field(int, cfg, "trials_per_point", f"{where}.trials_per_point", 10**6)
+    seed = _field(int, cfg, "seed", f"{where}.seed")
     estimator = cfg.get("estimator", "plain")
 
     labeled: list[tuple[str, CodebookSpec, int]] = []
@@ -128,7 +138,8 @@ def _experiment_from_json(cfg: dict, where: str):
             spec = spec_from_json(body, where=path)
         except CodebookError as exc:
             raise CliError(str(exc)) from exc
-        labeled.append((label, spec, int(entry.get("trials_per_point", trials))))
+        labeled.append((label, spec, _field(int, entry, "trials_per_point",
+                                            f"{path}.trials_per_point", trials)))
     return network, labeled, p_grid, trials, seed, estimator
 
 
@@ -143,7 +154,7 @@ def cmd_simulate(args) -> int:
     outputs = {}
     for label, spec, entry_trials in labeled:
         try:
-            plan = SimulationPlan(network, spec, tuple(p_grid), entry_trials,
+            plan = SimulationPlan(network, spec, p_grid, entry_trials,
                                   seed, estimator=estimator)
             curve = estimate_ser(plan)
         except (CodebookError, ValueError) as exc:

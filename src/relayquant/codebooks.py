@@ -34,9 +34,8 @@ from .model import (
     ChannelState,
     NetworkConfig,
     PowerLevel,
-    best_snr,
     canonical_rows,
-    relay_gains,
+    snr_geometry,
     snr_per_vector,
 )
 
@@ -219,7 +218,7 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
 
         max  p0 (u.m)^2 / (1 + w.(m*m))   over   lo_r <= m_r <= 1
 
-    with u_r = |f_r g_r| sqrt(rho_r), w_r = |g_r|^2 rho_r, and lo_r =
+    with u_r = |a_r| and w_r = b_r from snr_geometry, and lo_r =
     sqrt(epsilon) at the pinned relay, 0 elsewhere.  The KKT conditions put
     the optimum on the curve m(c) = clip(c u / w, lo, 1), c >= 0.  Between
     two consecutive breakpoints c = lo_r w_r / u_r and c = w_r / u_r the
@@ -242,10 +241,9 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
         lo[pinned_relay - 1] = math.sqrt(epsilon)
 
     p0 = config.power_scalers[0] * power.linear
-    rho = relay_gains(f, config, power)
     # relay-major (R, n) layout: sums over relays add contiguous rows
-    u = np.ascontiguousarray((np.abs(f) * np.abs(g) * np.sqrt(rho)).T)
-    w = np.ascontiguousarray(((g.real * g.real + g.imag * g.imag) * rho).T)
+    _, a, w = snr_geometry(f, g, config, power)
+    u = np.abs(a)
     lo = lo[:, None]
 
     # Along the curve m_r leaves lo_r at c = enter_r and reaches 1 at
@@ -308,12 +306,30 @@ class FiniteEvaluator:
         self.canonical = canonical_rows(codebook.vectors)
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel) -> np.ndarray:
-        return best_snr(self.canonical, f, g, config, power)
+        return snr_per_vector(self.canonical, f, g, config, power).max(axis=1)
 
     def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):
+        """SNR-maximizing entry at one state; returns (index, BeamformingVector).
+
+        Ties go to the lowest index.  Entries are compared in canonical phase,
+        so rotating one by a global phase never changes the winning SNR, only
+        (possibly) which member of the phase class is reported.
+        """
+        if h.relay_count != self.codebook.relay_count:
+            raise ValueError("codebook vector length does not match channel state")
         snrs = snr_per_vector(self.canonical, h.f[None, :], h.g[None, :], config, power)[0]
         idx = int(np.argmax(snrs))
         return idx, BeamformingVector(self.codebook.vectors[idx])
+
+
+def optimal_encoder(codebook, h: ChannelState, config: NetworkConfig, power: PowerLevel):
+    """FiniteEvaluator.choose on a FiniteCodebook, a sequence of vectors or an array."""
+    if not isinstance(codebook, FiniteCodebook):
+        rows = [getattr(v, "x", v) for v in codebook]
+        if not rows:
+            raise ValueError("empty codebook")
+        codebook = FiniteCodebook(rows)
+    return FiniteEvaluator(codebook).choose(h, config, power)
 
 
 class ConstrainedEvaluator:

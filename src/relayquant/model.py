@@ -12,6 +12,12 @@ relay normalizes its gain by the channel-inversion factor
 which keeps its instantaneous output inside the short-term budget.  All power
 arithmetic is done in linear scale; dB appears only at I/O boundaries.
 
+Every SNR in the package, p_0 P |sum_r x_r a_r|^2 / (1 + sum_r |x_r|^2 b_r)
+with a_r = f_r g_r sqrt(rho_r) and b_r = |g_r|^2 rho_r, is read off
+snr_geometry, the one place that forms (rho, a, b).  It returns them
+relay-major, as contiguous (R, n) rows over n channel states, so that sums
+over relays add whole rows; beamformed_snr evaluates the SNR on them.
+
 Relay indices in public arguments and reports are 1-based, matching the usual
 "relay 1 .. relay R" numbering; arrays are of course 0-based internally.
 """
@@ -152,13 +158,14 @@ def sample_channel(config: NetworkConfig, gen: np.random.Generator) -> ChannelSt
     return ChannelState(f[0], g[0])
 
 
-def relay_gains(f, config: NetworkConfig, power: PowerLevel) -> np.ndarray:
+def relay_gains(f, config: NetworkConfig, power) -> np.ndarray:
     """Channel-inversion gains rho_r = p_r P / (1 + |f_r|^2 p_0 P), vectorized.
 
-    `f` has shape (..., R); the result matches its shape.
+    `f` has shape (..., R); the result matches its shape.  `power` is a
+    PowerLevel, or linear power: a float or one value per channel state.
     """
     f = np.asarray(f, dtype=np.complex128)
-    p = power.linear
+    p = np.asarray(getattr(power, "linear", power), dtype=float)[..., None]
     scal = np.asarray(config.power_scalers)
     absf2 = f.real * f.real + f.imag * f.imag
     return (scal[1:] * p) / (1.0 + absf2 * (scal[0] * p))
@@ -171,43 +178,70 @@ def relay_gain(relay: int, h: ChannelState, config: NetworkConfig, power: PowerL
     return float(relay_gains(h.f, config, power)[relay - 1])
 
 
+def snr_terms(f, g, rho):
+    """Elementwise SNR terms (a, b) = (f g sqrt(rho), |g|^2 rho).
+
+    a is linear in g, so at g = 1 it is the coefficient that multiplies g.
+    """
+    return f * g * np.sqrt(rho), (g.real * g.real + g.imag * g.imag) * rho
+
+
+def snr_geometry(f, g, config: NetworkConfig, power):
+    """Relay-major SNR geometry (rho, a, b) of channel states f, g of shape (n, R).
+
+    Returns three contiguous (R, n) arrays: the relay gains rho (see
+    relay_gains, which also documents `power`) and the terms a, b of
+    snr_terms.  Row r holds relay r over all n states.
+    """
+    f = np.ascontiguousarray(np.asarray(f, dtype=np.complex128).T)
+    g = np.ascontiguousarray(np.asarray(g, dtype=np.complex128).T)
+    rho = np.ascontiguousarray(relay_gains(f.T, config, power).T)
+    return (rho,) + snr_terms(f, g, rho)
+
+
+def beamformed_sums(x, a, b):
+    """(sum_r x_r a_r, 1 + sum_r |x_r|^2 b_r) on a relay-major geometry.
+
+    x[r] is relay r's weight: a scalar, or an array that broadcasts against
+    a[r] (one weight per state, say).  The reduction over relays is an
+    explicit accumulation, so results are bit-identical regardless of BLAS
+    backend or thread count; zero scalar weights are skipped.
+    """
+    acc = den = None
+    for r, xr in enumerate(x):
+        if np.ndim(xr) or xr != 0:
+            term = a[r] * xr
+            weight = b[r] * (xr.real * xr.real + xr.imag * xr.imag)
+            if acc is None:
+                acc, den = term, 1.0 + weight
+            else:
+                acc += term
+                den += weight
+    if acc is None:
+        return np.zeros(a.shape[1:], dtype=np.complex128), np.ones(a.shape[1:])
+    return acc, den
+
+
+def beamformed_snr(x, a, b, p0) -> np.ndarray:
+    """SNR p0 |sum_r x_r a_r|^2 / (1 + sum_r |x_r|^2 b_r), see beamformed_sums."""
+    acc, den = beamformed_sums(x, a, b)
+    return (p0 * (acc.real * acc.real + acc.imag * acc.imag)) / den
+
+
 def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
                    config: NetworkConfig, power: PowerLevel) -> np.ndarray:
     """Received SNR of each candidate vector at each channel state.
 
-    vectors: (K, R) complex, f/g: (n, R).  Returns (n, K) with
-
-        SNR = P0 |sum_r x_r f_r g_r sqrt(rho_r)|^2
-              / (1 + sum_r |x_r|^2 |g_r|^2 rho_r),   P0 = p_0 P.
-
-    The reduction over relays is an explicit accumulation, so results are
-    bit-identical regardless of BLAS backend or thread count.
+    vectors: (K, R) complex, f/g: (n, R).  Returns (n, K), evaluated by
+    beamformed_snr on one snr_geometry.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
-    n = f.shape[0]
-    r_count = f.shape[1]
-    p = power.linear
-    p0 = config.power_scalers[0] * p
-    rho = relay_gains(f, config, power)
-    a = f * g * np.sqrt(rho)
-    b = (g.real * g.real + g.imag * g.imag) * rho
-    out = np.empty((n, vectors.shape[0]))
+    p0 = config.power_scalers[0] * power.linear
+    _, a, b = snr_geometry(f, g, config, power)
+    out = np.empty((a.shape[1], vectors.shape[0]))
     for k, x in enumerate(vectors):
-        acc = np.zeros(n, dtype=np.complex128)
-        den = np.ones(n)
-        for r in range(r_count):
-            xr = x[r]
-            if xr != 0:
-                acc += a[:, r] * xr
-                den += b[:, r] * (xr.real * xr.real + xr.imag * xr.imag)
-        out[:, k] = (p0 * (acc.real * acc.real + acc.imag * acc.imag)) / den
+        out[:, k] = beamformed_snr(x, a, b, p0)
     return out
-
-
-def best_snr(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
-             config: NetworkConfig, power: PowerLevel) -> np.ndarray:
-    """Max over candidate vectors of snr_per_vector, shape (n,)."""
-    return snr_per_vector(vectors, f, g, config, power).max(axis=1)
 
 
 def received_snr(x, h: ChannelState, config: NetworkConfig, power: PowerLevel) -> float:
@@ -237,34 +271,3 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
         out[i] = row * (np.conj(row[pivot]) / peak)
         out[i, pivot] = 1.0 if abs(peak - 1.0) <= UNIT_SNAP_TOL else peak
     return out
-
-
-def _vector_matrix(codebook) -> np.ndarray:
-    """Accept a FiniteCodebook, a sequence of BeamformingVector, or an array."""
-    vecs = getattr(codebook, "vectors", codebook)
-    if isinstance(vecs, np.ndarray):
-        mat = np.asarray(vecs, dtype=np.complex128)
-        return mat[None, :] if mat.ndim == 1 else mat
-    rows = [v.x if isinstance(v, BeamformingVector) else np.asarray(v, dtype=np.complex128)
-            for v in vecs]
-    if not rows:
-        raise ValueError("empty codebook")
-    return np.stack(rows)
-
-
-def optimal_encoder(codebook, h: ChannelState, config: NetworkConfig,
-                    power: PowerLevel):
-    """SNR-maximizing choice from a finite codebook; ties go to the lowest index.
-
-    Returns (index, BeamformingVector).  Candidates are compared in canonical
-    phase, so rotating an entry by a global phase never changes the winning
-    SNR value, only (possibly) which member of the phase class is reported.
-    """
-    mat = _vector_matrix(codebook)
-    if mat.shape[0] == 0:
-        raise ValueError("empty codebook")
-    if mat.shape[1] != h.relay_count:
-        raise ValueError("codebook vector length does not match channel state")
-    snrs = snr_per_vector(canonical_rows(mat), h.f[None, :], h.g[None, :], config, power)[0]
-    idx = int(np.argmax(snrs))
-    return idx, BeamformingVector(mat[idx])

@@ -20,10 +20,10 @@ Two estimators are selectable per plan:
   estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
   the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
   to a few percent at 1e6 trials even where the SER is 1e-15.  On the fig2
-  network's five-point grid a trial costs roughly 2.5x (no multi-relay
-  codebook vector) to 3.8x (three of them) what a plain trial costs, since
-  both share one draw across the grid but only this one maps and weights it
-  at every power.
+  network's five-point grid a trial costs roughly 2.3x (no multi-relay
+  codebook vector) to 4.5x (three of them) what a plain trial costs (one
+  thread, 2-core Xeon VM, 2026-10), since both share one draw across the
+  grid but only this one maps and weights it at every power.
 
 Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
 from the counter stream (seed, 0, c), and evaluates it at every power of the
@@ -55,7 +55,8 @@ from scipy import special
 
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
-from .model import NetworkConfig, PowerLevel, relay_gains, sample_channels
+from .model import (NetworkConfig, PowerLevel, beamformed_sums, sample_channels,
+                    snr_geometry, snr_terms)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -146,14 +147,6 @@ class SerCurve:
         for p, s, e, t in self.rows():
             fh.write(f"{p!r},{s!r},{e!r},{t}\n")
 
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {"p_db": p, "ser": s, "std_err": e, "trials": t}
-                for p, s, e, t in self.rows()
-            ]
-        }
-
     @classmethod
     def read_csv(cls, fh: TextIO) -> "SerCurve":
         header = fh.readline().strip()
@@ -187,8 +180,9 @@ class DefensiveMixture:
     * q_cancel,k: one component per canonical codebook vector k with two or
       more active relays.  The other gains fade as in q_fade; g at k's last
       active relay r* is drawn from CN(mu_k, s_k^2), where mu_k zeroes
-      sum_r x_kr f_r g_r sqrt(rho_r) and s_k^2 is the noise-to-signal scale
-      of vector k's SNR (destructive interference between relays).
+      vector k's SNR numerator (see model.snr_geometry) and s_k^2 is the
+      noise-to-signal scale of its SNR (destructive interference between
+      relays).
       Components are built from the evaluator's canonical rows, so
       codebooks that differ only by per-vector phases that canonical_rows
       removes exactly (e.g. rotated selection codebooks) sample identically.
@@ -222,23 +216,15 @@ class DefensiveMixture:
         self.log_alpha = np.log(alphas)
         self.cum_alpha = np.cumsum(alphas)
 
-    def _geometry(self, f, g):
-        """Relay-major (coef, a, b, rho): f sqrt(rho), coef g, |g|^2 rho, rho."""
-        rho = relay_gains(f.T, self.config, self.power).T
-        coef = f * np.sqrt(rho)
-        return coef, coef * g, (g.real ** 2 + g.imag ** 2) * rho, rho
-
-    def _cancel_point(self, others, pivot, a, b, coef_star, rho_star):
+    def _cancel_point(self, others, pivot, a, b, f_star, rho_star):
         """(mu, s^2) of cancellation components, broadcast over trials.
 
-        others[r] and pivot are the vector entries off and at r*; a, b come
-        from _geometry, coef_star and rho_star are its coef and rho at r*.
+        others[r] and pivot are the vector entries off and at r*; a, b are
+        rows of snr_geometry, f_star and rho_star are f and rho at r*.
         """
-        acc = others[0] * a[0]
-        den = 1.0 + (others[0].real ** 2 + others[0].imag ** 2) * b[0]
-        for r in range(1, a.shape[0]):
-            acc = acc + others[r] * a[r]
-            den = den + (others[r].real ** 2 + others[r].imag ** 2) * b[r]
+        acc, den = beamformed_sums(others, a, b)
+        # a at r* is linear in g there; its coefficient is a at g = 1
+        coef_star, _ = snr_terms(f_star, 1.0, rho_star)
         c = pivot * coef_star
         mu = -acc / c
         den += abs(pivot) ** 2 * (mu.real ** 2 + mu.imag ** 2) * rho_star
@@ -261,6 +247,9 @@ class DefensiveMixture:
         """Map a `draw` to channel states from q; returns (f, g, weights p/q).
 
         The inputs are left unchanged, so one draw serves every power level.
+        One snr_geometry of the faded states serves the cancellation points
+        and the weights; where a trial's g is redrawn, its a and b are
+        recomputed in place.
         """
         r_count = self.config.relay_count
         h = np.concatenate([f.T, g.T])               # (2R, n), relay-major
@@ -269,20 +258,22 @@ class DefensiveMixture:
         fade = coins & (pick > 0)
         scale = np.where(fade, 1.0 / math.sqrt(self.power.linear), 1.0)
         h *= scale
-        if self.relay.size:
-            trials = np.flatnonzero(pick >= 2)
-            k = pick[trials] - 2
-            cols = np.arange(trials.size)
-            row = r_count + self.relay[k]
-            sub = h[:, trials]
-            coef, a, b, rho = self._geometry(sub[:r_count], sub[r_count:])
-            mu, s2 = self._cancel_point(self.others[k].T, self.pivot[k], a, b,
-                                        coef[self.relay[k], cols], rho[self.relay[k], cols])
-            # the gain's own standard draw serves as the component's CN(0, 1)
-            unit = sub[row, cols] / (scale[row, trials] * np.sqrt(self.variance[row, 0]))
-            h[row, trials] = mu + np.sqrt(s2) * unit
         f, g = h[:r_count], h[r_count:]
-        return f.T, g.T, self._weights(h)
+        if not self.relay.size:
+            return f.T, g.T, self._weights(h)
+        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power)
+        trials = np.flatnonzero(pick >= 2)
+        k = pick[trials] - 2
+        star = self.relay[k]
+        mu, s2 = self._cancel_point(self.others[k].T, self.pivot[k], a[:, trials],
+                                    b[:, trials], f[star, trials], rho[star, trials])
+        # the gain's own standard draw serves as the component's CN(0, 1)
+        row = r_count + star
+        unit = h[row, trials] / (scale[row, trials] * np.sqrt(self.variance[row, 0]))
+        g[star, trials] = mu + np.sqrt(s2) * unit
+        a[star, trials], b[star, trials] = snr_terms(f[star, trials], g[star, trials],
+                                                     rho[star, trials])
+        return f.T, g.T, self._weights(h, (rho, a, b))
 
     def sample(self, gen: np.random.Generator, size: int):
         """Draw `size` channel states from q; returns (f, g, weights p/q).
@@ -291,8 +282,12 @@ class DefensiveMixture:
         """
         return self.transform(*self.draw(self.config, gen, size))
 
-    def _weights(self, h):
-        """Likelihood ratio p/q at each trial, bounded by 1 / ALPHA_PLAIN."""
+    def _weights(self, h, geometry=None):
+        """Likelihood ratio p/q at each trial, bounded by 1 / ALPHA_PLAIN.
+
+        h holds the (2R, n) relay-major states; the cancellation components
+        need their snr_geometry (rho, a, b).
+        """
         r_count = self.config.relay_count
         p = self.power.linear
         z2 = (h.real ** 2 + h.imag ** 2) / self.variance
@@ -303,10 +298,9 @@ class DefensiveMixture:
         terms[0] = self.log_alpha[0]
         terms[1] = self.log_alpha[1] + log_fade
         if self.relay.size:
-            f, g = h[:r_count], h[r_count:]
-            coef, a, b, rho = self._geometry(f, g)
+            rho, a, b = geometry
             mu, s2 = self._cancel_point(self.others.T[:, :, None], self.pivot[:, None], a, b,
-                                        coef[self.relay], rho[self.relay])
+                                        h[self.relay], rho[self.relay])
             row = r_count + self.relay
             dev = h[row] - mu
             terms[2:] = (self.log_alpha[2:, None] + log_fade - log_gain[row]

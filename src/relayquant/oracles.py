@@ -29,9 +29,11 @@ from .model import (
     ChannelState,
     NetworkConfig,
     PowerLevel,
+    beamformed_snr,
     received_snr,
     relay_gains,
     sample_channels,
+    snr_geometry,
 )
 from .montecarlo import gaussian_tail
 
@@ -81,40 +83,45 @@ def q_lower_bound(x):
     return out if out.ndim else float(out)
 
 
-def snr_upper_bound(h: ChannelState, x, rset: Iterable[int],
-                    config: NetworkConfig, power: PowerLevel) -> float:
+def snr_upper_bounds(f, g, x, rset: Iterable[int], config: NetworkConfig, p) -> np.ndarray:
     """Hard cap on the received SNR in terms of the fading of an index set.
 
-    The cap is c / w * P * Y * Z where
+    f, g and the beamforming vectors x have shape (n, R); p is the linear
+    power, a float or one value per state.  The cap is c / w * P * Y * Z where
       w = max_{r in rset} |x_r|^2            (weight the set can rely on),
       Y = 1/P + sum_{r in rset} |f_r|^2 / var_f_r,
       Z = max_r(|g_r|^2/var_g_r) / min_r(|g_r|^2/var_g_r),
       c = R^2 * max(1, p_0 max_r var_f_r) * max_r(p_r var_g_r) / min_r(p_r var_g_r).
 
-    Returns inf when w = 0 (the bound is vacuous there).
+    The cap is inf where w = 0 (the bound is vacuous there).
     """
-    xv = x.x if isinstance(x, BeamformingVector) else np.asarray(x, dtype=np.complex128)
     r_count = config.relay_count
     idx = sorted({int(r) for r in rset})
     if not idx or idx[0] < 1 or idx[-1] > r_count:
         raise ValueError(f"rset must be a non-empty subset of 1..{r_count}")
     cols = [r - 1 for r in idx]
 
-    p = power.linear
     scal = np.asarray(config.power_scalers)
     var_f = np.asarray(config.variance_f)
     var_g = np.asarray(config.variance_g)
 
-    weight = float((np.abs(xv[cols]) ** 2).max())
-    if weight == 0.0:
-        return math.inf
+    weight = (np.abs(x[:, cols]) ** 2).max(axis=1)
     relay_budget = scal[1:] * var_g
     const = (r_count**2 * max(1.0, scal[0] * var_f.max())
              * relay_budget.max() / relay_budget.min())
-    y = 1.0 / p + float((np.abs(h.f[cols]) ** 2 / var_f[cols]).sum())
-    gnorm = np.abs(h.g) ** 2 / var_g
-    z = float(gnorm.max() / gnorm.min()) if r_count > 1 else 1.0
-    return const / weight * p * y * z
+    y = 1.0 / p + (np.abs(f[:, cols]) ** 2 / var_f[cols]).sum(axis=1)
+    gnorm = np.abs(g) ** 2 / var_g
+    z = gnorm.max(axis=1) / gnorm.min(axis=1) if r_count > 1 else 1.0
+    with np.errstate(divide="ignore"):
+        return const / weight * p * y * z
+
+
+def snr_upper_bound(h: ChannelState, x, rset: Iterable[int],
+                    config: NetworkConfig, power: PowerLevel) -> float:
+    """snr_upper_bounds at one channel state and vector."""
+    xv = x.x if isinstance(x, BeamformingVector) else np.asarray(x, dtype=np.complex128)
+    return float(snr_upper_bounds(h.f[None, :], h.g[None, :], xv[None, :], rset, config,
+                                  power.linear)[0])
 
 
 def snr_upper_bound_holds(h: ChannelState, x, rset: Iterable[int],
@@ -203,7 +210,7 @@ def audit_q_bound(points: int = 1000, x_max: float = 10.0) -> AuditCheck:
 
 def audit_snr_bound(samples: int, seed: int,
                     config: Optional[NetworkConfig] = None) -> AuditCheck:
-    """Randomized audit that the received SNR never beats its analytic cap."""
+    """Randomized audit that the program's SNR kernel never beats its analytic cap."""
     if config is None:
         config = NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7))
     r_count = config.relay_count
@@ -215,31 +222,14 @@ def audit_snr_bound(samples: int, seed: int,
     worst = -math.inf
     checked = 0
     for rset in subsets:
-        cols = [r - 1 for r in rset]
         f, g = sample_channels(config, gen, per_subset)
         mags = gen.uniform(0.0, 1.0, (per_subset, r_count))
         phases = gen.uniform(0.0, 2.0 * math.pi, (per_subset, r_count))
         xs = mags * np.exp(1j * phases)
-        p_db = gen.uniform(0.0, 50.0, per_subset)
-
-        p = 10.0 ** (p_db / 10.0)
-        scal = np.asarray(config.power_scalers)
-        var_f = np.asarray(config.variance_f)
-        var_g = np.asarray(config.variance_g)
-        absf2 = np.abs(f) ** 2
-        rho = (scal[1:] * p[:, None]) / (1.0 + absf2 * (scal[0] * p[:, None]))
-        num = np.abs((xs * f * g * np.sqrt(rho)).sum(axis=1)) ** 2
-        den = 1.0 + ((mags**2) * np.abs(g) ** 2 * rho).sum(axis=1)
-        snr = scal[0] * p * num / den
-
-        weight = (mags[:, cols] ** 2).max(axis=1)
-        relay_budget = scal[1:] * var_g
-        const = (r_count**2 * max(1.0, scal[0] * var_f.max())
-                 * relay_budget.max() / relay_budget.min())
-        y = 1.0 / p + (absf2[:, cols] / var_f[cols]).sum(axis=1)
-        gnorm = np.abs(g) ** 2 / var_g
-        z = gnorm.max(axis=1) / gnorm.min(axis=1) if r_count > 1 else np.ones(per_subset)
-        cap = const / weight * p * y * z
+        p = 10.0 ** (gen.uniform(0.0, 50.0, per_subset) / 10.0)
+        _, a, b = snr_geometry(f, g, config, p)
+        snr = beamformed_snr(xs.T, a, b, config.power_scalers[0] * p)
+        cap = snr_upper_bounds(f, g, xs, rset, config, p)
 
         failures += int(np.count_nonzero(snr > cap))
         worst = max(worst, float((snr / cap).max()))

@@ -59,10 +59,6 @@ class HittingSets:
         return self.sets[0]
 
 
-def _magnitudes(cb: FiniteCodebook) -> np.ndarray:
-    return np.abs(cb.vectors)
-
-
 def hitting_sets(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> HittingSets:
     """Enumerate the hitting-set collection exactly.
 
@@ -73,7 +69,7 @@ def hitting_sets(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> HittingSets:
     if r_count > MAX_ENUMERATION_RELAYS:
         raise ValueError(
             f"exponential enumeration cap: relay_count {r_count} > {MAX_ENUMERATION_RELAYS}")
-    supports = _magnitudes(cb) > zero_tol
+    supports = np.abs(cb.vectors) > zero_tol
     masks = [int(sum(1 << r for r in range(r_count) if row[r])) for row in supports]
     found = []
     for subset in range(1, 1 << r_count):
@@ -94,13 +90,13 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     if not idx or idx[0] < 1 or idx[-1] > cb.relay_count:
         raise ValueError(f"rset must be a non-empty subset of 1..{cb.relay_count}")
     cols = [r - 1 for r in idx]
-    mags2 = _magnitudes(cb)[:, cols] ** 2
+    mags2 = np.abs(cb.vectors)[:, cols] ** 2
     return float(mags2.max(axis=1).min())
 
 
 def _nonzero_hitting_sets(cb: FiniteCodebook, zero_tol: float) -> HittingSets:
     """hitting_sets, after rejecting a zero vector (no set can hit it)."""
-    if bool((_magnitudes(cb) <= zero_tol).all(axis=1).any()):
+    if bool((np.abs(cb.vectors) <= zero_tol).all(axis=1).any()):
         raise ValueError("codebook contains zero vector")
     return hitting_sets(cb, zero_tol)
 
@@ -122,6 +118,18 @@ def cardinality_cap(cb: FiniteCodebook, tol: float = ZERO_TOL) -> int:
     return min(cb.relay_count, phase_classes(cb.vectors, tol).shape[0])
 
 
+def _pairwise_overlaps(mags: np.ndarray) -> np.ndarray:
+    """Overlaps sum_r m_ir m_jr of every row pair i < j of a magnitude matrix.
+
+    This is the upper triangle of the Gram matrix M M^T, accumulated relay
+    by relay so that its bits do not depend on the BLAS backend.
+    """
+    gram = np.zeros((mags.shape[0], mags.shape[0]))
+    for col in mags.T:
+        gram += col[:, None] * col[None, :]
+    return gram[np.triu_indices(mags.shape[0], 1)]
+
+
 def max_pairwise_overlap(cb: FiniteCodebook) -> float:
     """Largest magnitude overlap sum over distinct entry pairs.
 
@@ -130,12 +138,7 @@ def max_pairwise_overlap(cb: FiniteCodebook) -> float:
     """
     if len(cb) < 2:
         raise ValueError("overlap needs at least two codebook entries")
-    mags = _magnitudes(cb)
-    worst = 0.0
-    for i in range(len(cb)):
-        for j in range(i + 1, len(cb)):
-            worst = max(worst, float(np.dot(mags[i], mags[j])))
-    return worst
+    return float(_pairwise_overlaps(np.abs(cb.vectors)).max())
 
 
 def is_omrs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
@@ -148,12 +151,7 @@ def is_omrs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
     distinct = np.unique(cb.vectors, axis=0)
     if distinct.shape[0] <= 1:
         return True
-    mags = np.abs(distinct)
-    for i in range(distinct.shape[0]):
-        for j in range(i + 1, distinct.shape[0]):
-            if float(np.dot(mags[i], mags[j])) > tol:
-                return False
-    return True
+    return bool((_pairwise_overlaps(np.abs(distinct)) <= tol).all())
 
 
 def is_srs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
@@ -170,19 +168,14 @@ def is_srs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
         return False
     if not is_omrs(cb, tol):
         return False
-    mags = _magnitudes(cb)
-    for row in mags:
-        order = np.sort(row)
-        if abs(order[-1] - 1.0) > tol:
-            return False
-        if r_count > 1 and order[-2] > tol:
-            return False
-    return True
+    order = np.sort(np.abs(cb.vectors), axis=1)
+    peaks_unit = np.all(np.abs(order[:, -1] - 1.0) <= tol)
+    return bool(peaks_unit and (r_count == 1 or np.all(order[:, -2] <= tol)))
 
 
 def is_admissible(cb: FiniteCodebook, tol: float = 1e-9) -> bool:
     """True iff every vector spends full power on some relay (unit peak magnitude)."""
-    peaks = _magnitudes(cb).max(axis=1)
+    peaks = np.abs(cb.vectors).max(axis=1)
     return bool(np.all(np.abs(peaks - 1.0) <= tol))
 
 
@@ -270,14 +263,9 @@ class DiagnosticRow:
 
 def _off_support_max(vectors: np.ndarray) -> float:
     """Largest squared magnitude outside each vector's peak coordinate."""
-    worst = 0.0
-    for row in np.abs(vectors):
-        if row.shape[0] < 2:
-            continue
-        pivot = int(np.argmax(row))
-        rest = np.delete(row, pivot)
-        worst = max(worst, float(rest.max()) ** 2)
-    return worst
+    if vectors.shape[1] < 2:
+        return 0.0
+    return float(np.sort(np.abs(vectors), axis=1)[:, -2].max()) ** 2
 
 
 def convergence_diagnostic(
@@ -301,27 +289,20 @@ def convergence_diagnostic(
     rows = []
     for i, p in enumerate(powers):
         power = PowerLevel(float(p))
-        if callable(source) and not isinstance(source, type):
-            cb = source(power.linear)
-            vecs = cb.vectors
-            overlap = max_pairwise_overlap(cb) if len(cb) >= 2 else 0.0
-            off = _off_support_max(vecs)
-        elif isinstance(source, (ConstrainedSpec, FullCsiSpec, PowerDependentSpec)):
+        if isinstance(source, (ConstrainedSpec, FullCsiSpec, PowerDependentSpec)):
             off = resolve_epsilon(source, power)
             if config is None:
                 raise ValueError("constrained families need a NetworkConfig to sample")
             gen = _rng.stream(seed, 1_000_000 + i, 0)
             f, g = sample_channels(config, gen, channel_samples)
             pinned = getattr(source, "pinned_relay", None)
-            mag, _ = constrained_best_snr(f, g, config, power, off, pinned)
-            overlap = 0.0
-            for a in range(mag.shape[0]):
-                for b in range(a + 1, mag.shape[0]):
-                    overlap = max(overlap, float(np.dot(mag[a], mag[b])))
+            mags, _ = constrained_best_snr(f, g, config, power, off, pinned)
         else:
-            cb = to_finite(source)
-            overlap = max_pairwise_overlap(cb) if len(cb) >= 2 else 0.0
-            off = _off_support_max(cb.vectors)
+            callable_source = callable(source) and not isinstance(source, type)
+            cb = source(power.linear) if callable_source else to_finite(source)
+            mags = np.abs(cb.vectors)
+            off = _off_support_max(mags)
+        overlap = float(_pairwise_overlaps(mags).max()) if len(mags) >= 2 else 0.0
         rows.append(DiagnosticRow(power.linear, overlap, off))
     return rows
 

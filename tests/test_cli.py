@@ -180,3 +180,19 @@ def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
     capsys.readouterr()
     for name in ("family.csv", "X.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("trials_per_point", dict(TINY_CONFIG, trials_per_point="many")),
+    ("seed", dict(TINY_CONFIG, seed=None)),
+    ("seed", dict(TINY_CONFIG, seed="x")),
+    ("codebooks[0].trials_per_point", dict(TINY_CONFIG, codebooks=[
+        dict(TINY_CONFIG["codebooks"][0], trials_per_point="x")])),
+    ("p_grid_db", dict(TINY_CONFIG, p_grid_db=5)),
+])
+def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, bad):
+    cfg = _write(tmp_path, "bad.json", bad)
+    assert main(["simulate", "-c", str(cfg), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f".{field}:" in err
+    assert "Traceback" not in err

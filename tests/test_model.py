@@ -230,3 +230,10 @@ def test_canonical_rows_snaps_unit_peaks():
     ])
     canon = canonical_rows(rows)
     assert np.array_equal(canon, np.eye(3, dtype=complex))
+
+
+def test_encoder_rejects_length_mismatch():
+    config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+    h = ChannelState(np.array([1.0 + 0j, 1j]), np.array([1j, 0.2 + 0j]))
+    with pytest.raises(ValueError, match="does not match channel state"):
+        optimal_encoder(make_srs(3, np.zeros(3)), h, config, PowerLevel(1.0))

@@ -136,6 +136,56 @@ def test_one_stream_per_chunk(monkeypatch):
         assert sorted(calls) == [(3, 0, 0), (3, 0, 1), (3, 0, 2)]
 
 
+def test_relay_gains_once_per_chunk_and_power(monkeypatch):
+    # one geometry per (chunk, power) in the evaluator, plus one in the
+    # importance proposal, which serves its cancellation points and weights
+    from relayquant import model
+
+    calls = []
+    original = model.relay_gains
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model, "relay_gains", counting)
+    c3 = FiniteCodebook(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex))
+    grid = (10.0, 20.0, 30.0, 40.0)
+    trials = 2 * CHUNK_TRIALS + 17
+    cases = [(c3, "plain", 1), (SrsSpec((0.0, 0.0, 0.0)), "plain", 1),
+             (ConstrainedSpec(0.25, 1), "plain", 1), (c3, "importance", 2)]
+    for spec, estimator, per_chunk_power in cases:
+        calls.clear()
+        estimate_ser(SimulationPlan(_fig2_network(), spec, grid, trials, 3,
+                                    estimator=estimator))
+        assert len(calls) == per_chunk_power * 3 * len(grid), (spec, estimator)
+
+
+def test_proposal_geometry_is_geometry_of_its_states(monkeypatch):
+    # transform builds one geometry of the faded states and recomputes a, b
+    # in place where it redraws g; that must be, bit for bit, the geometry
+    # of the states it returns
+    from relayquant import montecarlo
+    from relayquant.model import snr_geometry
+
+    net = _fig2_network()
+    power = PowerLevel.from_db(40.0)
+    c3 = FiniteCodebook(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex))
+    proposal = DefensiveMixture(net, power, resolve_codebook(c3, power).canonical)
+    built = []
+
+    def recording(*args):
+        built.append(snr_geometry(*args))
+        return built[-1]
+
+    monkeypatch.setattr(montecarlo, "snr_geometry", recording)
+    f, g, _ = proposal.sample(rng.stream(7, 0, 0), CHUNK_TRIALS)
+    assert len(built) == 1
+    for kept, fresh in zip(built[0], snr_geometry(f, g, net, power)):
+        assert kept.shape == fresh.shape == (3, CHUNK_TRIALS)
+        assert kept.tobytes() == fresh.tobytes()
+
+
 def test_constrained_family_thread_invariant(monkeypatch):
     plan = SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (5.0, 10.0, 15.0),
                           3 * CHUNK_TRIALS, 17)

@@ -173,3 +173,19 @@ def test_perturbed_maximizer_fails_kkt_audit(monkeypatch):
     check = audit_cophased_maximizer(4800, seed=20260808)
     assert not check.passed
     assert check.statistic > 0.1
+
+
+def test_inflated_snr_geometry_fails_cap_audit(monkeypatch):
+    # the audit reads its SNR from the program's geometry, so a kernel that
+    # inflates the SNR numerator breaks the cap
+    import relayquant.oracles as oracles
+
+    original = oracles.snr_geometry
+
+    def inflated(*args):
+        rho, a, b = original(*args)
+        return rho, 1e3 * a, b
+
+    monkeypatch.setattr(oracles, "snr_geometry", inflated)
+    check = audit_snr_bound(100_000, seed=91)
+    assert not check.passed

@@ -238,3 +238,22 @@ def test_analyze_rejects_zero_vector():
     cb = FiniteCodebook(np.array([[0, 0], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="codebook contains zero vector"):
         analyze_codebook(cb)
+
+
+def test_vectorized_structure_checks_match_pairwise_loops():
+    # references: the per-pair and per-row loops that the Gram accumulation
+    # and the row sorts replaced; overlap sums may differ in the last bits
+    gen = np.random.default_rng(61)
+    for _ in range(60):
+        k, r = int(gen.integers(2, 9)), int(gen.integers(1, 18))
+        mags = gen.uniform(0.05, 1.0, (k, r)) * (gen.random((k, r)) < 0.4)
+        cb = FiniteCodebook(mags * np.exp(2j * np.pi * gen.random((k, r))))
+        m = np.abs(cb.vectors)
+        pairs = [float(np.dot(m[i], m[j])) for i in range(k) for j in range(i + 1, k)]
+        assert max_pairwise_overlap(cb) == pytest.approx(max(pairs), rel=1e-14, abs=0.0)
+        d = np.abs(np.unique(cb.vectors, axis=0))
+        disjoint = all(float(np.dot(d[i], d[j])) <= 1e-12
+                       for i in range(len(d)) for j in range(i + 1, len(d)))
+        assert is_omrs(cb) == disjoint
+        off = max(float(np.delete(row, np.argmax(row)).max()) ** 2 for row in m) if r > 1 else 0.0
+        assert convergence_diagnostic(lambda p, cb=cb: cb, [10.0])[0].off_support_max == off

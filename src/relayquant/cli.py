@@ -221,6 +221,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.samples < 1:
+        raise CliError(f"--samples must be a positive integer, got {args.samples}")
     checks = run_audits(samples=args.samples, seed=args.seed)
     width = max(len(c.name) for c in checks)
     failed = 0

@@ -2,9 +2,13 @@
 
 The central object is the collection of hitting sets of a codebook: index
 sets that intersect the support of every vector.  The smallest hitting set
-caps the achievable diversity order, so computing the collection exactly (by
-enumeration over all non-empty subsets, exponential in R but R is small here)
-turns high-power decay questions into finite combinatorics.  The module also
+caps the achievable diversity order, so computing the collection exactly
+turns high-power decay questions into finite combinatorics.  It is computed
+in one vectorized pass over all 2^R - 1 non-empty subsets, each held as an
+int32 bitmask (relay r is bit r - 1): the subsets that AND nonzero with every
+support mask are kept, sorted by (cardinality, lexicographic order of the
+relay tuple) and turned into tuples by joining two precomputed half-tuples.
+The pass is exponential in R, so it is capped at R = 20.  The module also
 classifies codebooks as orthogonal multiple-relay selection (OMRS: pairwise
 magnitude-disjoint supports) or single-relay selection (SRS: the cardinality-R
 special case), and emits finite-power convergence diagnostics for
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -50,8 +55,14 @@ class HittingSets:
     relay_count: int
     sets: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _members(self) -> frozenset:
+        """Membership set, built on the first query; not a field, so equality
+        and repr see only relay_count and sets."""
+        return frozenset(self.sets)
+
     def __contains__(self, rset) -> bool:
-        return tuple(sorted(int(r) for r in rset)) in set(self.sets)
+        return tuple(sorted(int(r) for r in rset)) in self._members
 
     def min_witness(self) -> tuple[int, ...]:
         if not self.sets:
@@ -59,24 +70,64 @@ class HittingSets:
         return self.sets[0]
 
 
+def _half_tables(bits: int):
+    """Tables over the values v < 2^bits of one half of a subset mask: the
+    popcount of v, v with its bits reversed, and the 0-based positions of
+    its set bits."""
+    positions = [tuple(b for b in range(bits) if v >> b & 1) for v in range(1 << bits)]
+    popcount = np.array([len(p) for p in positions], dtype=np.int32)
+    reversed_bits = np.array([sum(1 << (bits - 1 - b) for b in p) for p in positions],
+                             dtype=np.int32)
+    return popcount, reversed_bits, positions
+
+
+def _tuple_table(positions, offset: int) -> np.ndarray:
+    """Object array of the 1-based relay tuples, shifted by offset relays."""
+    return np.fromiter((tuple(offset + b + 1 for b in p) for p in positions),
+                       dtype=object, count=len(positions))
+
+
 def hitting_sets(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> HittingSets:
     """Enumerate the hitting-set collection exactly.
 
-    An entry counts as nonzero iff its magnitude exceeds zero_tol.  Guarded at
-    R <= 20 because the enumeration walks all 2^R - 1 subsets.
+    An entry counts as nonzero iff its magnitude exceeds zero_tol.  Every
+    non-empty subset is an int32 mask with relay r at bit r - 1; one
+    vectorized pass keeps the masks that AND nonzero with every support mask,
+    so a zero vector leaves the collection empty.  Guarded at R <= 20 because
+    the pass holds all 2^R - 1 subsets; the guard also keeps the sort key
+    below, at most 20 * 2^20, inside int32.
+
+    Ordering rule: by cardinality, then lexicographically by the ascending
+    relay tuple.  For two sets of one size, that order is the descending
+    order of the mask read with relay 1 as the high bit (the bit-reversed
+    mask, below 2^R), so one integer key, popcount * 2^R - reversed mask,
+    sorts ascending into it.  Popcount and reversal come from tables over
+    the low and high halves of each mask, and the tuples are joined from two
+    tables of precomputed half-tuples; nothing loops per subset or per bit.
     """
     r_count = cb.relay_count
     if r_count > MAX_ENUMERATION_RELAYS:
         raise ValueError(
             f"exponential enumeration cap: relay_count {r_count} > {MAX_ENUMERATION_RELAYS}")
     supports = np.abs(cb.vectors) > zero_tol
-    masks = [int(sum(1 << r for r in range(r_count) if row[r])) for row in supports]
-    found = []
-    for subset in range(1, 1 << r_count):
-        if all(mask & subset for mask in masks):
-            found.append(tuple(r + 1 for r in range(r_count) if subset >> r & 1))
-    found.sort(key=lambda s: (len(s), s))
-    return HittingSets(r_count, tuple(found))
+    masks = np.unique(supports @ (np.int32(1) << np.arange(r_count, dtype=np.int32)))
+    subsets = np.arange(1, 1 << r_count, dtype=np.int32)
+    hits = np.ones(subsets.size, dtype=bool)
+    for mask in masks:
+        hits &= (subsets & mask) != 0
+    subsets = subsets[hits]
+
+    half = (r_count + 1) // 2
+    popcount, reversed_bits, positions = _half_tables(half)
+    low = subsets & ((1 << half) - 1)
+    high = subsets >> half
+    # Reversal over r_count bits: the low half lands on top, and the high half
+    # (r_count - half bits wide) drops the zero padding of its reversal.
+    reversed_mask = (reversed_bits[low] << (r_count - half)
+                     | reversed_bits[high] >> (2 * half - r_count))
+    order = np.argsort(((popcount[low] + popcount[high]) << r_count) - reversed_mask)
+    joined = _tuple_table(positions, 0)[low[order]] + _tuple_table(positions, half)[high[order]]
+    return HittingSets(r_count, tuple(joined.tolist()))
 
 
 def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:

@@ -160,6 +160,14 @@ def test_oracle_small_sample_run(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_rejects_nonpositive_samples(capsys, samples):
+    assert main(["oracle", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err
+    assert "Traceback" not in err
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "relayquant.cli", "oracle", "--samples", "1000"],

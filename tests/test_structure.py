@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from relayquant import (
     max_pairwise_overlap,
     min_max_weight,
 )
-from relayquant.structure import convergence_diagnostic, fit_log_decay
+from relayquant.structure import HittingSets, convergence_diagnostic, fit_log_decay
 from tests.conftest import U1, U2
 
 
@@ -32,6 +34,57 @@ def test_hitting_sets_worked_examples(cb_c1, cb_c2, cb_c3):
 
 def test_hitting_sets_srs_only_full_set():
     assert _sets(make_srs(3, np.zeros(3))) == {(1, 2, 3)}
+
+
+def _combinations_hitting_sets(vectors):
+    """Reference: every relay tuple from itertools.combinations, size by size,
+    that meets the support of every row."""
+    r = vectors.shape[1]
+    supports = [set(np.flatnonzero(np.abs(row) > 1e-12) + 1) for row in vectors]
+    return tuple(s for k in range(1, r + 1) for s in itertools.combinations(range(1, r + 1), k)
+                 if all(support & set(s) for support in supports))
+
+
+def test_hitting_sets_match_combinations_in_order():
+    gen = np.random.default_rng(2027)
+    for _ in range(200):
+        r, k = int(gen.integers(1, 13)), int(gen.integers(1, 7))
+        mags = gen.uniform(0.2, 1.0, (k, r)) * (gen.random((k, r)) < 0.3)
+        vectors = mags * np.exp(2j * np.pi * gen.random((k, r)))
+        vectors = vectors[gen.integers(k, size=k + int(gen.integers(0, 3)))]  # duplicate rows
+        expected = _combinations_hitting_sets(vectors)
+        col = hitting_sets(FiniteCodebook(vectors))
+        assert col.sets == expected
+        members = set(expected)
+        for s in itertools.islice(itertools.chain(expected, [(1,), tuple(range(1, r + 1))]), 8):
+            assert (s in col) == (s in members)
+            assert (tuple(reversed(s)) in col) == (s in members)
+
+
+def test_hitting_sets_single_relay():
+    assert hitting_sets(FiniteCodebook(np.array([[1.0], [0.5j]]))).sets == ((1,),)
+
+
+def test_hitting_sets_zero_row_gives_empty_collection():
+    cb = FiniteCodebook(np.array([[1, 0, 0.5], [0, 0, 0], [0, 1j, 0]], dtype=complex))
+    assert hitting_sets(cb).sets == ()
+    with pytest.raises(ValueError, match="zero vector"):
+        diversity_cap(cb)
+    with pytest.raises(ValueError, match="zero vector"):
+        analyze_codebook(cb)
+
+
+def test_hitting_sets_srs_at_enumeration_limit():
+    col = hitting_sets(make_srs(20, np.zeros(20)))
+    assert col.sets == (tuple(range(1, 21)),)
+    assert tuple(range(20, 0, -1)) in col and (1,) not in col
+
+
+def test_hitting_sets_membership_kept_out_of_equality_and_repr(cb_c2):
+    col = hitting_sets(cb_c2)
+    assert (2, 1) in col and (1,) not in col
+    assert col == HittingSets(col.relay_count, col.sets)
+    assert repr(col) == f"HittingSets(relay_count=3, sets={col.sets!r})"
 
 
 def test_hitting_sets_enumeration_cap():

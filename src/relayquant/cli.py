@@ -110,7 +110,9 @@ def _safe_label(label: str) -> str:
     return safe or "codebook"
 
 
-def _experiment_from_json(cfg: dict, where: str):
+def _experiment_from_json(cfg, where: str):
+    if not isinstance(cfg, dict):
+        raise CliError(f"{where}: expected an object")
     network = _network_from_json(_require(cfg, "network", f"{where}.network"),
                                  f"{where}.network")
     entries = _require(cfg, "codebooks", f"{where}.codebooks")
@@ -149,16 +151,22 @@ def cmd_simulate(args) -> int:
     where = str(cfg_path)
     network, labeled, p_grid, trials, seed, estimator = _experiment_from_json(cfg, where)
 
+    plans = []
+    for i, (label, spec, entry_trials) in enumerate(labeled):
+        try:
+            plans.append((label, SimulationPlan(network, spec, p_grid, entry_trials,
+                                                seed, estimator=estimator)))
+        except ValueError as exc:
+            raise CliError(f"{where}.codebooks[{i}]: {exc}") from exc
+
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    for label, spec, entry_trials in labeled:
+    for i, (label, plan) in enumerate(plans):
         try:
-            plan = SimulationPlan(network, spec, p_grid, entry_trials,
-                                  seed, estimator=estimator)
             curve = estimate_ser(plan)
-        except (CodebookError, ValueError) as exc:
-            raise CliError(f"{where}: codebook {label!r}: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(f"{where}.codebooks[{i}]: {exc}") from exc
         name = f"{_safe_label(label)}.csv"
         with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
             curve.write_csv(fh)

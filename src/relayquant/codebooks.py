@@ -210,7 +210,7 @@ def resolve_epsilon(spec, power: PowerLevel) -> float:
 def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
                          power: PowerLevel, epsilon: float,
                          pinned_relay: Optional[int],
-                         grid_resolution: Optional[int] = None):
+                         grid_resolution: Optional[int] = None, *, geometry=None):
     """Exact per-state maximum SNR over a constrained family, vectorized.
 
     f, g: (n, R).  Returns (magnitudes (n, R), snr (n,)).  Phases are implied:
@@ -227,9 +227,10 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
     clipped into the segment, is a candidate; the best candidate is the
     maximum.  The work is O(R^2) per state.
 
-    grid_resolution is ignored.  It sized the magnitude grid of an earlier,
-    approximate maximizer, and callers that pass it positionally (such as
-    the benchmark in perfbench/) keep working.
+    `geometry` is snr_geometry(f, g, config, power) when the caller already
+    holds it.  grid_resolution is ignored.  It sized the magnitude grid of
+    an earlier, approximate maximizer, and callers that pass it positionally
+    (such as the benchmark in perfbench/) keep working.
     """
     n, r_count = f.shape
     if not 0.0 <= epsilon <= 1.0:
@@ -242,7 +243,7 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
 
     p0 = config.power_scalers[0] * power.linear
     # relay-major (R, n) layout: sums over relays add contiguous rows
-    _, a, w = snr_geometry(f, g, config, power)
+    _, a, w = geometry if geometry is not None else snr_geometry(f, g, config, power)
     u = np.abs(a)
     lo = lo[:, None]
 
@@ -305,8 +306,11 @@ class FiniteEvaluator:
         self.codebook = codebook
         self.canonical = canonical_rows(codebook.vectors)
 
-    def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel) -> np.ndarray:
-        return snr_per_vector(self.canonical, f, g, config, power).max(axis=1)
+    def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
+                 geometry=None) -> np.ndarray:
+        """Largest SNR over the codebook at each state; `geometry` as in snr_per_vector."""
+        return snr_per_vector(self.canonical, f, g, config, power,
+                              geometry=geometry).max(axis=1)
 
     def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):
         """SNR-maximizing entry at one state; returns (index, BeamformingVector).
@@ -341,8 +345,11 @@ class ConstrainedEvaluator:
         self.epsilon = float(epsilon)
         self.pinned_relay = pinned_relay
 
-    def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel) -> np.ndarray:
-        _, val = constrained_best_snr(f, g, config, power, self.epsilon, self.pinned_relay)
+    def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
+                 geometry=None) -> np.ndarray:
+        """Maximum SNR over the family at each state; `geometry` as in constrained_best_snr."""
+        _, val = constrained_best_snr(f, g, config, power, self.epsilon, self.pinned_relay,
+                                      geometry=geometry)
         return val
 
     def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):

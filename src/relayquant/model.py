@@ -229,15 +229,16 @@ def beamformed_snr(x, a, b, p0) -> np.ndarray:
 
 
 def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
-                   config: NetworkConfig, power: PowerLevel) -> np.ndarray:
+                   config: NetworkConfig, power: PowerLevel, *, geometry=None) -> np.ndarray:
     """Received SNR of each candidate vector at each channel state.
 
     vectors: (K, R) complex, f/g: (n, R).  Returns (n, K), evaluated by
-    beamformed_snr on one snr_geometry.
+    beamformed_snr on one snr_geometry: `geometry` when the caller already
+    holds snr_geometry(f, g, config, power), else a fresh one.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     p0 = config.power_scalers[0] * power.linear
-    _, a, b = snr_geometry(f, g, config, power)
+    _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
     out = np.empty((a.shape[1], vectors.shape[0]))
     for k, x in enumerate(vectors):
         out[:, k] = beamformed_snr(x, a, b, p0)

@@ -20,21 +20,27 @@ Two estimators are selectable per plan:
   estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
   the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
   to a few percent at 1e6 trials even where the SER is 1e-15.  On the fig2
-  network's five-point grid a trial costs roughly 2.3x (no multi-relay
-  codebook vector) to 4.5x (three of them) what a plain trial costs (one
+  network's five-point grid a trial costs roughly 1.5x (no multi-relay
+  codebook vector) to 2.4x (three of them) what a plain trial costs (one
   thread, 2-core Xeon VM, 2026-10), since both share one draw across the
   grid but only this one maps and weights it at every power.
 
 Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
 from the counter stream (seed, 0, c), and evaluates it at every power of the
 grid: the true channel law does not depend on P, and neither do the raw
-draws of the importance proposal, which each power then maps through its own
-mixture.  Per-point partial sums are combined in chunk order, so the output
-of either estimator is bit-identical no matter how many worker threads run,
-and point i of a curve equals a one-point plan at that power.  The points of
-a curve share their draws (common random numbers), so their errors are
-positively correlated, which usually steadies slope fits; each point's
-std_err is still the standard error of that point alone.
+draws of the importance proposal.  Under "importance" each piece of a chunk's
+work is done once: DefensiveMixture.prepare draws the chunk and picks each
+trial's component once for the whole grid; at each power,
+DefensiveMixture.states maps it to that power's states and their one SNR
+geometry, which the codebook's argmax reuses; and the likelihood ratio is
+evaluated only at the trials whose Q value is positive, since a trial with
+Q = 0 adds 0 whatever its weight.  Per-point partial sums are combined in
+chunk order, so the output of either estimator is bit-identical no matter
+how many worker threads run, and point i of a curve equals a one-point plan
+at that power.  The points of a curve share their draws (common random
+numbers), so their errors are positively correlated, which usually steadies
+slope fits; each point's std_err is still the standard error of that point
+alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -54,7 +60,8 @@ import numpy as np
 from scipy import special
 
 from . import rng as _rng
-from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
+from .codebooks import (CodebookSpec, FiniteCodebook, FiniteEvaluator, SrsSpec, UnitarySpec,
+                        resolve_codebook, to_finite)
 from .model import (NetworkConfig, PowerLevel, beamformed_sums, sample_channels,
                     snr_geometry, snr_terms)
 
@@ -102,6 +109,9 @@ def worker_count() -> int:
 class SimulationPlan:
     """Everything that determines one SER curve, including its randomness.
 
+    A finite codebook's vectors must have one entry per relay of the
+    network, and a pinned relay must be one of its relays.
+
     grid_resolution is ignored: it sized the magnitude grid of an earlier,
     approximate continuous-family maximizer, and the field keeps its sixth
     position so that plans built positionally (as in perfbench/) still work.
@@ -125,6 +135,15 @@ class SimulationPlan:
             raise ValueError("trials_per_point must be >= 1")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        relays = self.network.relay_count
+        if isinstance(self.codebook, (FiniteCodebook, SrsSpec, UnitarySpec)):
+            length = to_finite(self.codebook).relay_count
+            if length != relays:
+                raise ValueError(f"codebook vectors have {length} entries, but the network "
+                                 f"has {relays} relays")
+        pinned = getattr(self.codebook, "pinned_relay", None)
+        if pinned is not None and pinned > relays:
+            raise ValueError(f"pinned_relay {pinned} is out of range 1..{relays}")
         object.__setattr__(self, "p_grid_db", grid)
         object.__setattr__(self, "trials_per_point", int(self.trials_per_point))
         object.__setattr__(self, "seed", int(self.seed))
@@ -167,6 +186,24 @@ class SerCurve:
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 
+@dataclass(frozen=True)
+class PreparedDraw:
+    """DefensiveMixture.prepare's output: what every power of a chunk shares.
+
+    h: (2R, n) relay-major true-law states, f above g; fade_at: the flat
+    indices into h of the gains that fade by 1/P, and faded: h's values
+    there; trials: the trials drawn from a cancellation component,
+    ascending, k: that component, and star_fades: whether g at its r* fades.
+    """
+
+    h: np.ndarray
+    fade_at: np.ndarray
+    faded: np.ndarray
+    trials: np.ndarray
+    k: np.ndarray
+    star_fades: np.ndarray
+
+
 class DefensiveMixture:
     """Importance proposal for the 2R channel gains at one power level.
 
@@ -188,9 +225,21 @@ class DefensiveMixture:
       removes exactly (e.g. rotated selection codebooks) sample identically.
       Continuous families pass no vectors and get the fade component alone.
 
-    `sample` weights each trial by p/q, evaluated in log space; the weight
-    never exceeds 1 / ALPHA_PLAIN, so the estimator is never much worse than
-    plain sampling.
+    Drawing is split in three steps, so that a Monte Carlo chunk does each
+    piece of work once:
+
+    * `prepare` (once per chunk): the raw true-law states, the gains that
+      fade, and the cancellation trials with their components.  None of it
+      depends on P, and the mixtures of one plan share their components, so
+      one prepared draw serves every power.
+    * `states` (once per power): fades the draw by 1/P, redraws g at r* on
+      the cancellation trials, and returns the states with their one
+      snr_geometry, which the codebook's argmax reuses.
+    * `weights`: the likelihood ratio p/q, evaluated in log space at the
+      trials asked for; the weight never exceeds 1 / ALPHA_PLAIN, so the
+      estimator is never much worse than plain sampling.
+
+    `sample` runs all three on every trial.
     """
 
     def __init__(self, config: NetworkConfig, power: PowerLevel,
@@ -198,16 +247,26 @@ class DefensiveMixture:
         self.config = config
         self.power = power
         self.variance = np.concatenate([config.variance_f, config.variance_g])[:, None]
+        self.deviation = np.sqrt(self.variance[:, 0])
+        self.p0 = config.power_scalers[0] * power.linear
+        self.fade_scale = 1.0 / math.sqrt(power.linear)
         rows = [row for row in (() if vectors is None else vectors)
                 if np.count_nonzero(row) >= 2]
         # cancellation component k draws g at relay[k], its vector's last
-        # active relay; pivot[k] is the vector's entry there and others[k]
-        # the vector with that entry zeroed
-        self.relay = np.array([np.flatnonzero(row)[-1] for row in rows], dtype=np.intp)
-        self.pivot = np.array([row[r] for row, r in zip(rows, self.relay)],
+        # active relay, and pivot[k] is the vector's entry there.  Its other
+        # nonzero entries are entries[:, k], at relays support[:, k]; shorter
+        # lists are padded with zero entries, which add exact zeros to sums
+        active = [np.flatnonzero(row) for row in rows]
+        self.relay = np.array([idx[-1] for idx in active], dtype=np.intp)
+        self.pivot = np.array([row[idx[-1]] for row, idx in zip(rows, active)],
                               dtype=np.complex128)
-        self.others = np.array(rows, dtype=np.complex128).reshape(len(rows), config.relay_count)
-        self.others[np.arange(len(rows)), self.relay] = 0.0
+        self.pivot_power = np.abs(self.pivot) ** 2
+        slots = max((idx.size - 1 for idx in active), default=0)
+        self.support = np.zeros((slots, len(rows)), dtype=np.intp)
+        self.entries = np.zeros((slots, len(rows)), dtype=np.complex128)
+        for k, (row, idx) in enumerate(zip(rows, active)):
+            self.support[:idx.size - 1, k] = idx[:-1]
+            self.entries[:idx.size - 1, k] = row[idx[:-1]]
         rest = 1.0 - ALPHA_PLAIN - ALPHA_FADE
         if rows:
             alphas = [ALPHA_PLAIN, ALPHA_FADE] + [rest / len(rows)] * len(rows)
@@ -216,93 +275,91 @@ class DefensiveMixture:
         self.log_alpha = np.log(alphas)
         self.cum_alpha = np.cumsum(alphas)
 
-    def _cancel_point(self, others, pivot, a, b, f_star, rho_star):
-        """(mu, s^2) of cancellation components, broadcast over trials.
+    def _cancel_point(self, k, a, b, f_star, rho_star):
+        """(mu, s^2) of cancellation components k, broadcast over trials.
 
-        others[r] and pivot are the vector entries off and at r*; a, b are
-        rows of snr_geometry, f_star and rho_star are f and rho at r*.
+        a, b are snr_geometry rows at the components' support relays
+        (support[:, k]), f_star and rho_star are f and rho at r*.  The sums
+        run over each vector's nonzero entries off r* only.
         """
-        acc, den = beamformed_sums(others, a, b)
+        acc, den = beamformed_sums(self.entries[:, k], a, b)
         # a at r* is linear in g there; its coefficient is a at g = 1
         coef_star, _ = snr_terms(f_star, 1.0, rho_star)
-        c = pivot * coef_star
+        c = self.pivot[k] * coef_star
         mu = -acc / c
-        den += abs(pivot) ** 2 * (mu.real ** 2 + mu.imag ** 2) * rho_star
-        p0 = self.config.power_scalers[0] * self.power.linear
-        return mu, den / (p0 * (c.real ** 2 + c.imag ** 2))
+        den += self.pivot_power[k] * (mu.real ** 2 + mu.imag ** 2) * rho_star
+        return mu, den / (self.p0 * (c.real ** 2 + c.imag ** 2))
 
-    @staticmethod
-    def draw(config: NetworkConfig, gen: np.random.Generator, size: int):
-        """The power-independent randomness of `size` trials, for `transform`.
+    def prepare(self, gen: np.random.Generator, size: int) -> PreparedDraw:
+        """The power-independent part of `size` trials from q, for `states`.
 
-        Returns (f, g, uniform, coins): true-law gains of shape (size, R),
-        the uniform that picks each trial's component, and the (2R, size)
-        fade coins, drawn from `gen` in that order.
+        Draws true-law gains, the uniform that picks each trial's component
+        and the (2R, size) fade coins from `gen`, in that order.
         """
-        f, g = sample_channels(config, gen, size)
-        return f, g, gen.random(size), gen.integers(0, 2, (2 * config.relay_count, size),
-                                                    dtype=np.bool_)
-
-    def transform(self, f, g, uniform, coins):
-        """Map a `draw` to channel states from q; returns (f, g, weights p/q).
-
-        The inputs are left unchanged, so one draw serves every power level.
-        One snr_geometry of the faded states serves the cancellation points
-        and the weights; where a trial's g is redrawn, its a and b are
-        recomputed in place.
-        """
-        r_count = self.config.relay_count
-        h = np.concatenate([f.T, g.T])               # (2R, n), relay-major
+        f, g = sample_channels(self.config, gen, size)
+        uniform = gen.random(size)
+        coins = gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_)
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
+        h = np.concatenate([f.T, g.T])
         fade = coins & (pick > 0)
-        scale = np.where(fade, 1.0 / math.sqrt(self.power.linear), 1.0)
-        h *= scale
-        f, g = h[:r_count], h[r_count:]
-        if not self.relay.size:
-            return f.T, g.T, self._weights(h)
-        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power)
         trials = np.flatnonzero(pick >= 2)
         k = pick[trials] - 2
-        star = self.relay[k]
-        mu, s2 = self._cancel_point(self.others[k].T, self.pivot[k], a[:, trials],
-                                    b[:, trials], f[star, trials], rho[star, trials])
-        # the gain's own standard draw serves as the component's CN(0, 1)
-        row = r_count + star
-        unit = h[row, trials] / (scale[row, trials] * np.sqrt(self.variance[row, 0]))
-        g[star, trials] = mu + np.sqrt(s2) * unit
-        a[star, trials], b[star, trials] = snr_terms(f[star, trials], g[star, trials],
-                                                     rho[star, trials])
-        return f.T, g.T, self._weights(h, (rho, a, b))
+        fade_at = np.flatnonzero(fade)
+        return PreparedDraw(h, fade_at, h.ravel()[fade_at], trials, k,
+                            fade[self.config.relay_count + self.relay[k], trials])
 
-    def sample(self, gen: np.random.Generator, size: int):
-        """Draw `size` channel states from q; returns (f, g, weights p/q).
+    def states(self, draw: PreparedDraw):
+        """Channel states of a prepared draw at this power, with their geometry.
 
-        f and g have shape (size, R) like sample_channels.
-        """
-        return self.transform(*self.draw(self.config, gen, size))
-
-    def _weights(self, h, geometry=None):
-        """Likelihood ratio p/q at each trial, bounded by 1 / ALPHA_PLAIN.
-
-        h holds the (2R, n) relay-major states; the cancellation components
-        need their snr_geometry (rho, a, b).
+        Returns (h, (rho, a, b)): h holds the (2R, n) relay-major states, f
+        in rows 0..R-1 and g below, and (rho, a, b) is their snr_geometry.
+        One geometry of the faded states serves the cancellation points;
+        where a trial's g is redrawn, its a and b are recomputed in place.
+        The draw is left unchanged.
         """
         r_count = self.config.relay_count
+        h = draw.h.copy()
+        h.ravel()[draw.fade_at] = draw.faded * self.fade_scale
+        f, g = h[:r_count], h[r_count:]
+        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power)
+        if not draw.trials.size:
+            return h, (rho, a, b)
+        trials, k = draw.trials, draw.k
+        star, support = self.relay[k], self.support[:, k]
+        row = r_count + star
+        f_star, rho_star = f[star, trials], rho[star, trials]
+        mu, s2 = self._cancel_point(k, a[support, trials], b[support, trials], f_star, rho_star)
+        # the gain's own standard draw serves as the component's CN(0, 1)
+        scale = np.where(draw.star_fades, self.fade_scale, 1.0)
+        unit = h[row, trials] / (scale * self.deviation[row])
+        g_star = mu + np.sqrt(s2) * unit
+        g[star, trials] = g_star
+        a[star, trials], b[star, trials] = snr_terms(f_star, g_star, rho_star)
+        return h, (rho, a, b)
+
+    def weights(self, h, geometry, trials):
+        """Likelihood ratio p/q, bounded by 1 / ALPHA_PLAIN, from `states`' output.
+
+        Evaluated at the given trial indices only; each trial's weight
+        depends on that trial alone.
+        """
+        r_count = self.config.relay_count
+        states = h.take(trials, axis=1)
         p = self.power.linear
-        z2 = (h.real ** 2 + h.imag ** 2) / self.variance
+        z2 = (states.real ** 2 + states.imag ** 2) / self.variance
         # q_fade / p per gain is (1 + P exp(-(P - 1) |z|^2)) / 2
         log_gain = np.log(0.5 + 0.5 * p * np.exp(np.maximum(-(p - 1.0) * z2, _EXP_FLOOR)))
         log_fade = log_gain.sum(axis=0)
-        terms = np.empty((len(self.log_alpha), h.shape[1]))
+        terms = np.empty((len(self.log_alpha), trials.size))
         terms[0] = self.log_alpha[0]
         terms[1] = self.log_alpha[1] + log_fade
         if self.relay.size:
-            rho, a, b = geometry
-            mu, s2 = self._cancel_point(self.others.T[:, :, None], self.pivot[:, None], a, b,
-                                        h[self.relay], rho[self.relay])
+            rho, a, b = (x.take(trials, axis=1) for x in geometry)
+            mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a[self.support],
+                                        b[self.support], states[self.relay], rho[self.relay])
             row = r_count + self.relay
-            dev = h[row] - mu
+            dev = states[row] - mu
             terms[2:] = (self.log_alpha[2:, None] + log_fade - log_gain[row]
                          + np.log(self.variance[row] / s2)
                          - (dev.real ** 2 + dev.imag ** 2) / s2 + z2[row])
@@ -310,6 +367,15 @@ class DefensiveMixture:
         terms -= top
         np.maximum(terms, _EXP_FLOOR, out=terms)
         return np.exp(-top) / np.exp(terms).sum(axis=0)
+
+    def sample(self, gen: np.random.Generator, size: int):
+        """Draw `size` channel states from q; returns (f, g, weights p/q).
+
+        f and g have shape (size, R) like sample_channels.
+        """
+        h, geometry = self.states(self.prepare(gen, size))
+        r_count = self.config.relay_count
+        return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size))
 
 
 def _chunk_sizes(trials: int):
@@ -336,19 +402,26 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                                       if isinstance(ev, FiniteEvaluator) else None)
                      for power, ev in zip(powers, evaluators)]
 
+    r_count = config.relay_count
+
     def run_chunk(chunk_size):
         chunk, size = chunk_size
         gen = _rng.stream(plan.seed, 0, chunk)
         if proposals is None:
             f, g = sample_channels(config, gen, size)
-            weight = 1.0
         else:
-            raw = DefensiveMixture.draw(config, gen, size)
+            draw = proposals[0].prepare(gen, size)
         sums = []
         for i, (power, ev) in enumerate(zip(powers, evaluators)):
-            if proposals is not None:
-                f, g, weight = proposals[i].transform(*raw)
-            q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power))) * weight
+            if proposals is None:
+                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power)))
+            else:
+                h, geometry = proposals[i].states(draw)
+                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
+                    h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
+                # a trial with Q = 0 adds 0 whatever its weight
+                hit = np.flatnonzero(q)
+                q[hit] *= proposals[i].weights(h, geometry, hit)
             sums.append((float(q.sum()), float(np.square(q).sum())))
         return sums
 

@@ -204,3 +204,34 @@ def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, 
     err = capsys.readouterr().err
     assert f".{field}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"label": "short", "vectors": [[[1, 0], [0, 0]]]}, "2 entries"),
+    ({"label": "long", "vectors": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}, "4 entries"),
+    ({"label": "srs", "type": "srs", "theta": [0.0, 0.0, 0.0, 0.0]}, "4 entries"),
+    ({"label": "pinned", "type": "constrained", "epsilon": 0.25, "pinned_relay": 4},
+     "pinned_relay 4"),
+])
+def test_simulate_codebook_for_other_relay_count_names_entry(tmp_path, capsys, entry, message):
+    three = {"relay_count": 3, "power_scalers": [1.0] * 4, "variance_f": [1.0] * 3,
+             "variance_g": [1.0] * 3}
+    codebooks = [{"label": "ok", "type": "srs", "theta": [0.0] * 3}, entry]
+    for estimator in ("plain", "importance"):
+        cfg = _write(tmp_path, "bad.json", dict(TINY_CONFIG, network=three, codebooks=codebooks,
+                                                estimator=estimator))
+        out = tmp_path / estimator
+        assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ".codebooks[1]:" in err and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_simulate_non_object_config_fails_cleanly(tmp_path, capsys):
+    for top in (3, [TINY_CONFIG], "config"):
+        cfg = _write(tmp_path, "top.json", top)
+        assert main(["simulate", "-c", str(cfg), "-o", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "expected an object" in err
+        assert "Traceback" not in err

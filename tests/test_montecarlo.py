@@ -20,10 +20,11 @@ from relayquant import (
     rng,
 )
 from relayquant.cli import main
-from relayquant.codebooks import ConstrainedSpec, PowerDependentSpec, resolve_codebook
+from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_codebook,
+                                  to_finite)
 from relayquant.montecarlo import ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, DefensiveMixture
 from relayquant.structure import diversity_cap
-from tests.conftest import U1
+from tests.conftest import U1, U2
 
 
 def _q_reference(x):
@@ -137,8 +138,8 @@ def test_one_stream_per_chunk(monkeypatch):
 
 
 def test_relay_gains_once_per_chunk_and_power(monkeypatch):
-    # one geometry per (chunk, power) in the evaluator, plus one in the
-    # importance proposal, which serves its cancellation points and weights
+    # one geometry per (chunk, power): under importance the proposal builds
+    # it, and its cancellation points, the argmax and the weights share it
     from relayquant import model
 
     calls = []
@@ -153,7 +154,9 @@ def test_relay_gains_once_per_chunk_and_power(monkeypatch):
     grid = (10.0, 20.0, 30.0, 40.0)
     trials = 2 * CHUNK_TRIALS + 17
     cases = [(c3, "plain", 1), (SrsSpec((0.0, 0.0, 0.0)), "plain", 1),
-             (ConstrainedSpec(0.25, 1), "plain", 1), (c3, "importance", 2)]
+             (ConstrainedSpec(0.25, 1), "plain", 1), (c3, "importance", 1),
+             (SrsSpec((0.0, 0.0, 0.0)), "importance", 1),
+             (ConstrainedSpec(0.25, 1), "importance", 1)]
     for spec, estimator, per_chunk_power in cases:
         calls.clear()
         estimate_ser(SimulationPlan(_fig2_network(), spec, grid, trials, 3,
@@ -215,6 +218,19 @@ def test_plan_validation():
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0, 10.0), 100, 1)
     with pytest.raises(ValueError, match="trials_per_point"):
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), 0, 1)
+
+
+def test_plan_rejects_codebook_for_other_relay_count():
+    net = _fig2_network()
+    short = FiniteCodebook(np.array([[1, 0], [0, 1]], dtype=complex))
+    long = FiniteCodebook(np.eye(4, dtype=complex))
+    for spec in (short, long, SrsSpec((0.0, 0.0)), UnitarySpec(SrsSpec((0.0, 0.0)), np.eye(2))):
+        with pytest.raises(ValueError, match="3 relays"):
+            SimulationPlan(net, spec, (10.0,), 100, 1)
+    for spec in (ConstrainedSpec(0.25, 4), PowerDependentSpec(4)):
+        with pytest.raises(ValueError, match="pinned_relay 4 is out of range 1..3"):
+            SimulationPlan(net, spec, (10.0,), 100, 1, estimator="importance")
+    SimulationPlan(net, ConstrainedSpec(0.25, 3), (10.0,), 100, 1)
 
 
 def test_diversity_fit_exact_power_law():
@@ -367,3 +383,78 @@ def test_diversity_fit_reports_worst_relative_error():
     p_db = (10.0, 20.0, 30.0)
     curve = SerCurve(p_db, (1e-2, 1e-3, 1e-4), (1e-4, 5e-5, 5e-5), (1,) * 3)
     assert estimate_diversity(curve).max_rel_err == pytest.approx(0.5)
+
+
+_FIG2_CODEBOOKS = {
+    "C3": FiniteCodebook(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex)),
+    "O1": FiniteCodebook(np.array([[1, 0, 0], [0, -0.8, 1]], dtype=complex)),
+    "SRS_U2": UnitarySpec(SrsSpec((0.0, 0.0, 0.0)), U2),
+    "SRS": SrsSpec((0.0, 0.0, 0.0)),
+}
+
+
+def test_importance_chunk_equals_sample_reference():
+    # estimate_ser prepares a chunk once, shares each power's geometry with
+    # the argmax and weights only trials with Q > 0; none of that may change
+    # a bit against sample + best_snr + gaussian_tail over every trial
+    net = _fig2_network()
+    n = CHUNK_TRIALS
+    for label, spec in _FIG2_CODEBOOKS.items():
+        curve = estimate_ser(SimulationPlan(net, spec, (30.0, 50.0), n, 77,
+                                            estimator="importance"))
+        for i, p_db in enumerate(curve.p_db):
+            power = PowerLevel.from_db(p_db)
+            ev = resolve_codebook(spec, power)
+            proposal = DefensiveMixture(net, power, ev.canonical)
+            f, g, w = proposal.sample(rng.stream(77, 0, 0), n)
+            q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, net, power))) * w
+            mean = float(q.sum()) / n
+            var = max(0.0, (float(np.square(q).sum()) - n * mean * mean) / (n - 1))
+            assert (curve.ser[i], curve.std_err[i]) == (mean, math.sqrt(var / n)), (label, p_db)
+            assert 0.0 < mean < 1e-4, (label, p_db)
+
+
+def test_sparse_cancel_points_equal_dense_form():
+    # the mixture sums each component's vector over its nonzero relays off r*
+    # only; the dense form runs every component over every relay
+    from relayquant.model import beamformed_sums, canonical_rows, snr_geometry, snr_terms
+
+    net = _fig2_network()
+    for label in ("C3", "O1", "SRS_U2"):
+        vectors = canonical_rows(to_finite(_FIG2_CODEBOOKS[label]).vectors)
+        for p_db in (30.0, 50.0):
+            power = PowerLevel.from_db(p_db)
+            proposal = DefensiveMixture(net, power, vectors)
+            f, g, _ = proposal.sample(rng.stream(3, 0, 1), CHUNK_TRIALS)
+            rho, a, b = snr_geometry(f, g, net, power)
+            others = vectors[[k for k, row in enumerate(vectors) if np.count_nonzero(row) > 1]]
+            relay, pivot = proposal.relay, proposal.pivot[:, None]
+            assert np.array_equal(others[np.arange(relay.size), relay], proposal.pivot)
+            others[np.arange(relay.size), relay] = 0.0
+            acc, den = beamformed_sums(others.T[:, :, None], a, b)
+            f_star, rho_star = f.T[relay], rho[relay]
+            coef_star, _ = snr_terms(f_star, 1.0, rho_star)
+            c = pivot * coef_star
+            mu = -acc / c
+            den += abs(pivot) ** 2 * (mu.real ** 2 + mu.imag ** 2) * rho_star
+            s2 = den / (net.power_scalers[0] * power.linear * (c.real ** 2 + c.imag ** 2))
+            sparse = proposal._cancel_point(np.arange(relay.size)[:, None], a[proposal.support],
+                                            b[proposal.support], f_star, rho_star)
+            assert proposal.support.shape[0] == (2 if label == "SRS_U2" else 1)
+            assert sparse[0].tobytes() == mu.tobytes(), (label, p_db)
+            assert sparse[1].tobytes() == s2.tobytes(), (label, p_db)
+
+
+def test_importance_thread_invariant_with_dense_vectors(monkeypatch):
+    # O1 has an entry of -0.8 and SRS_U2 two nonzero entries off r*
+    net = _fig2_network()
+    for label in ("O1", "SRS_U2"):
+        plan = SimulationPlan(net, _FIG2_CODEBOOKS[label], (30.0, 40.0, 50.0),
+                              3 * CHUNK_TRIALS + 5, 19, estimator="importance")
+        curves = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+            buf = io.StringIO()
+            estimate_ser(plan).write_csv(buf)
+            curves.append(buf.getvalue())
+        assert curves[0] == curves[1], label

@@ -19,13 +19,14 @@ from pathlib import Path
 from typing import Optional
 
 from .codebooks import CodebookError, CodebookSpec, spec_from_json, to_finite
-from .model import NetworkConfig
+from .model import NetworkConfig, PowerLevel
 from .montecarlo import (
     MAX_RESOLVED_REL_ERR,
     SerCurve,
     SimulationPlan,
     estimate_diversity,
     estimate_ser,
+    worker_count,
 )
 from .oracles import run_audits
 from .structure import analyze_codebook
@@ -110,6 +111,13 @@ def _safe_label(label: str) -> str:
     return safe or "codebook"
 
 
+def _power_grid(values) -> tuple[float, ...]:
+    grid = tuple(float(p) for p in values)
+    for p_db in grid:
+        PowerLevel.from_db(p_db)
+    return grid
+
+
 def _experiment_from_json(cfg, where: str):
     if not isinstance(cfg, dict):
         raise CliError(f"{where}: expected an object")
@@ -118,8 +126,7 @@ def _experiment_from_json(cfg, where: str):
     entries = _require(cfg, "codebooks", f"{where}.codebooks")
     if not isinstance(entries, list) or not entries:
         raise CliError(f"{where}.codebooks: need a non-empty list")
-    p_grid = _field(lambda v: tuple(float(p) for p in v), cfg, "p_grid_db",
-                    f"{where}.p_grid_db")
+    p_grid = _field(_power_grid, cfg, "p_grid_db", f"{where}.p_grid_db")
     trials = _field(int, cfg, "trials_per_point", f"{where}.trials_per_point", 10**6)
     seed = _field(int, cfg, "seed", f"{where}.seed")
     estimator = cfg.get("estimator", "plain")
@@ -150,6 +157,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_json(cfg_path, "config")
     where = str(cfg_path)
     network, labeled, p_grid, trials, seed, estimator = _experiment_from_json(cfg, where)
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
     plans = []
     for i, (label, spec, entry_trials) in enumerate(labeled):

@@ -17,6 +17,11 @@ with a_r = f_r g_r sqrt(rho_r) and b_r = |g_r|^2 rho_r, is read off
 snr_geometry, the one place that forms (rho, a, b).  It returns them
 relay-major, as contiguous (R, n) rows over n channel states, so that sums
 over relays add whole rows; beamformed_snr evaluates the SNR on them.
+snr_geometry is two steps in a row: channel_products forms the products
+that do not depend on P, (f g, |f|^2, |g|^2), and geometry_at_power forms
+(rho, a, b) from them at one power.  A caller that evaluates one draw at
+many powers runs the first step once.  Both steps, and sample_channels,
+can write into arrays the caller holds.
 
 Relay indices in public arguments and reports are 1-based, matching the usual
 "relay 1 .. relay R" numbering; arrays are of course 0-based internally.
@@ -86,7 +91,10 @@ class PowerLevel:
 
     @classmethod
     def from_db(cls, db: float) -> "PowerLevel":
-        return cls(10.0 ** (float(db) / 10.0))
+        try:
+            return cls(10.0 ** (float(db) / 10.0))
+        except OverflowError:
+            raise ValueError(f"power must be positive and finite, got {db!r} dB") from None
 
     @property
     def db(self) -> float:
@@ -135,21 +143,22 @@ class BeamformingVector:
         object.__setattr__(self, "x", x)
 
 
-def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int):
+def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int, out=None):
     """Draw `count` independent channel states; returns (f, g) of shape (count, R).
 
     Real and imaginary parts of f_r are independent Gaussians with variance
     variance_f[r-1] / 2, likewise for g_r, so E|f_r|^2 = variance_f[r-1].
+    `out`, a contiguous complex (2, count, R) array, receives f and g in
+    place; the draws are the same either way.
     """
     r = config.relay_count
-    zf = gen.standard_normal((count, r, 2))
-    zg = gen.standard_normal((count, r, 2))
-    sf = np.sqrt(np.asarray(config.variance_f) / 2.0)
-    sg = np.sqrt(np.asarray(config.variance_g) / 2.0)
-    # each trailing (re, im) pair of float64 normals is one complex128
-    f = zf.view(np.complex128)[..., 0] * sf
-    g = zg.view(np.complex128)[..., 0] * sg
-    return f, g
+    if out is None:
+        out = np.empty((2, count, r), dtype=np.complex128)
+    for states, variance in zip(out, (config.variance_f, config.variance_g)):
+        # each trailing (re, im) pair of float64 normals is one complex128
+        gen.standard_normal((count, r, 2), out=states.view(np.float64).reshape(count, r, 2))
+        np.multiply(states, np.sqrt(np.asarray(variance) / 2.0), out=states)
+    return out[0], out[1]
 
 
 def sample_channel(config: NetworkConfig, gen: np.random.Generator) -> ChannelState:
@@ -158,17 +167,22 @@ def sample_channel(config: NetworkConfig, gen: np.random.Generator) -> ChannelSt
     return ChannelState(f[0], g[0])
 
 
-def relay_gains(f, config: NetworkConfig, power) -> np.ndarray:
+def relay_gains(f, config: NetworkConfig, power, absf2=None, out=None) -> np.ndarray:
     """Channel-inversion gains rho_r = p_r P / (1 + |f_r|^2 p_0 P), vectorized.
 
     `f` has shape (..., R); the result matches its shape.  `power` is a
-    PowerLevel, or linear power: a float or one value per channel state.
+    PowerLevel, or linear power: a float or one value per channel state.  A
+    caller that already holds |f|^2 passes it as `absf2` in place of f, and
+    `out` receives the result.
     """
-    f = np.asarray(f, dtype=np.complex128)
+    if absf2 is None:
+        f = np.asarray(f, dtype=np.complex128)
+        absf2 = f.real * f.real + f.imag * f.imag
     p = np.asarray(getattr(power, "linear", power), dtype=float)[..., None]
     scal = np.asarray(config.power_scalers)
-    absf2 = f.real * f.real + f.imag * f.imag
-    return (scal[1:] * p) / (1.0 + absf2 * (scal[0] * p))
+    out = np.multiply(absf2, scal[0] * p, out=out)
+    out += 1.0
+    return np.divide(scal[1:] * p, out, out=out)
 
 
 def relay_gain(relay: int, h: ChannelState, config: NetworkConfig, power: PowerLevel) -> float:
@@ -186,17 +200,54 @@ def snr_terms(f, g, rho):
     return f * g * np.sqrt(rho), (g.real * g.real + g.imag * g.imag) * rho
 
 
-def snr_geometry(f, g, config: NetworkConfig, power):
+def channel_products(f, g, out=None):
+    """Relay-major, power-independent products (f g, |f|^2, |g|^2) of states f, g.
+
+    f, g have shape (n, R).  Returns three contiguous (R, n) arrays, complex,
+    float and float, written into `out` when given.  Row r holds relay r.
+    """
+    f = np.asarray(f, dtype=np.complex128).T
+    g = np.asarray(g, dtype=np.complex128).T
+    if out is None:
+        out = (np.empty(f.shape, dtype=np.complex128), np.empty(f.shape), np.empty(f.shape))
+    fg, f2, g2 = out
+    # |z|^2 = re^2 + im^2, with the real part of fg as scratch before f g
+    scratch = fg.real
+    for z, z2 in ((f, f2), (g, g2)):
+        np.multiply(z.real, z.real, out=z2)
+        np.multiply(z.imag, z.imag, out=scratch)
+        z2 += scratch
+    np.multiply(f, g, out=fg)
+    return out
+
+
+def geometry_at_power(products, config: NetworkConfig, power, out=None):
+    """SNR geometry (rho, a, b) at one power from channel_products' output.
+
+    rho are the relay gains (see relay_gains, which also documents `power`),
+    a = (f g) sqrt(rho) and b = |g|^2 rho.  Returns three contiguous (R, n)
+    arrays, float, complex and float, written into `out` when given.
+    """
+    fg, f2, g2 = products
+    if out is None:
+        out = (np.empty(f2.shape), np.empty(fg.shape, dtype=np.complex128), np.empty(f2.shape))
+    rho, a, b = out
+    relay_gains(None, config, power, f2.T, rho.T)
+    np.sqrt(rho, out=b)
+    np.multiply(fg, b, out=a)
+    np.multiply(g2, rho, out=b)
+    return out
+
+
+def snr_geometry(f, g, config: NetworkConfig, power, out=None):
     """Relay-major SNR geometry (rho, a, b) of channel states f, g of shape (n, R).
 
-    Returns three contiguous (R, n) arrays: the relay gains rho (see
-    relay_gains, which also documents `power`) and the terms a, b of
-    snr_terms.  Row r holds relay r over all n states.
+    channel_products followed by geometry_at_power: three contiguous (R, n)
+    arrays, the relay gains rho and the terms a, b of snr_terms.  `out`,
+    when given, is the pair of array triples the two steps write into.
     """
-    f = np.ascontiguousarray(np.asarray(f, dtype=np.complex128).T)
-    g = np.ascontiguousarray(np.asarray(g, dtype=np.complex128).T)
-    rho = np.ascontiguousarray(relay_gains(f.T, config, power).T)
-    return (rho,) + snr_terms(f, g, rho)
+    products, geometry = (None, None) if out is None else out
+    return geometry_at_power(channel_products(f, g, products), config, power, geometry)
 
 
 def beamformed_sums(x, a, b):
@@ -239,7 +290,9 @@ def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
     vectors = np.asarray(vectors, dtype=np.complex128)
     p0 = config.power_scalers[0] * power.linear
     _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
-    out = np.empty((a.shape[1], vectors.shape[0]))
+    # K-major storage: each vector's column is contiguous, so a reduction
+    # over vectors runs over whole rows
+    out = np.empty((vectors.shape[0], a.shape[1])).T
     for k, x in enumerate(vectors):
         out[:, k] = beamformed_snr(x, a, b, p0)
     return out

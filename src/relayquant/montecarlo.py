@@ -20,21 +20,25 @@ Two estimators are selectable per plan:
   estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
   the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
   to a few percent at 1e6 trials even where the SER is 1e-15.  On the fig2
-  network's five-point grid a trial costs roughly 1.5x (no multi-relay
-  codebook vector) to 2.4x (three of them) what a plain trial costs (one
+  network's five-point grid a trial costs roughly 2.3x (no multi-relay
+  codebook vector) to 4x (three of them) what a plain trial costs (one
   thread, 2-core Xeon VM, 2026-10), since both share one draw across the
-  grid but only this one maps and weights it at every power.
+  grid but only this one maps, re-forms and weights it at every power.
 
 Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
 from the counter stream (seed, 0, c), and evaluates it at every power of the
 grid: the true channel law does not depend on P, and neither do the raw
-draws of the importance proposal.  Under "importance" each piece of a chunk's
-work is done once: DefensiveMixture.prepare draws the chunk and picks each
-trial's component once for the whole grid; at each power,
-DefensiveMixture.states maps it to that power's states and their one SNR
-geometry, which the codebook's argmax reuses; and the likelihood ratio is
-evaluated only at the trials whose Q value is positive, since a trial with
-Q = 0 adds 0 whatever its weight.  Per-point partial sums are combined in
+draws of the importance proposal.  Each worker thread writes a chunk's
+states, channel products and SNR geometry into ChunkBuffers it allocates
+once per plan, so the arrays that live across a (chunk, power) take no
+fresh pages from the allocator.  Under "plain" the channel products are
+formed once per chunk, and the geometry and the argmax once per power.
+Under "importance" each piece of a chunk's work is done once:
+DefensiveMixture.prepare draws the chunk and picks each trial's component
+once for the whole grid; at each power, DefensiveMixture.states maps it to
+that power's states and their one SNR geometry, which the codebook's argmax
+reuses; and the likelihood ratio is evaluated only at the trials whose Q
+value is positive, since a trial with Q = 0 adds 0 whatever its weight.  Per-point partial sums are combined in
 chunk order, so the output of either estimator is bit-identical no matter
 how many worker threads run, and point i of a curve equals a one-point plan
 at that power.  The points of a curve share their draws (common random
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
@@ -61,9 +66,9 @@ from scipy import special
 
 from . import rng as _rng
 from .codebooks import (CodebookSpec, FiniteCodebook, FiniteEvaluator, SrsSpec, UnitarySpec,
-                        resolve_codebook, to_finite)
-from .model import (NetworkConfig, PowerLevel, beamformed_sums, sample_channels,
-                    snr_geometry, snr_terms)
+                        resolve_codebook, resolve_epsilon, to_finite)
+from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
+                    geometry_at_power, sample_channels, snr_geometry, snr_terms)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -110,7 +115,8 @@ class SimulationPlan:
     """Everything that determines one SER curve, including its randomness.
 
     A finite codebook's vectors must have one entry per relay of the
-    network, and a pinned relay must be one of its relays.
+    network, a pinned relay must be one of its relays, and a continuous
+    family must resolve at every grid power.
 
     grid_resolution is ignored: it sized the magnitude grid of an earlier,
     approximate continuous-family maximizer, and the field keeps its sixth
@@ -135,12 +141,18 @@ class SimulationPlan:
             raise ValueError("trials_per_point must be >= 1")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        powers = [PowerLevel.from_db(p_db) for p_db in grid]
         relays = self.network.relay_count
         if isinstance(self.codebook, (FiniteCodebook, SrsSpec, UnitarySpec)):
             length = to_finite(self.codebook).relay_count
             if length != relays:
                 raise ValueError(f"codebook vectors have {length} entries, but the network "
                                  f"has {relays} relays")
+        else:
+            # a family that cannot be bound at some grid power (the
+            # power-dependent one below P = e) fails here, before any plan runs
+            for power in powers:
+                resolve_epsilon(self.codebook, power)
         pinned = getattr(self.codebook, "pinned_relay", None)
         if pinned is not None and pinned > relays:
             raise ValueError(f"pinned_relay {pinned} is out of range 1..{relays}")
@@ -184,6 +196,38 @@ class SerCurve:
             e.append(float(parts[2]))
             t.append(int(parts[3]))
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
+
+
+class ChunkBuffers:
+    """Arrays that one worker thread reuses for every chunk of a plan.
+
+    Each holds `capacity` trials of R relays; a smaller chunk uses leading
+    slices, which stay contiguous.  One store holds the chunk's channel
+    states: f and g as sample_channels draws them (`draw`), or the
+    relay-major states of DefensiveMixture.states (`states`).  The others
+    hold channel_products' and geometry_at_power's outputs.
+    """
+
+    def __init__(self, relays: int, capacity: int):
+        self.relays = relays
+        size = relays * capacity
+        self._states = np.empty(2 * size, dtype=np.complex128)
+        self._products = (np.empty(size, dtype=np.complex128), np.empty(size), np.empty(size))
+        self._geometry = (np.empty(size), np.empty(size, dtype=np.complex128), np.empty(size))
+
+    def draw(self, n):
+        """(2, n, R) complex: sample_channels' f and g."""
+        return self._states[:2 * self.relays * n].reshape(2, n, self.relays)
+
+    def states(self, n):
+        """(2R, n) complex: relay-major states, f above g."""
+        return self._states[:2 * self.relays * n].reshape(2 * self.relays, n)
+
+    def products(self, n):
+        return tuple(x[:self.relays * n].reshape(self.relays, n) for x in self._products)
+
+    def geometry(self, n):
+        return tuple(x[:self.relays * n].reshape(self.relays, n) for x in self._geometry)
 
 
 @dataclass(frozen=True)
@@ -290,13 +334,16 @@ class DefensiveMixture:
         den += self.pivot_power[k] * (mu.real ** 2 + mu.imag ** 2) * rho_star
         return mu, den / (self.p0 * (c.real ** 2 + c.imag ** 2))
 
-    def prepare(self, gen: np.random.Generator, size: int) -> PreparedDraw:
+    def prepare(self, gen: np.random.Generator, size: int,
+                buffers: Optional[ChunkBuffers] = None) -> PreparedDraw:
         """The power-independent part of `size` trials from q, for `states`.
 
         Draws true-law gains, the uniform that picks each trial's component
-        and the (2R, size) fade coins from `gen`, in that order.
+        and the (2R, size) fade coins from `gen`, in that order.  The gains
+        are drawn into `buffers` when given; the PreparedDraw holds a copy.
         """
-        f, g = sample_channels(self.config, gen, size)
+        f, g = sample_channels(self.config, gen, size,
+                               None if buffers is None else buffers.draw(size))
         uniform = gen.random(size)
         coins = gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_)
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
@@ -309,20 +356,28 @@ class DefensiveMixture:
         return PreparedDraw(h, fade_at, h.ravel()[fade_at], trials, k,
                             fade[self.config.relay_count + self.relay[k], trials])
 
-    def states(self, draw: PreparedDraw):
+    def states(self, draw: PreparedDraw, buffers: Optional[ChunkBuffers] = None):
         """Channel states of a prepared draw at this power, with their geometry.
 
         Returns (h, (rho, a, b)): h holds the (2R, n) relay-major states, f
         in rows 0..R-1 and g below, and (rho, a, b) is their snr_geometry.
         One geometry of the faded states serves the cancellation points;
         where a trial's g is redrawn, its a and b are recomputed in place.
-        The draw is left unchanged.
+        The draw is left unchanged.  With `buffers`, h and the geometry are
+        written into them, else into fresh arrays.
         """
         r_count = self.config.relay_count
-        h = draw.h.copy()
+        out = None
+        if buffers is None:
+            h = draw.h.copy()
+        else:
+            n = draw.h.shape[1]
+            h = buffers.states(n)
+            np.copyto(h, draw.h)
+            out = (buffers.products(n), buffers.geometry(n))
         h.ravel()[draw.fade_at] = draw.faded * self.fade_scale
         f, g = h[:r_count], h[r_count:]
-        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power)
+        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power, out)
         if not draw.trials.size:
             return h, (rho, a, b)
         trials, k = draw.trials, draw.k
@@ -403,20 +458,29 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                      for power, ev in zip(powers, evaluators)]
 
     r_count = config.relay_count
+    chunks = _chunk_sizes(plan.trials_per_point)
+    local = threading.local()
 
     def run_chunk(chunk_size):
         chunk, size = chunk_size
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            # sized for the first chunk, the largest
+            buffers = local.buffers = ChunkBuffers(r_count, chunks[0][1])
         gen = _rng.stream(plan.seed, 0, chunk)
         if proposals is None:
-            f, g = sample_channels(config, gen, size)
+            f, g = sample_channels(config, gen, size, buffers.draw(size))
+            products = channel_products(f, g, buffers.products(size))
         else:
-            draw = proposals[0].prepare(gen, size)
+            draw = proposals[0].prepare(gen, size, buffers)
         sums = []
         for i, (power, ev) in enumerate(zip(powers, evaluators)):
             if proposals is None:
-                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power)))
+                geometry = geometry_at_power(products, config, power, buffers.geometry(size))
+                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,
+                                                            geometry=geometry)))
             else:
-                h, geometry = proposals[i].states(draw)
+                h, geometry = proposals[i].states(draw, buffers)
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
                     h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
                 # a trial with Q = 0 adds 0 whatever its weight
@@ -425,7 +489,6 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
             sums.append((float(q.sum()), float(np.square(q).sum())))
         return sums
 
-    chunks = _chunk_sizes(plan.trials_per_point)
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:
         partials = [run_chunk(c) for c in chunks]

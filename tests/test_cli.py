@@ -235,3 +235,41 @@ def test_simulate_non_object_config_fails_cleanly(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "expected an object" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads, message", [("abc", "must be an integer"), ("0", ">= 1")])
+def test_simulate_bad_thread_count_names_variable(tmp_path, capsys, monkeypatch, threads,
+                                                  message):
+    cfg = _write(tmp_path, "cfg.json", TINY_CONFIG)
+    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "RELAYQUANT_THREADS" in err and message in err
+    assert "codebooks" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_codebook_unresolvable_at_grid_power_writes_nothing(tmp_path, capsys):
+    # the power-dependent family needs P >= e, so 0 dB fails it; that must
+    # be found before the first curve is written
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, p_grid_db=[0.0, 10.0], codebooks=[
+        {"label": "SRS", "type": "srs", "theta": [0.0, 0.0]},
+        {"label": "dep", "type": "power_dep_constrained", "pinned_relay": 1},
+    ]))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ".codebooks[1]:" in err and "P >= e" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_out_of_range_grid_power_names_field(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, p_grid_db=[5.0, 5000.0]))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ".p_grid_db:" in err and "5000.0 dB" in err
+    assert "Traceback" not in err
+    assert not out.exists()

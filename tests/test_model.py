@@ -14,7 +14,8 @@ from relayquant import (
     relay_gain,
     sample_channel,
 )
-from relayquant.model import canonical_rows, relay_gains, sample_channels, snr_per_vector
+from relayquant.model import (canonical_rows, channel_products, geometry_at_power, relay_gains,
+                              sample_channels, snr_geometry, snr_per_vector)
 from relayquant.rng import stream
 
 
@@ -108,6 +109,49 @@ def test_relay_gain_bounded_and_monotone():
         rho_bigger_p = relay_gains(f, config, PowerLevel(2.0 * p.linear))
         assert np.all(rho_bigger_p >= rho - 1e-15)
 
+
+
+def test_sample_channels_into_buffer_draws_the_same_gains():
+    config = NetworkConfig(3, (1.0,) * 4, (1.2, 0.8, 1.0), (1.5, 1.7, 0.7))
+    fresh = sample_channels(config, stream(5, 0, 1), 1000)
+    buf = np.full((2, 1000, 3), np.nan, dtype=complex)
+    kept = sample_channels(config, stream(5, 0, 1), 1000, buf)
+    for a, b in zip(fresh, kept):
+        assert a.tobytes() == b.tobytes()
+    assert np.shares_memory(kept[0], buf) and np.shares_memory(kept[1], buf)
+
+
+def test_two_step_geometry_equals_closed_form():
+    # channel_products once, geometry_at_power per power: the same bits as
+    # rho, a = (f g) sqrt(rho) and b = |g|^2 rho formed in one go
+    config = NetworkConfig(4, (1.0, 0.5, 2.0, 2.0, 0.7), (1.2, 0.8, 1.0, 0.4),
+                           (1.5, 1.7, 0.7, 1.1))
+    f, g = sample_channels(config, stream(11, 2, 0), 777)
+    products = channel_products(f, g)
+    for p_db in (-3.0, 0.0, 17.0, 50.0):
+        power = PowerLevel.from_db(p_db)
+        rho = relay_gains(f, config, power).T
+        expect = (rho, (f * g).T * np.sqrt(rho), (g.real * g.real + g.imag * g.imag).T * rho)
+        for got in (snr_geometry(f, g, config, power), geometry_at_power(products, config, power)):
+            for x, y in zip(got, expect):
+                assert x.shape == (4, 777) and x.flags.c_contiguous
+                assert x.tobytes() == np.ascontiguousarray(y).tobytes(), p_db
+    # per-state power, as the oracles pass it
+    power = np.linspace(0.5, 300.0, 777)
+    rho = relay_gains(f, config, power)
+    assert snr_geometry(f, g, config, power)[0].tobytes() == np.ascontiguousarray(rho.T).tobytes()
+
+
+def test_snr_per_vector_is_k_major():
+    config = NetworkConfig(3, (1.0,) * 4, (1.0,) * 3, (1.0,) * 3)
+    f, g = sample_channels(config, stream(3, 0, 0), 64)
+    vectors = canonical_rows(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex))
+    snr = snr_per_vector(vectors, f, g, config, PowerLevel(10.0))
+    assert snr.shape == (64, 3) and snr.flags.f_contiguous
+    for k in range(3):
+        for i in (0, 17, 63):
+            assert snr[i, k] == received_snr(vectors[k], ChannelState(f[i], g[i]), config,
+                                             PowerLevel(10.0))
 
 def test_received_snr_zero_vector():
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))

@@ -458,3 +458,64 @@ def test_importance_thread_invariant_with_dense_vectors(monkeypatch):
             estimate_ser(plan).write_csv(buf)
             curves.append(buf.getvalue())
         assert curves[0] == curves[1], label
+
+
+def _fresh_chunk_q(plan, chunk, size, power, ev):
+    """Q values of one plain chunk from fresh arrays: sample, geometry, argmax, tail."""
+    from relayquant.codebooks import FiniteEvaluator
+    from relayquant.model import sample_channels, snr_geometry, snr_per_vector
+
+    net = plan.network
+    f, g = sample_channels(net, rng.stream(plan.seed, 0, chunk), size)
+    if isinstance(ev, FiniteEvaluator):
+        best = snr_per_vector(ev.canonical, f, g, net, power,
+                              geometry=snr_geometry(f, g, net, power)).max(axis=1)
+    else:
+        best = ev.best_snr(f, g, net, power)
+    return gaussian_tail(np.sqrt(2.0 * best))
+
+
+def test_plain_chunks_equal_fresh_array_reference():
+    # estimate_ser forms the channel products once per chunk, the geometry
+    # once per power, and writes both into per-worker buffers whose leading
+    # slices serve the partial last chunk; none of that may change a bit
+    net14 = NetworkConfig(14, tuple(np.linspace(0.5, 2.0, 15)), tuple(np.linspace(0.6, 1.4, 14)),
+                          tuple(np.linspace(1.5, 0.7, 14)))
+    cases = [(_fig2_network(), _FIG2_CODEBOOKS["C3"]), (_fig2_network(), _FIG2_CODEBOOKS["SRS"]),
+             (_fig2_network(), PowerDependentSpec(2)), (net14, SrsSpec(tuple(np.linspace(0, 3, 14))))]
+    trials = 2 * CHUNK_TRIALS + 17
+    for net, spec in cases:
+        plan = SimulationPlan(net, spec, (5.0, 12.0, 30.0), trials, 23)
+        curve = estimate_ser(plan)
+        for i, p_db in enumerate(plan.p_grid_db):
+            power = PowerLevel.from_db(p_db)
+            ev = resolve_codebook(spec, power)
+            q = np.concatenate([_fresh_chunk_q(plan, c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS),
+                                               power, ev) for c in range(3)])
+            sums = [(float(x.sum()), float(np.square(x).sum()))
+                    for x in np.split(q, [CHUNK_TRIALS, 2 * CHUNK_TRIALS])]
+            total = sum(s for s, _ in sums)
+            total_sq = sum(s for _, s in sums)
+            mean = total / trials
+            var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+            assert (curve.ser[i], curve.std_err[i]) == (mean, math.sqrt(var / trials)), (spec, p_db)
+
+
+def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
+    # each worker thread holds its own chunk buffers
+    for estimator in ("plain", "importance"):
+        plan = SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0, 50.0),
+                              3 * CHUNK_TRIALS + 5, 29, estimator=estimator)
+        curves = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+            buf = io.StringIO()
+            estimate_ser(plan).write_csv(buf)
+            curves.append(buf.getvalue())
+        assert curves[0] == curves[1], estimator
+
+
+def test_plan_rejects_codebook_unresolvable_at_a_grid_power():
+    with pytest.raises(ValueError, match="P >= e"):
+        SimulationPlan(_fig2_network(), PowerDependentSpec(1), (0.0, 10.0), 100, 1)
+    SimulationPlan(_fig2_network(), PowerDependentSpec(1), (5.0, 10.0), 100, 1)

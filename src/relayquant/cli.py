@@ -112,6 +112,8 @@ def _safe_label(label: str) -> str:
 
 
 def _power_grid(values) -> tuple[float, ...]:
+    # SimulationPlan checks the powers too; checking here first makes the
+    # error name p_grid_db rather than the first codebook
     grid = tuple(float(p) for p in values)
     for p_db in grid:
         PowerLevel.from_db(p_db)

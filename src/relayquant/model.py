@@ -209,6 +209,9 @@ def channel_products(f, g, out=None):
     f = np.asarray(f, dtype=np.complex128).T
     g = np.asarray(g, dtype=np.complex128).T
     if out is None:
+        # on fresh storage, contiguous copies of the transposes first: the
+        # ufuncs below then read whole rows
+        f, g = np.ascontiguousarray(f), np.ascontiguousarray(g)
         out = (np.empty(f.shape, dtype=np.complex128), np.empty(f.shape), np.empty(f.shape))
     fg, f2, g2 = out
     # |z|^2 = re^2 + im^2, with the real part of fg as scratch before f g

@@ -335,15 +335,14 @@ class DefensiveMixture:
         return mu, den / (self.p0 * (c.real ** 2 + c.imag ** 2))
 
     def prepare(self, gen: np.random.Generator, size: int,
-                buffers: Optional[ChunkBuffers] = None) -> PreparedDraw:
+                buffers: ChunkBuffers) -> PreparedDraw:
         """The power-independent part of `size` trials from q, for `states`.
 
         Draws true-law gains, the uniform that picks each trial's component
         and the (2R, size) fade coins from `gen`, in that order.  The gains
-        are drawn into `buffers` when given; the PreparedDraw holds a copy.
+        are drawn into `buffers`; the PreparedDraw holds a copy.
         """
-        f, g = sample_channels(self.config, gen, size,
-                               None if buffers is None else buffers.draw(size))
+        f, g = sample_channels(self.config, gen, size, buffers.draw(size))
         uniform = gen.random(size)
         coins = gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_)
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
@@ -356,28 +355,23 @@ class DefensiveMixture:
         return PreparedDraw(h, fade_at, h.ravel()[fade_at], trials, k,
                             fade[self.config.relay_count + self.relay[k], trials])
 
-    def states(self, draw: PreparedDraw, buffers: Optional[ChunkBuffers] = None):
+    def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
         """Channel states of a prepared draw at this power, with their geometry.
 
-        Returns (h, (rho, a, b)): h holds the (2R, n) relay-major states, f
-        in rows 0..R-1 and g below, and (rho, a, b) is their snr_geometry.
-        One geometry of the faded states serves the cancellation points;
-        where a trial's g is redrawn, its a and b are recomputed in place.
-        The draw is left unchanged.  With `buffers`, h and the geometry are
-        written into them, else into fresh arrays.
+        Returns (h, (rho, a, b)), written into `buffers`: h holds the (2R, n)
+        relay-major states, f in rows 0..R-1 and g below, and (rho, a, b) is
+        their snr_geometry.  One geometry of the faded states serves the
+        cancellation points; where a trial's g is redrawn, its a and b are
+        recomputed in place.  The draw is left unchanged.
         """
         r_count = self.config.relay_count
-        out = None
-        if buffers is None:
-            h = draw.h.copy()
-        else:
-            n = draw.h.shape[1]
-            h = buffers.states(n)
-            np.copyto(h, draw.h)
-            out = (buffers.products(n), buffers.geometry(n))
+        n = draw.h.shape[1]
+        h = buffers.states(n)
+        np.copyto(h, draw.h)
         h.ravel()[draw.fade_at] = draw.faded * self.fade_scale
         f, g = h[:r_count], h[r_count:]
-        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power, out)
+        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power,
+                                 (buffers.products(n), buffers.geometry(n)))
         if not draw.trials.size:
             return h, (rho, a, b)
         trials, k = draw.trials, draw.k
@@ -426,9 +420,11 @@ class DefensiveMixture:
     def sample(self, gen: np.random.Generator, size: int):
         """Draw `size` channel states from q; returns (f, g, weights p/q).
 
-        f and g have shape (size, R) like sample_channels.
+        f and g have shape (size, R) like sample_channels.  Each call
+        returns fresh arrays.
         """
-        h, geometry = self.states(self.prepare(gen, size))
+        buffers = ChunkBuffers(self.config.relay_count, size)
+        h, geometry = self.states(self.prepare(gen, size, buffers), buffers)
         r_count = self.config.relay_count
         return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size))
 

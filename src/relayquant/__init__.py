@@ -44,7 +44,6 @@ from .oracles import MaxMinRatio, q_lower_bound, run_audits, snr_upper_bound_hol
 from .structure import (
     StructuralReport,
     analyze_codebook,
-    convergence_diagnostic,
     diversity_cap,
     hitting_sets,
     is_admissible,

@@ -18,14 +18,16 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .codebooks import CodebookError, CodebookSpec, spec_from_json, to_finite
-from .model import NetworkConfig, PowerLevel
+from .codebooks import CodebookError, CodebookSpec, json_int, json_list, spec_from_json, to_finite
+from .model import NetworkConfig
 from .montecarlo import (
     MAX_RESOLVED_REL_ERR,
     SerCurve,
     SimulationPlan,
+    check_estimator,
     estimate_diversity,
     estimate_ser,
+    power_grid,
     worker_count,
 )
 from .oracles import run_audits
@@ -87,21 +89,20 @@ def _network_from_json(obj, path: str) -> NetworkConfig:
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected an object")
     try:
-        return NetworkConfig(
-            relay_count=int(_require(obj, "relay_count", path)),
-            power_scalers=tuple(_require(obj, "power_scalers", path)),
-            variance_f=tuple(_require(obj, "variance_f", path)),
-            variance_g=tuple(_require(obj, "variance_g", path)),
-        )
+        lists = {key: tuple(json_list(_require(obj, key, path), key))
+                 for key in ("power_scalers", "variance_f", "variance_g")}
+        return NetworkConfig(json_int(_require(obj, "relay_count", path), "relay_count"), **lists)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _field(convert, obj: dict, key: str, path: str, default=None):
-    """convert(obj[key]) (or of `default` when given and the key is absent)."""
+def _field(convert, obj: dict, key: str, where: str, default=None):
+    """convert(obj[key], key) (or of `default` when given and the key is absent);
+    an error names the field as where.key."""
+    path = f"{where}.{key}"
     value = obj.get(key, default) if default is not None else _require(obj, key, path)
     try:
-        return convert(value)
+        return convert(value, key)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -111,13 +112,8 @@ def _safe_label(label: str) -> str:
     return safe or "codebook"
 
 
-def _power_grid(values) -> tuple[float, ...]:
-    # SimulationPlan checks the powers too; checking here first makes the
-    # error name p_grid_db rather than the first codebook
-    grid = tuple(float(p) for p in values)
-    for p_db in grid:
-        PowerLevel.from_db(p_db)
-    return grid
+def _power_grid(values, key: str) -> tuple[float, ...]:
+    return power_grid(json_list(values, key))
 
 
 def _experiment_from_json(cfg, where: str):
@@ -128,10 +124,10 @@ def _experiment_from_json(cfg, where: str):
     entries = _require(cfg, "codebooks", f"{where}.codebooks")
     if not isinstance(entries, list) or not entries:
         raise CliError(f"{where}.codebooks: need a non-empty list")
-    p_grid = _field(_power_grid, cfg, "p_grid_db", f"{where}.p_grid_db")
-    trials = _field(int, cfg, "trials_per_point", f"{where}.trials_per_point", 10**6)
-    seed = _field(int, cfg, "seed", f"{where}.seed")
-    estimator = cfg.get("estimator", "plain")
+    p_grid = _field(_power_grid, cfg, "p_grid_db", where)
+    trials = _field(json_int, cfg, "trials_per_point", where, 10**6)
+    seed = _field(json_int, cfg, "seed", where)
+    estimator = _field(lambda value, _: check_estimator(value), cfg, "estimator", where, "plain")
 
     labeled: list[tuple[str, CodebookSpec, int]] = []
     seen = set()
@@ -149,8 +145,7 @@ def _experiment_from_json(cfg, where: str):
             spec = spec_from_json(body, where=path)
         except CodebookError as exc:
             raise CliError(str(exc)) from exc
-        labeled.append((label, spec, _field(int, entry, "trials_per_point",
-                                            f"{path}.trials_per_point", trials)))
+        labeled.append((label, spec, _field(json_int, entry, "trials_per_point", path, trials)))
     return network, labeled, p_grid, trials, seed, estimator
 
 
@@ -233,9 +228,11 @@ def cmd_analyze(args) -> int:
     obj = _load_json(path, "codebook")
     try:
         spec = spec_from_json(obj, where=str(path))
-        cb = to_finite(spec)
-        report = analyze_codebook(cb)
-    except (CodebookError, ValueError) as exc:
+    except CodebookError as exc:
+        raise CliError(str(exc)) from exc
+    try:
+        report = analyze_codebook(to_finite(spec))
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     print(json.dumps(report.to_json(), indent=2))
     return 0

@@ -23,6 +23,7 @@ channel state and needs no tuning knob.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,6 +41,9 @@ from .model import (
 )
 
 UNITARY_TOL = 1e-10
+
+# Magnitudes and entrywise distances at most this large count as zero.
+ZERO_TOL = 1e-12
 
 
 class CodebookError(ValueError):
@@ -379,25 +383,25 @@ def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
 # ---------------------------------------------------------------------------
 
 
-def phase_classes(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Distinct vectors up to a global phase, compared entrywise within tol."""
+def phase_classes(vectors: np.ndarray) -> np.ndarray:
+    """Distinct vectors up to a global phase, compared entrywise within ZERO_TOL."""
     canon = canonical_rows(np.asarray(vectors, dtype=np.complex128))
     kept: list[np.ndarray] = []
     for row in canon:
-        if not any(np.abs(row - rep).max() <= tol for rep in kept):
+        if not any(np.abs(row - rep).max() <= ZERO_TOL for rep in kept):
             kept.append(row)
     return np.stack(kept) if kept else np.empty((0, canon.shape[1]), dtype=np.complex128)
 
 
-def same_codebook(a, b, tol: float = 1e-12) -> bool:
-    """Multiset equality of two vector lists up to global phases and tol."""
+def same_codebook(a, b) -> bool:
+    """Multiset equality of two vector lists up to global phases and ZERO_TOL."""
     av = canonical_rows(_vectors_of(a))
     bv = canonical_rows(_vectors_of(b))
     if av.shape != bv.shape:
         return False
     remaining = list(range(bv.shape[0]))
     for row in av:
-        hit = next((j for j in remaining if np.abs(row - bv[j]).max() <= tol), None)
+        hit = next((j for j in remaining if np.abs(row - bv[j]).max() <= ZERO_TOL), None)
         if hit is None:
             return False
         remaining.remove(hit)
@@ -420,12 +424,34 @@ def _pairs_from_vector(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in v]
 
 
-def _vector_from_pairs(pairs, where: str) -> np.ndarray:
-    try:
-        return np.array([complex(float(p[0]), float(p[1])) for p in pairs],
-                        dtype=np.complex128)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise CodebookError(f"{where}: complex entries must be [re, im] pairs") from exc
+def json_int(value, name: str) -> int:
+    """An integral JSON number as an int; 1e6 passes, bools and fractions raise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_list(value, name: str) -> list:
+    """value itself, if it is a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _matrix_from_json(rows, name: str) -> np.ndarray:
+    """A list of equal-length lists of [re, im] pairs as a complex matrix."""
+    out = []
+    for row in json_list(rows, name):
+        pairs = json_list(row, f"each row of {name}")
+        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise ValueError(f"{name}: complex entries must be [re, im] pairs")
+        out.append([complex(float(re), float(im)) for re, im in pairs])
+    lengths = sorted({len(row) for row in out})
+    if len(lengths) > 1:
+        raise ValueError(f"{name}: row length mismatch {lengths}")
+    return np.array(out, dtype=np.complex128)
 
 
 def spec_to_json(spec: CodebookSpec) -> dict:
@@ -448,35 +474,35 @@ def spec_to_json(spec: CodebookSpec) -> dict:
 
 
 def spec_from_json(obj: dict, where: str = "codebook") -> CodebookSpec:
+    """Decode one codebook spec.  Any malformed field raises one CodebookError
+    whose message starts with `where`."""
+    try:
+        return _decode_spec(obj)
+    except (TypeError, ValueError) as exc:
+        raise CodebookError(f"{where}: {exc}") from exc
+
+
+def _decode_spec(obj) -> CodebookSpec:
     if not isinstance(obj, dict):
-        raise CodebookError(f"{where}: expected an object")
+        raise CodebookError("expected an object")
     kind = obj.get("type")
     if kind is None and "vectors" in obj:
         kind = "explicit"
     if kind == "explicit":
-        vectors = obj.get("vectors")
-        if not isinstance(vectors, list) or not vectors:
-            raise CodebookError(f"{where}.vectors: need a non-empty list of vectors")
-        rows = [_vector_from_pairs(v, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)]
-        lengths = {len(r) for r in rows}
-        if len(lengths) != 1:
-            raise CodebookError(f"{where}.vectors: vector length mismatch {sorted(lengths)}")
-        return FiniteCodebook(np.stack(rows), label=str(obj.get("label", "")))
+        return FiniteCodebook(_matrix_from_json(obj.get("vectors"), "vectors"),
+                              label=str(obj.get("label", "")))
     if kind == "srs":
-        return SrsSpec(tuple(obj.get("theta", ())))
+        return SrsSpec(tuple(json_list(obj.get("theta", []), "theta")))
     if kind == "unitary":
-        base = spec_from_json(obj.get("base", {}), f"{where}.base")
+        base = spec_from_json(obj.get("base", {}), "base")
         if not isinstance(base, (FiniteCodebook, SrsSpec, UnitarySpec)):
-            raise CodebookError(f"{where}.base: must be a finite codebook spec")
-        matrix = obj.get("matrix")
-        if not isinstance(matrix, list):
-            raise CodebookError(f"{where}.matrix: need a square complex matrix")
-        rows = [_vector_from_pairs(r, f"{where}.matrix[{i}]") for i, r in enumerate(matrix)]
-        return UnitarySpec(base, np.stack(rows))
+            raise CodebookError("base: must be a finite codebook spec")
+        return UnitarySpec(base, _matrix_from_json(obj.get("matrix"), "matrix"))
     if kind == "constrained":
-        return ConstrainedSpec(obj.get("epsilon", -1.0), obj.get("pinned_relay", 0))
+        return ConstrainedSpec(obj.get("epsilon", -1.0),
+                               json_int(obj.get("pinned_relay", 0), "pinned_relay"))
     if kind == "full_csi":
         return FullCsiSpec()
     if kind == "power_dep_constrained":
-        return PowerDependentSpec(obj.get("pinned_relay", 0))
-    raise CodebookError(f"{where}: unknown codebook type {kind!r}")
+        return PowerDependentSpec(json_int(obj.get("pinned_relay", 0), "pinned_relay"))
+    raise CodebookError(f"unknown codebook type {kind!r}")

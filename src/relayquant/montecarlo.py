@@ -110,6 +110,25 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
+def power_grid(p_grid_db) -> tuple[float, ...]:
+    """The grid as floats; it must be non-empty, strictly ascending, and each
+    point a positive, finite power."""
+    grid = tuple(float(p) for p in p_grid_db)
+    if not grid:
+        raise ValueError("p_grid_db must not be empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("p_grid_db must be strictly ascending")
+    for p_db in grid:
+        PowerLevel.from_db(p_db)
+    return grid
+
+
+def check_estimator(estimator) -> str:
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    return estimator
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """Everything that determines one SER curve, including its randomness.
@@ -132,15 +151,10 @@ class SimulationPlan:
     estimator: str = "plain"
 
     def __post_init__(self):
-        grid = tuple(float(p) for p in self.p_grid_db)
-        if not grid:
-            raise ValueError("p_grid_db must not be empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("p_grid_db must be strictly ascending")
+        grid = power_grid(self.p_grid_db)
         if int(self.trials_per_point) < 1:
             raise ValueError("trials_per_point must be >= 1")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        check_estimator(self.estimator)
         powers = [PowerLevel.from_db(p_db) for p_db in grid]
         relays = self.network.relay_count
         if isinstance(self.codebook, (FiniteCodebook, SrsSpec, UnitarySpec)):

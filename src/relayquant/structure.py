@@ -11,36 +11,23 @@ relay tuple) and turned into tuples by joining two precomputed half-tuples.
 The pass is exponential in R, so it is capped at R = 20.  The module also
 classifies codebooks as orthogonal multiple-relay selection (OMRS: pairwise
 magnitude-disjoint supports) or single-relay selection (SRS: the cardinality-R
-special case), and emits finite-power convergence diagnostics for
-power-dependent families.
+special case).
 
-Relay indices in all inputs, outputs, and reports are 1-based.
+An entry or overlap counts as zero when its magnitude is at most ZERO_TOL,
+and a peak counts as unit when it is within MAGNITUDE_TOL of 1.  Relay
+indices in all inputs, outputs, and reports are 1-based.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-from . import rng as _rng
-from .codebooks import (
-    CodebookSpec,
-    ConstrainedSpec,
-    FiniteCodebook,
-    FullCsiSpec,
-    PowerDependentSpec,
-    constrained_best_snr,
-    phase_classes,
-    resolve_epsilon,
-    to_finite,
-)
-from .model import NetworkConfig, PowerLevel, sample_channels
+from .codebooks import MAGNITUDE_TOL, ZERO_TOL, FiniteCodebook, phase_classes
 
-ZERO_TOL = 1e-12
 MAX_ENUMERATION_RELAYS = 20
 
 
@@ -87,10 +74,10 @@ def _tuple_table(positions, offset: int) -> np.ndarray:
                        dtype=object, count=len(positions))
 
 
-def hitting_sets(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> HittingSets:
+def hitting_sets(cb: FiniteCodebook) -> HittingSets:
     """Enumerate the hitting-set collection exactly.
 
-    An entry counts as nonzero iff its magnitude exceeds zero_tol.  Every
+    An entry counts as nonzero iff its magnitude exceeds ZERO_TOL.  Every
     non-empty subset is an int32 mask with relay r at bit r - 1; one
     vectorized pass keeps the masks that AND nonzero with every support mask,
     so a zero vector leaves the collection empty.  Guarded at R <= 20 because
@@ -109,7 +96,7 @@ def hitting_sets(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> HittingSets:
     if r_count > MAX_ENUMERATION_RELAYS:
         raise ValueError(
             f"exponential enumeration cap: relay_count {r_count} > {MAX_ENUMERATION_RELAYS}")
-    supports = np.abs(cb.vectors) > zero_tol
+    supports = np.abs(cb.vectors) > ZERO_TOL
     masks = np.unique(supports @ (np.int32(1) << np.arange(r_count, dtype=np.int32)))
     subsets = np.arange(1, 1 << r_count, dtype=np.int32)
     hits = np.ones(subsets.size, dtype=bool)
@@ -145,14 +132,14 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     return float(mags2.max(axis=1).min())
 
 
-def _nonzero_hitting_sets(cb: FiniteCodebook, zero_tol: float) -> HittingSets:
+def _nonzero_hitting_sets(cb: FiniteCodebook) -> HittingSets:
     """hitting_sets, after rejecting a zero vector (no set can hit it)."""
-    if bool((np.abs(cb.vectors) <= zero_tol).all(axis=1).any()):
+    if bool((np.abs(cb.vectors) <= ZERO_TOL).all(axis=1).any()):
         raise ValueError("codebook contains zero vector")
-    return hitting_sets(cb, zero_tol)
+    return hitting_sets(cb)
 
 
-def diversity_cap(cb: FiniteCodebook, zero_tol: float = ZERO_TOL):
+def diversity_cap(cb: FiniteCodebook):
     """Smallest hitting-set size and a witness set achieving it.
 
     The cap equals min{|S| : S hits every support}; it never exceeds
@@ -160,13 +147,13 @@ def diversity_cap(cb: FiniteCodebook, zero_tol: float = ZERO_TOL):
     because one nonzero index per vector always forms a hitting set.
     Raises if the codebook contains a zero vector (no set can hit it).
     """
-    witness = _nonzero_hitting_sets(cb, zero_tol).min_witness()
+    witness = _nonzero_hitting_sets(cb).min_witness()
     return len(witness), witness
 
 
-def cardinality_cap(cb: FiniteCodebook, tol: float = ZERO_TOL) -> int:
+def cardinality_cap(cb: FiniteCodebook) -> int:
     """min(relay_count, codebook size after phase-class deduplication)."""
-    return min(cb.relay_count, phase_classes(cb.vectors, tol).shape[0])
+    return min(cb.relay_count, phase_classes(cb.vectors).shape[0])
 
 
 def _pairwise_overlaps(mags: np.ndarray) -> np.ndarray:
@@ -192,20 +179,20 @@ def max_pairwise_overlap(cb: FiniteCodebook) -> float:
     return float(_pairwise_overlaps(np.abs(cb.vectors)).max())
 
 
-def is_omrs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
+def is_omrs(cb: FiniteCodebook) -> bool:
     """Orthogonal multiple-relay selection: pairwise magnitude-disjoint supports.
 
     True iff the set of distinct vectors is a singleton or every distinct pair
-    satisfies sum_r |x_r||y_r| <= tol.  Exact duplicates collapse first (they
+    satisfies sum_r |x_r||y_r| <= ZERO_TOL.  Exact duplicates collapse first (they
     are the same vector, not a violating pair).
     """
     distinct = np.unique(cb.vectors, axis=0)
     if distinct.shape[0] <= 1:
         return True
-    return bool((_pairwise_overlaps(np.abs(distinct)) <= tol).all())
+    return bool((_pairwise_overlaps(np.abs(distinct)) <= ZERO_TOL).all())
 
 
-def is_srs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
+def is_srs(cb: FiniteCodebook) -> bool:
     """Single-relay selection: exactly R vectors, each a unit weight on its own relay.
 
     Requires the codebook to present exactly R entries forming R distinct
@@ -215,19 +202,19 @@ def is_srs(cb: FiniteCodebook, tol: float = ZERO_TOL) -> bool:
     r_count = cb.relay_count
     if len(cb) != r_count:
         return False
-    if phase_classes(cb.vectors, tol).shape[0] != r_count:
+    if phase_classes(cb.vectors).shape[0] != r_count:
         return False
-    if not is_omrs(cb, tol):
+    if not is_omrs(cb):
         return False
     order = np.sort(np.abs(cb.vectors), axis=1)
-    peaks_unit = np.all(np.abs(order[:, -1] - 1.0) <= tol)
-    return bool(peaks_unit and (r_count == 1 or np.all(order[:, -2] <= tol)))
+    peaks_unit = np.all(np.abs(order[:, -1] - 1.0) <= ZERO_TOL)
+    return bool(peaks_unit and (r_count == 1 or np.all(order[:, -2] <= ZERO_TOL)))
 
 
-def is_admissible(cb: FiniteCodebook, tol: float = 1e-9) -> bool:
+def is_admissible(cb: FiniteCodebook) -> bool:
     """True iff every vector spends full power on some relay (unit peak magnitude)."""
     peaks = np.abs(cb.vectors).max(axis=1)
-    return bool(np.all(np.abs(peaks - 1.0) <= tol))
+    return bool(np.all(np.abs(peaks - 1.0) <= MAGNITUDE_TOL))
 
 
 @dataclass(frozen=True)
@@ -268,13 +255,13 @@ class StructuralReport:
         }
 
 
-def analyze_codebook(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> StructuralReport:
+def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
     """Run every structural check and collect the results.
 
     The hitting sets are enumerated once; the cap and its witness come from
     that one collection.
     """
-    collection = _nonzero_hitting_sets(cb, zero_tol)
+    collection = _nonzero_hitting_sets(cb)
     witness = collection.min_witness()
     cap = len(witness)
     card = cardinality_cap(cb)
@@ -293,76 +280,8 @@ def analyze_codebook(cb: FiniteCodebook, zero_tol: float = ZERO_TOL) -> Structur
         cap_from_cardinality=card,
         index_sets=collection.sets,
         min_max_weight=tuple(weights),
-        is_omrs=is_omrs(cb, zero_tol),
-        is_srs=is_srs(cb, zero_tol),
+        is_omrs=is_omrs(cb),
+        is_srs=is_srs(cb),
         is_admissible=is_admissible(cb),
         max_pairwise_overlap=overlap,
     )
-
-
-# ---------------------------------------------------------------------------
-# Finite-power convergence diagnostics for power-dependent families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagnosticRow:
-    power: float
-    max_pairwise_overlap: float
-    off_support_max: float
-
-
-def _off_support_max(vectors: np.ndarray) -> float:
-    """Largest squared magnitude outside each vector's peak coordinate."""
-    if vectors.shape[1] < 2:
-        return 0.0
-    return float(np.sort(np.abs(vectors), axis=1)[:, -2].max()) ** 2
-
-
-def convergence_diagnostic(
-    source: Union[CodebookSpec, Callable[[float], FiniteCodebook]],
-    powers: Sequence[float],
-    config: Optional[NetworkConfig] = None,
-    *,
-    channel_samples: int = 64,
-    seed: int = 0,
-) -> list[DiagnosticRow]:
-    """Tabulate decay statistics of a power-indexed codebook family.
-
-    For each power level (linear scale) the row reports the largest pairwise
-    magnitude overlap and the largest off-peak squared magnitude.  Finite and
-    callable sources are measured on their vectors directly; constrained
-    continuous families report their constraint level as the off-support
-    bound and measure overlap on inner-maximizer outputs over sampled channel
-    states (which requires `config`).  No verdict is attached; callers fit the
-    decay shape themselves (see fit_log_decay).
-    """
-    rows = []
-    for i, p in enumerate(powers):
-        power = PowerLevel(float(p))
-        if isinstance(source, (ConstrainedSpec, FullCsiSpec, PowerDependentSpec)):
-            off = resolve_epsilon(source, power)
-            if config is None:
-                raise ValueError("constrained families need a NetworkConfig to sample")
-            gen = _rng.stream(seed, 1_000_000 + i, 0)
-            f, g = sample_channels(config, gen, channel_samples)
-            pinned = getattr(source, "pinned_relay", None)
-            mags, _ = constrained_best_snr(f, g, config, power, off, pinned)
-        else:
-            callable_source = callable(source) and not isinstance(source, type)
-            cb = source(power.linear) if callable_source else to_finite(source)
-            mags = np.abs(cb.vectors)
-            off = _off_support_max(mags)
-        overlap = float(_pairwise_overlaps(mags).max()) if len(mags) >= 2 else 0.0
-        rows.append(DiagnosticRow(power.linear, overlap, off))
-    return rows
-
-
-def fit_log_decay(powers: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares constant c in the model value = c / log(power), through origin."""
-    inv = np.array([1.0 / math.log(p) for p in powers])
-    vals = np.asarray(values, dtype=float)
-    denom = float(np.dot(inv, inv))
-    if denom == 0.0:
-        raise ValueError("need powers with log(P) != 0")
-    return float(np.dot(vals, inv) / denom)

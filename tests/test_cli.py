@@ -197,6 +197,19 @@ def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
     ("codebooks[0].trials_per_point", dict(TINY_CONFIG, codebooks=[
         dict(TINY_CONFIG["codebooks"][0], trials_per_point="x")])),
     ("p_grid_db", dict(TINY_CONFIG, p_grid_db=5)),
+    ("seed", dict(TINY_CONFIG, seed=1.7)),
+    ("seed", dict(TINY_CONFIG, seed=True)),
+    ("trials_per_point", dict(TINY_CONFIG, trials_per_point=1000.9)),
+    ("network", dict(TINY_CONFIG, network=dict(TINY_CONFIG["network"], relay_count=2.5))),
+    ("network", dict(TINY_CONFIG, network=dict(TINY_CONFIG["network"], power_scalers="111"))),
+    ("codebooks[1]", dict(TINY_CONFIG, codebooks=[TINY_CONFIG["codebooks"][0], {
+        "label": "c", "type": "constrained", "epsilon": 0.25, "pinned_relay": 1.9}])),
+    ("codebooks[1]", dict(TINY_CONFIG, codebooks=[TINY_CONFIG["codebooks"][0], {
+        "label": "s", "type": "srs", "theta": "00"}])),
+    ("p_grid_db", dict(TINY_CONFIG, p_grid_db=[])),
+    ("p_grid_db", dict(TINY_CONFIG, p_grid_db=[10, 5])),
+    ("p_grid_db", dict(TINY_CONFIG, p_grid_db="5")),
+    ("estimator", dict(TINY_CONFIG, estimator="magic")),
 ])
 def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, bad):
     cfg = _write(tmp_path, "bad.json", bad)
@@ -273,3 +286,49 @@ def test_simulate_out_of_range_grid_power_names_field(tmp_path, capsys):
     assert ".p_grid_db:" in err and "5000.0 dB" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_accepts_integral_floats(tmp_path, capsys):
+    ints = _write(tmp_path, "ints.json", dict(TINY_CONFIG, trials_per_point=1000))
+    floats = _write(tmp_path, "floats.json", dict(TINY_CONFIG, trials_per_point=1e3, seed=99.0))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "-c", str(ints), "-o", str(out1)]) == 0
+    assert main(["simulate", "-c", str(floats), "-o", str(out2)]) == 0
+    capsys.readouterr()
+    for name in ("pair.csv", "SRS.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+_SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("entry, message", [
+    ({"type": "constrained", "epsilon": "abc", "pinned_relay": 1}, "could not convert"),
+    ({"type": "constrained", "epsilon": 2, "pinned_relay": 1}, "[0, 1]"),
+    ({"type": "constrained", "epsilon": 0.5, "pinned_relay": 0}, "1-based"),
+    ({"type": "srs", "theta": None}, "theta must be a list"),
+    ({"type": "srs", "theta": []}, "at least one phase"),
+    ({"type": "unitary", "base": _SRS2, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},
+     "length mismatch"),
+    ({"type": "unitary", "base": _SRS2, "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+     "not unitary"),
+    ({"type": "unitary", "base": {"type": "srs"}, "matrix": [[[1, 0]]]}, "base: "),
+    ({"vectors": [[[1.5, 0], [0, 0]]]}, "exceeds 1"),
+    ({"vectors": [[[1, 0], [0]]]}, "[re, im] pairs"),
+])
+def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry, message):
+    out = tmp_path / "out"
+    if command == "simulate":
+        codebooks = [TINY_CONFIG["codebooks"][0], dict(entry, label="bad")]
+        cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, codebooks=codebooks))
+        args, where = ["simulate", "-c", str(cfg), "-o", str(out)], f"{cfg}.codebooks[1]"
+    else:
+        spec = _write(tmp_path, "spec.json", entry)
+        args, where = ["analyze", "-i", str(spec)], str(spec)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}: ")
+    assert captured.err.count(where) == 1 and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists() and "wrote" not in captured.out

@@ -5,8 +5,6 @@ import pytest
 
 from relayquant import (
     FiniteCodebook,
-    PowerDependentSpec,
-    SrsSpec,
     analyze_codebook,
     apply_unitary,
     diversity_cap,
@@ -18,7 +16,7 @@ from relayquant import (
     max_pairwise_overlap,
     min_max_weight,
 )
-from relayquant.structure import HittingSets, convergence_diagnostic, fit_log_decay
+from relayquant.structure import HittingSets
 from tests.conftest import U1, U2
 
 
@@ -242,34 +240,6 @@ def test_analyze_singleton_has_no_overlap(cb_c1):
     assert analyze_codebook(cb_c1).max_pairwise_overlap is None
 
 
-def test_convergence_diagnostic_srs_all_zero():
-    rows = convergence_diagnostic(SrsSpec((0.0, 0.0, 0.0)), [10.0, 100.0, 1000.0])
-    for row in rows:
-        assert row.max_pairwise_overlap == 0.0
-        assert row.off_support_max == 0.0
-
-
-def test_convergence_diagnostic_power_dependent_bound(unit_network2):
-    e = np.e
-    rows = convergence_diagnostic(PowerDependentSpec(1), [e, e**2, e**4],
-                                  unit_network2, channel_samples=8, seed=5)
-    offs = [row.off_support_max for row in rows]
-    assert offs == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
-
-
-def test_convergence_diagnostic_fitted_decay_constant():
-    c = 0.7
-
-    def family(p):
-        delta = c / (2.0 * np.log(p))
-        return FiniteCodebook(np.array([[1.0, delta], [delta, 1.0]], dtype=complex))
-
-    powers = [np.e**k for k in (1, 2, 3, 4, 6)]
-    rows = convergence_diagnostic(family, powers)
-    fitted = fit_log_decay(powers, [row.max_pairwise_overlap for row in rows])
-    assert fitted == pytest.approx(c, rel=0.10)
-
-
 def test_analyze_enumerates_hitting_sets_once(monkeypatch, cb_c2, cb_c5):
     import relayquant.structure as structure
 
@@ -308,5 +278,3 @@ def test_vectorized_structure_checks_match_pairwise_loops():
         disjoint = all(float(np.dot(d[i], d[j])) <= 1e-12
                        for i in range(len(d)) for j in range(i + 1, len(d)))
         assert is_omrs(cb) == disjoint
-        off = max(float(np.delete(row, np.argmax(row)).max()) ** 2 for row in m) if r > 1 else 0.0
-        assert convergence_diagnostic(lambda p, cb=cb: cb, [10.0])[0].off_support_max == off

@@ -13,9 +13,10 @@ classifies codebooks as orthogonal multiple-relay selection (OMRS: pairwise
 magnitude-disjoint supports) or single-relay selection (SRS: the cardinality-R
 special case).
 
-An entry or overlap counts as zero when its magnitude is at most ZERO_TOL,
-and a peak counts as unit when it is within MAGNITUDE_TOL of 1.  Relay
-indices in all inputs, outputs, and reports are 1-based.
+Entries, overlaps and peak deviations from 1 count as zero when they are at
+most ZERO_TOL; only is_admissible, which tests hand-entered unit peaks,
+allows MAGNITUDE_TOL.  Relay indices in all inputs, outputs, and reports are
+1-based.
 """
 
 from __future__ import annotations

@@ -15,23 +15,13 @@ from .codebooks import (
     SrsSpec,
     UnitarySpec,
     apply_unitary,
-    constrained_best_vector,
     make_srs,
-    optimal_encoder,
     resolve_codebook,
     same_codebook,
     spec_from_json,
     spec_to_json,
 )
-from .model import (
-    BeamformingVector,
-    ChannelState,
-    NetworkConfig,
-    PowerLevel,
-    received_snr,
-    relay_gain,
-    sample_channel,
-)
+from .model import NetworkConfig, PowerLevel
 from .montecarlo import (
     DiversityEstimate,
     SerCurve,
@@ -40,7 +30,7 @@ from .montecarlo import (
     estimate_ser,
     gaussian_tail,
 )
-from .oracles import MaxMinRatio, q_lower_bound, run_audits, snr_upper_bound_holds
+from .oracles import MaxMinRatio, q_lower_bound, run_audits
 from .structure import (
     StructuralReport,
     analyze_codebook,

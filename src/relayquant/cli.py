@@ -18,13 +18,14 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .codebooks import CodebookError, CodebookSpec, json_int, json_list, spec_from_json, to_finite
+from .codebooks import CodebookError, CodebookSpec, json_floats, json_int, spec_from_json, to_finite
 from .model import NetworkConfig
 from .montecarlo import (
     MAX_RESOLVED_REL_ERR,
     SerCurve,
     SimulationPlan,
     check_estimator,
+    check_trials,
     estimate_diversity,
     estimate_ser,
     power_grid,
@@ -89,7 +90,7 @@ def _network_from_json(obj, path: str) -> NetworkConfig:
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected an object")
     try:
-        lists = {key: tuple(json_list(_require(obj, key, path), key))
+        lists = {key: json_floats(_require(obj, key, path), key)
                  for key in ("power_scalers", "variance_f", "variance_g")}
         return NetworkConfig(json_int(_require(obj, "relay_count", path), "relay_count"), **lists)
     except (TypeError, ValueError) as exc:
@@ -113,7 +114,11 @@ def _safe_label(label: str) -> str:
 
 
 def _power_grid(values, key: str) -> tuple[float, ...]:
-    return power_grid(json_list(values, key))
+    return power_grid(json_floats(values, key))
+
+
+def _trials(value, key: str) -> int:
+    return check_trials(json_int(value, key))
 
 
 def _experiment_from_json(cfg, where: str):
@@ -125,7 +130,7 @@ def _experiment_from_json(cfg, where: str):
     if not isinstance(entries, list) or not entries:
         raise CliError(f"{where}.codebooks: need a non-empty list")
     p_grid = _field(_power_grid, cfg, "p_grid_db", where)
-    trials = _field(json_int, cfg, "trials_per_point", where, 10**6)
+    trials = _field(_trials, cfg, "trials_per_point", where, 10**6)
     seed = _field(json_int, cfg, "seed", where)
     estimator = _field(lambda value, _: check_estimator(value), cfg, "estimator", where, "plain")
 
@@ -145,7 +150,7 @@ def _experiment_from_json(cfg, where: str):
             spec = spec_from_json(body, where=path)
         except CodebookError as exc:
             raise CliError(str(exc)) from exc
-        labeled.append((label, spec, _field(json_int, entry, "trials_per_point", path, trials)))
+        labeled.append((label, spec, _field(_trials, entry, "trials_per_point", path, trials)))
     return network, labeled, p_grid, trials, seed, estimator
 
 

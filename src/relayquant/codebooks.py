@@ -31,8 +31,6 @@ import numpy as np
 
 from .model import (
     MAGNITUDE_TOL,
-    BeamformingVector,
-    ChannelState,
     NetworkConfig,
     PowerLevel,
     canonical_rows,
@@ -285,26 +283,14 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
     return best_mag.T, best_val
 
 
-def constrained_best_vector(spec, h: ChannelState, config: NetworkConfig,
-                            power: PowerLevel):
-    """Exact SNR maximizer over a constrained family at one channel state.
-
-    Returns (BeamformingVector, snr).  The reported SNR is evaluated on the
-    co-phased closed form, which equals received_snr of the returned vector
-    up to roundoff.
-    """
-    evaluator = ConstrainedEvaluator(resolve_epsilon(spec, power),
-                                     getattr(spec, "pinned_relay", None))
-    return evaluator.choose(h, config, power)
-
-
 # ---------------------------------------------------------------------------
-# Evaluators: one per-channel-state "best vector" interface for all families
+# Evaluators: best_snr(f, g, config, power) maps channel states, the rows of
+# (n, R) arrays f and g, to the best SNR the family reaches at each one
 # ---------------------------------------------------------------------------
 
 
 class FiniteEvaluator:
-    """Brute-force argmax over an explicit vector list (canonical phases)."""
+    """Largest SNR over an explicit vector list, evaluated in canonical phase."""
 
     def __init__(self, codebook: FiniteCodebook):
         self.codebook = codebook
@@ -315,29 +301,6 @@ class FiniteEvaluator:
         """Largest SNR over the codebook at each state; `geometry` as in snr_per_vector."""
         return snr_per_vector(self.canonical, f, g, config, power,
                               geometry=geometry).max(axis=1)
-
-    def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):
-        """SNR-maximizing entry at one state; returns (index, BeamformingVector).
-
-        Ties go to the lowest index.  Entries are compared in canonical phase,
-        so rotating one by a global phase never changes the winning SNR, only
-        (possibly) which member of the phase class is reported.
-        """
-        if h.relay_count != self.codebook.relay_count:
-            raise ValueError("codebook vector length does not match channel state")
-        snrs = snr_per_vector(self.canonical, h.f[None, :], h.g[None, :], config, power)[0]
-        idx = int(np.argmax(snrs))
-        return idx, BeamformingVector(self.codebook.vectors[idx])
-
-
-def optimal_encoder(codebook, h: ChannelState, config: NetworkConfig, power: PowerLevel):
-    """FiniteEvaluator.choose on a FiniteCodebook, a sequence of vectors or an array."""
-    if not isinstance(codebook, FiniteCodebook):
-        rows = [getattr(v, "x", v) for v in codebook]
-        if not rows:
-            raise ValueError("empty codebook")
-        codebook = FiniteCodebook(rows)
-    return FiniteEvaluator(codebook).choose(h, config, power)
 
 
 class ConstrainedEvaluator:
@@ -356,19 +319,14 @@ class ConstrainedEvaluator:
                                       geometry=geometry)
         return val
 
-    def choose(self, h: ChannelState, config: NetworkConfig, power: PowerLevel):
-        mag, val = constrained_best_snr(h.f[None, :], h.g[None, :], config, power,
-                                        self.epsilon, self.pinned_relay)
-        phases = np.exp(-1j * np.angle(h.f * h.g))
-        return BeamformingVector(mag[0] * phases), float(val[0])
-
 
 def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
-    """Bind a codebook spec to a power level, yielding a per-state evaluator.
+    """Bind a codebook spec to a power level, yielding its evaluator.
 
     Finite specs ignore the power level; the power-dependent family resolves
-    its constraint at P first.  This is the map "power level -> codebook"
-    realized as something callable per channel state.
+    its constraint at P first.  This is the map "power level -> codebook",
+    and the evaluator's best_snr gives the codebook's best SNR at each row of
+    the (n, R) channel arrays f, g.
     """
     if isinstance(spec, (FiniteCodebook, SrsSpec, UnitarySpec)):
         return FiniteEvaluator(to_finite(spec))
@@ -433,6 +391,13 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
+def json_float(value, name: str) -> float:
+    """A JSON number (int or float) as a float; strings and bools raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def json_list(value, name: str) -> list:
     """value itself, if it is a JSON list."""
     if not isinstance(value, list):
@@ -440,14 +405,21 @@ def json_list(value, name: str) -> list:
     return value
 
 
+def json_floats(values, name: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats; an error names the entry as name[i]."""
+    return tuple(json_float(v, f"{name}[{i}]") for i, v in enumerate(json_list(values, name)))
+
+
 def _matrix_from_json(rows, name: str) -> np.ndarray:
     """A list of equal-length lists of [re, im] pairs as a complex matrix."""
     out = []
-    for row in json_list(rows, name):
+    for i, row in enumerate(json_list(rows, name)):
         pairs = json_list(row, f"each row of {name}")
         if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
             raise ValueError(f"{name}: complex entries must be [re, im] pairs")
-        out.append([complex(float(re), float(im)) for re, im in pairs])
+        out.append([complex(json_float(re, f"{name}[{i}][{j}][0]"),
+                            json_float(im, f"{name}[{i}][{j}][1]"))
+                    for j, (re, im) in enumerate(pairs)])
     lengths = sorted({len(row) for row in out})
     if len(lengths) > 1:
         raise ValueError(f"{name}: row length mismatch {lengths}")
@@ -492,14 +464,14 @@ def _decode_spec(obj) -> CodebookSpec:
         return FiniteCodebook(_matrix_from_json(obj.get("vectors"), "vectors"),
                               label=str(obj.get("label", "")))
     if kind == "srs":
-        return SrsSpec(tuple(json_list(obj.get("theta", []), "theta")))
+        return SrsSpec(json_floats(obj.get("theta", []), "theta"))
     if kind == "unitary":
         base = spec_from_json(obj.get("base", {}), "base")
         if not isinstance(base, (FiniteCodebook, SrsSpec, UnitarySpec)):
             raise CodebookError("base: must be a finite codebook spec")
         return UnitarySpec(base, _matrix_from_json(obj.get("matrix"), "matrix"))
     if kind == "constrained":
-        return ConstrainedSpec(obj.get("epsilon", -1.0),
+        return ConstrainedSpec(json_float(obj.get("epsilon", -1.0), "epsilon"),
                                json_int(obj.get("pinned_relay", 0), "pinned_relay"))
     if kind == "full_csi":
         return FullCsiSpec()

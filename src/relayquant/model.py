@@ -101,48 +101,6 @@ class PowerLevel:
         return 10.0 * math.log10(self.linear)
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """One realization of all 2R channel gains."""
-
-    f: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.complex128)
-        g = np.asarray(self.g, dtype=np.complex128)
-        if f.ndim != 1 or g.ndim != 1 or f.shape != g.shape:
-            raise ValueError("f and g must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(f.real)) and np.all(np.isfinite(f.imag))
-                and np.all(np.isfinite(g.real)) and np.all(np.isfinite(g.imag))):
-            raise ValueError("channel gains must be finite")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-
-    @property
-    def relay_count(self) -> int:
-        return self.f.shape[0]
-
-
-@dataclass(frozen=True)
-class BeamformingVector:
-    """Per-relay complex weights with |x_r| <= 1 (short-term power constraint)."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.complex128)
-        if x.ndim != 1 or x.shape[0] < 1:
-            raise ValueError("beamforming vector must be a non-empty 1-d array")
-        mags = np.abs(x)
-        if not np.all(np.isfinite(mags)):
-            raise ValueError("beamforming weights must be finite")
-        worst = float(mags.max())
-        if worst > 1.0 + MAGNITUDE_TOL:
-            raise ValueError(f"beamforming magnitude {worst} exceeds 1")
-        object.__setattr__(self, "x", x)
-
-
 def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int, out=None):
     """Draw `count` independent channel states; returns (f, g) of shape (count, R).
 
@@ -161,12 +119,6 @@ def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int,
     return out[0], out[1]
 
 
-def sample_channel(config: NetworkConfig, gen: np.random.Generator) -> ChannelState:
-    """Draw a single channel state from `gen`."""
-    f, g = sample_channels(config, gen, 1)
-    return ChannelState(f[0], g[0])
-
-
 def relay_gains(f, config: NetworkConfig, power, absf2=None, out=None) -> np.ndarray:
     """Channel-inversion gains rho_r = p_r P / (1 + |f_r|^2 p_0 P), vectorized.
 
@@ -183,13 +135,6 @@ def relay_gains(f, config: NetworkConfig, power, absf2=None, out=None) -> np.nda
     out = np.multiply(absf2, scal[0] * p, out=out)
     out += 1.0
     return np.divide(scal[1:] * p, out, out=out)
-
-
-def relay_gain(relay: int, h: ChannelState, config: NetworkConfig, power: PowerLevel) -> float:
-    """Normalization gain of one relay (1-based index)."""
-    if not 1 <= relay <= config.relay_count:
-        raise ValueError(f"relay index {relay} out of range 1..{config.relay_count}")
-    return float(relay_gains(h.f, config, power)[relay - 1])
 
 
 def snr_terms(f, g, rho):
@@ -299,14 +244,6 @@ def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
     for k, x in enumerate(vectors):
         out[:, k] = beamformed_snr(x, a, b, p0)
     return out
-
-
-def received_snr(x, h: ChannelState, config: NetworkConfig, power: PowerLevel) -> float:
-    """Received SNR for one beamforming vector at one channel state."""
-    xv = x.x if isinstance(x, BeamformingVector) else np.asarray(x, dtype=np.complex128)
-    if xv.shape[0] != h.relay_count:
-        raise ValueError("vector length does not match channel state")
-    return float(snr_per_vector(xv[None, :], h.f[None, :], h.g[None, :], config, power)[0, 0])
 
 
 def canonical_rows(vectors: np.ndarray) -> np.ndarray:

@@ -123,6 +123,12 @@ def power_grid(p_grid_db) -> tuple[float, ...]:
     return grid
 
 
+def check_trials(trials) -> int:
+    if int(trials) < 1:
+        raise ValueError("trials_per_point must be >= 1")
+    return int(trials)
+
+
 def check_estimator(estimator) -> str:
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
@@ -152,8 +158,7 @@ class SimulationPlan:
 
     def __post_init__(self):
         grid = power_grid(self.p_grid_db)
-        if int(self.trials_per_point) < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        trials = check_trials(self.trials_per_point)
         check_estimator(self.estimator)
         powers = [PowerLevel.from_db(p_db) for p_db in grid]
         relays = self.network.relay_count
@@ -171,7 +176,7 @@ class SimulationPlan:
         if pinned is not None and pinned > relays:
             raise ValueError(f"pinned_relay {pinned} is out of range 1..{relays}")
         object.__setattr__(self, "p_grid_db", grid)
-        object.__setattr__(self, "trials_per_point", int(self.trials_per_point))
+        object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "seed", int(self.seed))
 
 

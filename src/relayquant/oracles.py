@@ -8,10 +8,11 @@ Z = max_r Z_r / min_r Z_r has the exact distribution
 evaluated here in product form, which stays stable as z -> 1 where the
 gamma-function quotient would overflow.  Together with a pointwise lower
 bound on the ratio density, a classical lower bound on the Gaussian tail,
-and a hard upper bound on the received SNR in terms of the fading ratio,
-these give the test suite analytically known targets to audit the Monte
-Carlo machinery against.  The continuous-family maximizer is audited by its
-KKT certificate, which needs no reference value at all.
+and snr_upper_bounds, a hard cap on the received SNR at each channel state
+in terms of the fading ratio, these give the test suite analytically known
+targets to audit the Monte Carlo machinery against.  The continuous-family
+maximizer is audited by its KKT certificate, which needs no reference value
+at all.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ import numpy as np
 from . import rng as _rng
 from .codebooks import constrained_best_snr
 from .model import (
-    BeamformingVector,
-    ChannelState,
     NetworkConfig,
     PowerLevel,
     beamformed_snr,
-    received_snr,
     relay_gains,
     sample_channels,
     snr_geometry,
@@ -114,20 +112,6 @@ def snr_upper_bounds(f, g, x, rset: Iterable[int], config: NetworkConfig, p) -> 
     z = gnorm.max(axis=1) / gnorm.min(axis=1) if r_count > 1 else 1.0
     with np.errstate(divide="ignore"):
         return const / weight * p * y * z
-
-
-def snr_upper_bound(h: ChannelState, x, rset: Iterable[int],
-                    config: NetworkConfig, power: PowerLevel) -> float:
-    """snr_upper_bounds at one channel state and vector."""
-    xv = x.x if isinstance(x, BeamformingVector) else np.asarray(x, dtype=np.complex128)
-    return float(snr_upper_bounds(h.f[None, :], h.g[None, :], xv[None, :], rset, config,
-                                  power.linear)[0])
-
-
-def snr_upper_bound_holds(h: ChannelState, x, rset: Iterable[int],
-                          config: NetworkConfig, power: PowerLevel) -> bool:
-    """Property check: the received SNR never exceeds its fading-ratio cap."""
-    return received_snr(x, h, config, power) <= snr_upper_bound(h, x, rset, config, power)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,22 @@ U2 = 0.25 * np.array([
     [-3 - 1j, 1 - 1j, np.sqrt(2) + 1j * np.sqrt(2)],
     [np.sqrt(2) + 1j * np.sqrt(2), np.sqrt(2) + 1j * np.sqrt(2), 2 + 2j],
 ])
+
+
+def snr_reference(x, f, g, scalers, p):
+    """Independent re-evaluation of the received-SNR formula, scalar Python.
+
+    x, f and g are one vector and one channel state, each of length R;
+    scalers are the network's power_scalers and p the linear power.
+    """
+    p0 = scalers[0] * p
+    num = 0j
+    den = 1.0
+    for r in range(len(x)):
+        rho = scalers[r + 1] * p / (1.0 + abs(f[r]) ** 2 * p0)
+        num += x[r] * f[r] * g[r] * cmath.sqrt(rho)
+        den += abs(x[r]) ** 2 * abs(g[r]) ** 2 * rho
+    return p0 * abs(num) ** 2 / den
 
 
 @pytest.fixture

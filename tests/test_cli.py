@@ -210,6 +210,12 @@ def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
     ("p_grid_db", dict(TINY_CONFIG, p_grid_db=[10, 5])),
     ("p_grid_db", dict(TINY_CONFIG, p_grid_db="5")),
     ("estimator", dict(TINY_CONFIG, estimator="magic")),
+    ("network", dict(TINY_CONFIG, network=dict(TINY_CONFIG["network"],
+                                               power_scalers=[True, 0.5, 2]))),
+    ("p_grid_db", dict(TINY_CONFIG, p_grid_db=["5", "15", "25"])),
+    ("trials_per_point", dict(TINY_CONFIG, trials_per_point=0)),
+    ("codebooks[0].trials_per_point", dict(TINY_CONFIG, codebooks=[
+        dict(TINY_CONFIG["codebooks"][0], trials_per_point=0)])),
 ])
 def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, bad):
     cfg = _write(tmp_path, "bad.json", bad)
@@ -304,7 +310,7 @@ _SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
 @pytest.mark.parametrize("entry, message", [
-    ({"type": "constrained", "epsilon": "abc", "pinned_relay": 1}, "could not convert"),
+    ({"type": "constrained", "epsilon": "abc", "pinned_relay": 1}, "epsilon must be a number"),
     ({"type": "constrained", "epsilon": 2, "pinned_relay": 1}, "[0, 1]"),
     ({"type": "constrained", "epsilon": 0.5, "pinned_relay": 0}, "1-based"),
     ({"type": "srs", "theta": None}, "theta must be a list"),
@@ -316,6 +322,11 @@ _SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
     ({"type": "unitary", "base": {"type": "srs"}, "matrix": [[[1, 0]]]}, "base: "),
     ({"vectors": [[[1.5, 0], [0, 0]]]}, "exceeds 1"),
     ({"vectors": [[[1, 0], [0]]]}, "[re, im] pairs"),
+    ({"type": "constrained", "epsilon": True, "pinned_relay": 1}, "epsilon must be a number"),
+    ({"type": "srs", "theta": [0.0, "1"]}, "theta[1] must be a number"),
+    ({"vectors": [[[1, 0], ["0", 0]]]}, "vectors[0][1][0] must be a number"),
+    ({"type": "unitary", "base": _SRS2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]},
+     "matrix[1][1][1] must be a number"),
 ])
 def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry, message):
     out = tmp_path / "out"

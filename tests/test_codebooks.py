@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from relayquant import (
-    ChannelState,
     CodebookError,
     ConstrainedSpec,
     FiniteCodebook,
@@ -15,18 +14,16 @@ from relayquant import (
     SrsSpec,
     UnitarySpec,
     apply_unitary,
-    constrained_best_vector,
     make_srs,
-    received_snr,
     resolve_codebook,
     same_codebook,
     spec_from_json,
     spec_to_json,
 )
 from relayquant.codebooks import constrained_best_snr, resolve_epsilon, to_finite
-from relayquant.model import relay_gains
+from relayquant.model import relay_gains, snr_per_vector
 from relayquant.structure import is_omrs, is_srs
-from tests.conftest import U1, U2
+from tests.conftest import U1, U2, snr_reference
 
 
 def test_make_srs_zero_phases():
@@ -91,59 +88,60 @@ def test_diagonal_unitary_maps_srs_to_srs():
 
 def test_constrained_epsilon_one_single_relay():
     config = NetworkConfig(1, (1.0, 1.0), (1.0,), (1.0,))
-    h = ChannelState(np.array([0.8 - 0.6j]), np.array([0.1 + 0.9j]))
-    vec, snr = constrained_best_vector(ConstrainedSpec(1.0, 1), h, config, PowerLevel(9.0))
-    want = np.exp(-1j * np.angle(h.f[0] * h.g[0]))
-    assert abs(vec.x[0] - want) < 1e-12
-    assert snr == pytest.approx(received_snr(vec, h, config, PowerLevel(9.0)), rel=1e-10)
+    f, g = np.array([[0.8 - 0.6j]]), np.array([[0.1 + 0.9j]])
+    p = PowerLevel(9.0)
+    mag, snr = constrained_best_snr(f, g, config, p, 1.0, 1)
+    # epsilon = 1 pins the one relay at full magnitude; co-phased, that is
+    # the vector exp(-j arg(f g))
+    assert abs(mag[0, 0] - 1.0) < 1e-12
+    vec = mag[0] * np.exp(-1j * np.angle(f[0] * g[0]))
+    assert snr[0] == pytest.approx(snr_per_vector(vec[None], f, g, config, p)[0, 0], rel=1e-10)
 
 
 def test_constrained_beats_rejection_sampling():
     gen = np.random.default_rng(31)
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
     p = PowerLevel(50.0)
-    spec = ConstrainedSpec(0.25, 1)
+    evaluator = resolve_codebook(ConstrainedSpec(0.25, 1), p)
     for _ in range(3):
-        f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        g = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        h = ChannelState(f, g)
-        _, best = constrained_best_vector(spec, h, config, p)
+        f = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
+        g = gen.standard_normal((1, 2)) + 1j * gen.standard_normal((1, 2))
+        best = evaluator.best_snr(f, g, config, p)[0]
         mags = gen.uniform(0, 1, (10_000, 2))
         mags[:, 0] = np.sqrt(0.25 + (1 - 0.25) * gen.uniform(0, 1, 10_000))
         phases = np.exp(1j * gen.uniform(0, 2 * np.pi, (10_000, 2)))
-        sampled = 0.0
-        for row in mags * phases:
-            sampled = max(sampled, received_snr(row, h, config, p))
+        sampled = snr_per_vector(mags * phases, f, g, config, p).max()
         assert best >= sampled * (1 - 1e-9)
+
+
+def _states(gen, n, r):
+    """n channel states (f, g) of shape (n, R), drawn in the order of n
+    successive draws of re f, im f, re g, im g."""
+    z = gen.standard_normal((n, 4, r))
+    return z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
 
 
 def test_full_csi_dominates_srs_vectors():
     gen = np.random.default_rng(37)
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
     p = PowerLevel(100.0)
-    for _ in range(20):
-        f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        g = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        h = ChannelState(f, g)
-        _, best = constrained_best_vector(FullCsiSpec(), h, config, p)
-        for srs_vec in make_srs(2, np.zeros(2)).vectors:
-            assert best >= received_snr(srs_vec, h, config, p) * (1 - 1e-12)
+    f, g = _states(gen, 20, 2)
+    best = resolve_codebook(FullCsiSpec(), p).best_snr(f, g, config, p)
+    srs = snr_per_vector(make_srs(2, np.zeros(2)).vectors, f, g, config, p)
+    assert np.all(best[:, None] >= srs * (1 - 1e-12))
 
 
 def test_constraint_relaxation_never_hurts():
     gen = np.random.default_rng(41)
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
     p = PowerLevel(200.0)
-    for _ in range(10):
-        f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        g = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        h = ChannelState(f, g)
-        snrs = []
-        for eps in (1.0, 0.25, 0.0625, 0.0):
-            spec = FullCsiSpec() if eps == 0.0 else ConstrainedSpec(eps, 1)
-            snrs.append(constrained_best_vector(spec, h, config, p)[1])
-        for tight, loose in zip(snrs, snrs[1:]):
-            assert loose >= tight * (1 - 1e-9)
+    f, g = _states(gen, 10, 2)
+    snrs = []
+    for eps in (1.0, 0.25, 0.0625, 0.0):
+        spec = FullCsiSpec() if eps == 0.0 else ConstrainedSpec(eps, 1)
+        snrs.append(resolve_codebook(spec, p).best_snr(f, g, config, p))
+    for tight, loose in zip(snrs, snrs[1:]):
+        assert np.all(loose >= tight * (1 - 1e-9))
 
 
 def test_cophasing_beats_random_phases():
@@ -153,13 +151,12 @@ def test_cophasing_beats_random_phases():
     for _ in range(20):
         f = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         g = gen.standard_normal(3) + 1j * gen.standard_normal(3)
-        h = ChannelState(f, g)
         mags = gen.uniform(0, 1, 3)
         cophased = mags * np.exp(-1j * np.angle(f * g))
-        reference = received_snr(cophased, h, config, p)
-        for _ in range(30):
-            scrambled = mags * np.exp(1j * gen.uniform(0, 2 * np.pi, 3))
-            assert received_snr(scrambled, h, config, p) <= reference * (1 + 1e-12)
+        scrambled = mags * np.exp(1j * gen.uniform(0, 2 * np.pi, (30, 3)))
+        reference, *others = snr_per_vector(np.vstack([cophased, scrambled]), f[None], g[None],
+                                            config, p)[0]
+        assert np.all(np.array(others) <= reference * (1 + 1e-12))
 
 
 def test_resolve_codebook_srs_power_independent():
@@ -183,10 +180,10 @@ def test_finite_evaluator_matches_brute_force(cb_c3, asym_network):
     for _ in range(50):
         f = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         g = gen.standard_normal(3) + 1j * gen.standard_normal(3)
-        h = ChannelState(f, g)
-        idx, vec = ev.choose(h, asym_network, p)
-        snrs = [received_snr(v, h, asym_network, p) for v in cb_c3.vectors]
-        assert idx == int(np.argmax(snrs))
+        best = ev.best_snr(f[None], g[None], asym_network, p)[0]
+        snrs = [snr_reference(v, f, g, asym_network.power_scalers, p.linear)
+                for v in cb_c3.vectors]
+        assert best == pytest.approx(max(snrs), rel=1e-12)
 
 
 def test_finite_codebook_rejects_overweight_vector():

@@ -1,22 +1,18 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from relayquant import (
-    BeamformingVector,
-    ChannelState,
+    CodebookError,
+    FiniteCodebook,
     NetworkConfig,
     PowerLevel,
     make_srs,
-    optimal_encoder,
-    received_snr,
-    relay_gain,
-    sample_channel,
+    resolve_codebook,
 )
 from relayquant.model import (canonical_rows, channel_products, geometry_at_power, relay_gains,
                               sample_channels, snr_geometry, snr_per_vector)
 from relayquant.rng import stream
+from tests.conftest import snr_reference
 
 
 def test_config_rejects_zero_variance():
@@ -39,12 +35,6 @@ def test_power_level_db_round_trip():
         PowerLevel(0.0)
 
 
-def test_beamforming_vector_magnitude_bound():
-    BeamformingVector(np.array([1.0, 1j]))
-    with pytest.raises(ValueError):
-        BeamformingVector(np.array([1.1, 0.0]))
-
-
 def test_sample_channel_second_moment():
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.2, 0.8), (1.5, 0.7))
     f, g = sample_channels(config, stream(7, 0, 0), 100_000)
@@ -59,11 +49,11 @@ def test_sample_channel_second_moment():
 
 def test_sample_channel_deterministic_for_same_counter():
     config = NetworkConfig(3, (1.0,) * 4, (1.0,) * 3, (1.0,) * 3)
-    a = sample_channel(config, stream(42, 5, 9))
-    b = sample_channel(config, stream(42, 5, 9))
-    assert np.array_equal(a.f, b.f) and np.array_equal(a.g, b.g)
-    c = sample_channel(config, stream(42, 5, 10))
-    assert not np.array_equal(a.f, c.f)
+    a = sample_channels(config, stream(42, 5, 9), 1)
+    b = sample_channels(config, stream(42, 5, 9), 1)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    c = sample_channels(config, stream(42, 5, 10), 1)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_sample_channels_matches_componentwise_assembly():
@@ -82,16 +72,14 @@ def test_sample_channels_matches_componentwise_assembly():
 
 def test_relay_gain_zero_channel():
     config = NetworkConfig(2, (1.0, 3.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    h = ChannelState(np.array([0.0, 1.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
-    p = PowerLevel(2.0)
-    assert relay_gain(1, h, config, p) == pytest.approx(3.0 * 2.0)
+    f = np.array([0.0, 1.0 + 0j])
+    assert relay_gains(f, config, PowerLevel(2.0))[0] == pytest.approx(3.0 * 2.0)
 
 
 def test_relay_gain_hand_value():
     # p_r = p_0 = P = 1 and |f_r|^2 = 1 gives 1 / (1 + 1) = 1/2.
     config = NetworkConfig(1, (1.0, 1.0), (1.0,), (1.0,))
-    h = ChannelState(np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    assert relay_gain(1, h, config, PowerLevel(1.0)) == pytest.approx(0.5)
+    assert relay_gains(np.array([1.0 + 0j]), config, PowerLevel(1.0))[0] == pytest.approx(0.5)
 
 
 def test_relay_gain_bounded_and_monotone():
@@ -150,36 +138,27 @@ def test_snr_per_vector_is_k_major():
     assert snr.shape == (64, 3) and snr.flags.f_contiguous
     for k in range(3):
         for i in (0, 17, 63):
-            assert snr[i, k] == received_snr(vectors[k], ChannelState(f[i], g[i]), config,
-                                             PowerLevel(10.0))
+            want = snr_reference(vectors[k], f[i], g[i], config.power_scalers, 10.0)
+            assert snr[i, k] == pytest.approx(want, rel=1e-12)
+
 
 def test_received_snr_zero_vector():
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    h = ChannelState(np.array([1.0 + 1j, 0.5j]), np.array([0.3, 2.0 + 0j]))
-    assert received_snr(np.zeros(2, dtype=complex), h, config, PowerLevel(10.0)) == 0.0
+    f, g = np.array([[1.0 + 1j, 0.5j]]), np.array([[0.3, 2.0 + 0j]])
+    zero = np.zeros((1, 2), dtype=complex)
+    assert snr_per_vector(zero, f, g, config, PowerLevel(10.0))[0, 0] == 0.0
 
 
 def test_received_snr_single_relay_closed_form():
     config = NetworkConfig(1, (2.0, 3.0), (1.0,), (1.0,))
-    h = ChannelState(np.array([0.7 + 0.2j]), np.array([-0.3 + 1.1j]))
+    f, g = np.array([[0.7 + 0.2j]]), np.array([[-0.3 + 1.1j]])
     p = PowerLevel(5.0)
-    f2 = abs(h.f[0]) ** 2
-    g2 = abs(h.g[0]) ** 2
+    f2 = abs(f[0, 0]) ** 2
+    g2 = abs(g[0, 0]) ** 2
     p0, p1 = 2.0 * 5.0, 3.0 * 5.0
     expected = f2 * g2 * p0 * p1 / (1.0 + f2 * p0 + g2 * p1)
-    assert received_snr(np.array([1.0 + 0j]), h, config, p) == pytest.approx(expected, rel=1e-12)
-
-
-def _snr_reference(x, f, g, scalers, p):
-    """Independent re-evaluation of the received-SNR formula, scalar Python."""
-    p0 = scalers[0] * p
-    num = 0j
-    den = 1.0
-    for r in range(len(x)):
-        rho = scalers[r + 1] * p / (1.0 + abs(f[r]) ** 2 * p0)
-        num += x[r] * f[r] * g[r] * cmath.sqrt(rho)
-        den += abs(x[r]) ** 2 * abs(g[r]) ** 2 * rho
-    return p0 * abs(num) ** 2 / den
+    got = snr_per_vector(np.array([[1.0 + 0j]]), f, g, config, p)[0, 0]
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_received_snr_matches_independent_reference():
@@ -192,9 +171,8 @@ def test_received_snr_matches_independent_reference():
         mags = gen.uniform(0, 1, 3)
         x = mags * np.exp(1j * gen.uniform(0, 2 * np.pi, 3))
         p = float(gen.uniform(0.1, 1e4))
-        h = ChannelState(f, g)
-        got = received_snr(x, h, config, PowerLevel(p))
-        want = _snr_reference(x, f, g, scalers, p)
+        got = snr_per_vector(x[None], f[None], g[None], config, PowerLevel(p))[0, 0]
+        want = snr_reference(x, f, g, scalers, p)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -206,31 +184,34 @@ def test_phase_invariance_of_snr():
         g = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         x = gen.uniform(0, 1, 3) * np.exp(1j * gen.uniform(0, 2 * np.pi, 3))
         theta = float(gen.uniform(0, 2 * np.pi))
-        h = ChannelState(f, g)
         p = PowerLevel(float(gen.uniform(0.1, 1e3)))
-        a = received_snr(x, h, config, p)
-        b = received_snr(np.exp(1j * theta) * x, h, config, p)
+        a, b = snr_per_vector(np.stack([x, np.exp(1j * theta) * x]), f[None], g[None],
+                              config, p)[0]
         assert b == pytest.approx(a, rel=1e-12)
         assert a >= 0.0
 
 
 def test_encoder_singleton_and_empty():
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    h = ChannelState(np.array([1.0 + 0j, 1j]), np.array([1j, 0.2 + 0j]))
-    idx, vec = optimal_encoder([BeamformingVector(np.array([1.0, 0j]))], h, config, PowerLevel(1.0))
-    assert idx == 0
-    with pytest.raises(ValueError, match="empty codebook"):
-        optimal_encoder([], h, config, PowerLevel(1.0))
+    f, g = np.array([[1.0 + 0j, 1j]]), np.array([[1j, 0.2 + 0j]])
+    x = np.array([1.0, 0j])
+    p = PowerLevel(1.0)
+    best = resolve_codebook(FiniteCodebook(x), p).best_snr(f, g, config, p)
+    assert best[0] == pytest.approx(snr_reference(x, f[0], g[0], config.power_scalers, 1.0),
+                                    rel=1e-12)
+    with pytest.raises(CodebookError, match="non-empty"):
+        FiniteCodebook(np.empty((0, 2), dtype=complex))
 
 
 def test_encoder_selects_only_active_relay():
     config = NetworkConfig(3, (1.0,) * 4, (1.0,) * 3, (1.0,) * 3)
     srs = make_srs(3, np.zeros(3))
+    p = PowerLevel(4.0)
     # only relay 2 has any signal path
-    h = ChannelState(np.array([0, 1.3 + 0.2j, 0]), np.array([0, -0.4 + 0.9j, 0]))
-    idx, vec = optimal_encoder(srs, h, config, PowerLevel(4.0))
-    assert np.argmax(np.abs(vec.x)) == 1
-    assert received_snr(vec, h, config, PowerLevel(4.0)) > 0
+    f, g = np.array([[0, 1.3 + 0.2j, 0]]), np.array([[0, -0.4 + 0.9j, 0]])
+    snrs = snr_per_vector(srs.vectors, f, g, config, p)[0]
+    assert snrs[0] == snrs[2] == 0.0 and snrs[1] > 0
+    assert resolve_codebook(srs, p).best_snr(f, g, config, p)[0] == snrs[1]
 
 
 def test_encoder_dominates_every_entry():
@@ -238,15 +219,12 @@ def test_encoder_dominates_every_entry():
     config = NetworkConfig(3, (1.0, 0.5, 2.0, 2.0), (1.2, 0.8, 1.0), (1.5, 1.7, 0.7))
     for _ in range(50):
         mats = gen.uniform(0, 1, (8, 3)) * np.exp(1j * gen.uniform(0, 2 * np.pi, (8, 3)))
-        cb = [BeamformingVector(row) for row in mats]
         f = gen.standard_normal(3) + 1j * gen.standard_normal(3)
         g = gen.standard_normal(3) + 1j * gen.standard_normal(3)
-        h = ChannelState(f, g)
         p = PowerLevel(float(gen.uniform(0.5, 500.0)))
-        idx, vec = optimal_encoder(cb, h, config, p)
-        chosen = received_snr(vec, h, config, p)
-        for entry in cb:
-            assert chosen >= received_snr(entry, h, config, p) * (1 - 1e-12)
+        best = resolve_codebook(FiniteCodebook(mats), p).best_snr(f[None], g[None], config, p)[0]
+        entries = [snr_reference(x, f, g, config.power_scalers, p.linear) for x in mats]
+        assert best == pytest.approx(max(entries), rel=1e-12)
 
 
 def test_encoder_phase_class_invariance():
@@ -255,13 +233,12 @@ def test_encoder_phase_class_invariance():
     mats = gen.uniform(0, 1, (4, 2)) * np.exp(1j * gen.uniform(0, 2 * np.pi, (4, 2)))
     f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
     g = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-    h = ChannelState(f, g)
     p = PowerLevel(25.0)
-    base = snr_per_vector(canonical_rows(mats), h.f[None], h.g[None], config, p)[0]
+    base = snr_per_vector(canonical_rows(mats), f[None], g[None], config, p)[0]
     for k in range(4):
         rotated = mats.copy()
         rotated[k] *= np.exp(1j * 1.234)
-        rot = snr_per_vector(canonical_rows(rotated), h.f[None], h.g[None], config, p)[0]
+        rot = snr_per_vector(canonical_rows(rotated), f[None], g[None], config, p)[0]
         # canonical evaluation makes the rotated entry's value agree to the ulp
         assert rot[k] == pytest.approx(base[k], rel=1e-12)
 
@@ -274,10 +251,3 @@ def test_canonical_rows_snaps_unit_peaks():
     ])
     canon = canonical_rows(rows)
     assert np.array_equal(canon, np.eye(3, dtype=complex))
-
-
-def test_encoder_rejects_length_mismatch():
-    config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    h = ChannelState(np.array([1.0 + 0j, 1j]), np.array([1j, 0.2 + 0j]))
-    with pytest.raises(ValueError, match="does not match channel state"):
-        optimal_encoder(make_srs(3, np.zeros(3)), h, config, PowerLevel(1.0))

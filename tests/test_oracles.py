@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relayquant import (
-    BeamformingVector,
-    ChannelState,
-    MaxMinRatio,
-    NetworkConfig,
-    PowerLevel,
-    gaussian_tail,
-    q_lower_bound,
-    received_snr,
-    snr_upper_bound_holds,
-)
+from relayquant import MaxMinRatio, NetworkConfig, PowerLevel, gaussian_tail, q_lower_bound
+from relayquant.model import snr_per_vector
 from relayquant.oracles import (
     audit_cophased_maximizer,
     audit_q_bound,
@@ -21,7 +12,7 @@ from relayquant.oracles import (
     audit_ratio_pdf_bound,
     audit_snr_bound,
     dkw_band,
-    snr_upper_bound,
+    snr_upper_bounds,
 )
 from relayquant.rng import stream
 
@@ -102,10 +93,11 @@ def test_q_lower_bound_grid():
 
 def test_snr_upper_bound_zero_vector_trivially_true():
     config = NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    h = ChannelState(np.array([1.0 + 0j, 1j]), np.array([0.5 + 0j, 2.0 + 0j]))
-    x = np.zeros(2, dtype=complex)
-    assert snr_upper_bound(h, x, {1}, config, PowerLevel(10.0)) == math.inf
-    assert snr_upper_bound_holds(h, x, {1}, config, PowerLevel(10.0))
+    f, g = np.array([[1.0 + 0j, 1j]]), np.array([[0.5 + 0j, 2.0 + 0j]])
+    x = np.zeros((1, 2), dtype=complex)
+    cap = snr_upper_bounds(f, g, x, {1}, config, 10.0)[0]
+    assert cap == math.inf
+    assert snr_per_vector(x, f, g, config, PowerLevel(10.0))[0, 0] <= cap
 
 
 def test_snr_upper_bound_single_relay_reduction():
@@ -115,11 +107,11 @@ def test_snr_upper_bound_single_relay_reduction():
     for _ in range(200):
         f = gen.standard_normal(1) + 1j * gen.standard_normal(1)
         g = gen.standard_normal(1) + 1j * gen.standard_normal(1)
-        h = ChannelState(f, g)
         p = PowerLevel(float(gen.uniform(0.1, 1e4)))
-        snr = received_snr(np.array([1.0 + 0j]), h, config, p)
+        x = np.array([[1.0 + 0j]])
+        snr = snr_per_vector(x, f[None], g[None], config, p)[0, 0]
         assert snr <= abs(f[0]) ** 2 * 2.0 * p.linear * (1 + 1e-12)
-        assert snr_upper_bound_holds(h, np.array([1.0 + 0j]), {1}, config, p)
+        assert snr <= snr_upper_bounds(f[None], g[None], x, {1}, config, p.linear)[0]
 
 
 def test_snr_upper_bound_randomized_audit():
@@ -139,19 +131,6 @@ def test_corrupted_cdf_fails_audit(monkeypatch):
     monkeypatch.setattr(oracles.MaxMinRatio, "cdf", skewed)
     check = audit_ratio_cdf(2, 200_000, seed=13)
     assert not check.passed
-
-
-def test_snr_upper_bound_scalar_api_matches_audit():
-    config = NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7))
-    gen = np.random.default_rng(9)
-    for _ in range(200):
-        f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        g = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-        h = ChannelState(f, g)
-        x = BeamformingVector(gen.uniform(0, 1, 2) * np.exp(1j * gen.uniform(0, 7, 2)))
-        p = PowerLevel(float(gen.uniform(0.5, 1e4)))
-        for rset in ({1}, {2}, {1, 2}):
-            assert snr_upper_bound_holds(h, x, rset, config, p)
 
 
 def test_cophased_maximizer_kkt_certificate():

@@ -17,7 +17,6 @@ from .codebooks import (
     apply_unitary,
     make_srs,
     resolve_codebook,
-    same_codebook,
     spec_from_json,
     spec_to_json,
 )

@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .codebooks import CodebookError, CodebookSpec, json_floats, json_int, spec_from_json, to_finite
+from .codebooks import (CodebookError, json_floats, json_int, json_required, spec_from_json,
+                        to_finite)
 from .model import NetworkConfig
 from .montecarlo import (
     MAX_RESOLVED_REL_ERR,
@@ -31,7 +32,7 @@ from .montecarlo import (
     power_grid,
     worker_count,
 )
-from .oracles import run_audits
+from .oracles import AUDIT_SAMPLES, AUDIT_SEED, run_audits
 from .structure import analyze_codebook
 
 USAGE_EXIT = 1
@@ -50,9 +51,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise CliError(f"{path}: missing required field {key!r}")
-    return obj[key]
+    try:
+        return json_required(obj, key)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_json(path: Path, what: str) -> dict:
@@ -108,9 +110,22 @@ def _field(convert, obj: dict, key: str, where: str, default=None):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _safe_label(label: str) -> str:
+def _output_name(label: str) -> str:
+    """The curve file of a label: each run of characters outside [A-Za-z0-9._-]
+    becomes one '_'."""
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")
-    return safe or "codebook"
+    return f"{safe or 'codebook'}.csv"
+
+
+def _write_file(path: Path, write) -> None:
+    """Call write(fh) on path opened for text output, then report it; an
+    OSError is a CliError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def _power_grid(values, key: str) -> tuple[float, ...]:
@@ -122,6 +137,11 @@ def _trials(value, key: str) -> int:
 
 
 def _experiment_from_json(cfg, where: str):
+    """(plans, seed): one (label, SimulationPlan) per codebook entry, in order.
+
+    An error names the field at fault; two entries whose labels map to one
+    output file are an error at the later one.
+    """
     if not isinstance(cfg, dict):
         raise CliError(f"{where}: expected an object")
     network = _network_from_json(_require(cfg, "network", f"{where}.network"),
@@ -134,57 +154,54 @@ def _experiment_from_json(cfg, where: str):
     seed = _field(json_int, cfg, "seed", where)
     estimator = _field(lambda value, _: check_estimator(value), cfg, "estimator", where, "plain")
 
-    labeled: list[tuple[str, CodebookSpec, int]] = []
-    seen = set()
+    plans = []
+    outputs = {}
     for i, entry in enumerate(entries):
         path = f"{where}.codebooks[{i}]"
         if not isinstance(entry, dict):
             raise CliError(f"{path}: expected an object")
         label = str(entry.get("label") or f"codebook{i}")
-        if label in seen:
-            raise CliError(f"{path}: duplicate label {label!r}")
-        seen.add(label)
+        name = _output_name(label)
+        if name in outputs:
+            raise CliError(f"{path}: label {label!r} writes {name}, "
+                           f"as label {outputs[name]!r} does")
+        outputs[name] = label
         body = {k: v for k, v in entry.items() if k not in ("label", "trials_per_point")}
         body.setdefault("label", label)
         try:
             spec = spec_from_json(body, where=path)
         except CodebookError as exc:
             raise CliError(str(exc)) from exc
-        labeled.append((label, spec, _field(_trials, entry, "trials_per_point", path, trials)))
-    return network, labeled, p_grid, trials, seed, estimator
+        entry_trials = _field(_trials, entry, "trials_per_point", path, trials)
+        try:
+            plans.append((label, SimulationPlan(network, spec, p_grid, entry_trials, seed,
+                                                estimator=estimator)))
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
+    return plans, seed
 
 
 def cmd_simulate(args) -> int:
     cfg_path = _config_path(args.config)
     cfg = _load_json(cfg_path, "config")
     where = str(cfg_path)
-    network, labeled, p_grid, trials, seed, estimator = _experiment_from_json(cfg, where)
+    plans, seed = _experiment_from_json(cfg, where)
     try:
         worker_count()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    plans = []
-    for i, (label, spec, entry_trials) in enumerate(labeled):
-        try:
-            plans.append((label, SimulationPlan(network, spec, p_grid, entry_trials,
-                                                seed, estimator=estimator)))
-        except ValueError as exc:
-            raise CliError(f"{where}.codebooks[{i}]: {exc}") from exc
-
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_dir}: {exc}") from exc
     outputs = {}
-    for i, (label, plan) in enumerate(plans):
-        try:
-            curve = estimate_ser(plan)
-        except ValueError as exc:
-            raise CliError(f"{where}.codebooks[{i}]: {exc}") from exc
-        name = f"{_safe_label(label)}.csv"
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            curve.write_csv(fh)
+    for label, plan in plans:
+        curve = estimate_ser(plan)
+        name = _output_name(label)
+        _write_file(out_dir / name, curve.write_csv)
         outputs[label] = name
-        print(f"wrote {out_dir / name}")
 
     manifest = {
         "config": cfg,
@@ -193,10 +210,8 @@ def cmd_simulate(args) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out_dir / 'manifest.json'}")
+    _write_file(out_dir / "manifest.json",
+                lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     return 0
 
 
@@ -283,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     oracle = sub.add_parser("oracle", help="run the analytic audit suite")
-    oracle.add_argument("--samples", type=int, default=10**6,
+    oracle.add_argument("--samples", type=int, default=AUDIT_SAMPLES,
                         help="Monte Carlo samples per distribution audit")
-    oracle.add_argument("--seed", type=int, default=20260808)
+    oracle.add_argument("--seed", type=int, default=AUDIT_SEED)
     oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -97,11 +97,7 @@ class UnitarySpec:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        deviation = _unitary_deviation(mat)
-        if deviation > UNITARY_TOL:
-            raise CodebookError(f"matrix is not unitary: max |U U^H - I| = {deviation:.3e}")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _unitary(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -139,14 +135,20 @@ class PowerDependentSpec:
 
 
 FiniteSpec = Union[FiniteCodebook, SrsSpec, UnitarySpec]
-CodebookSpec = Union[FiniteSpec, ConstrainedSpec, FullCsiSpec, PowerDependentSpec]
+ContinuousSpec = Union[ConstrainedSpec, FullCsiSpec, PowerDependentSpec]
+CodebookSpec = Union[FiniteSpec, ContinuousSpec]
 
 
-def _unitary_deviation(mat: np.ndarray) -> float:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return math.inf
-    gram = mat @ mat.conj().T
-    return float(np.abs(gram - np.eye(mat.shape[0])).max())
+def _unitary(matrix) -> np.ndarray:
+    """matrix as a complex array, if it is square, finite and unitary within UNITARY_TOL."""
+    mat = np.asarray(matrix, dtype=np.complex128)
+    deviation = math.inf
+    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        deviation = float(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max())
+    # a non-finite entry makes the deviation NaN, which fails this test too
+    if not deviation <= UNITARY_TOL:
+        raise CodebookError(f"matrix is not unitary: max |U U^H - I| = {deviation:.3e}")
+    return mat
 
 
 def make_srs(relay_count: int, theta) -> FiniteCodebook:
@@ -163,10 +165,7 @@ def make_srs(relay_count: int, theta) -> FiniteCodebook:
 
 def apply_unitary(cb: FiniteCodebook, matrix) -> FiniteCodebook:
     """Transform a codebook by a unitary matrix: each row vector x becomes x U."""
-    mat = np.asarray(matrix, dtype=np.complex128)
-    deviation = _unitary_deviation(mat)
-    if deviation > UNITARY_TOL:
-        raise CodebookError(f"matrix is not unitary: max |U U^H - I| = {deviation:.3e}")
+    mat = _unitary(matrix)
     if mat.shape[0] != cb.relay_count:
         raise CodebookError("matrix size does not match codebook vector length")
     k, r = cb.vectors.shape
@@ -307,9 +306,7 @@ class ConstrainedEvaluator:
     """Exact co-phased maximizer of a constrained continuous family at one epsilon."""
 
     def __init__(self, epsilon: float, pinned_relay: Optional[int]):
-        if not 0.0 <= epsilon <= 1.0:
-            raise CodebookError(f"epsilon must lie in [0, 1], got {epsilon}")
-        self.epsilon = float(epsilon)
+        self.epsilon = epsilon
         self.pinned_relay = pinned_relay
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
@@ -328,11 +325,11 @@ def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
     and the evaluator's best_snr gives the codebook's best SNR at each row of
     the (n, R) channel arrays f, g.
     """
-    if isinstance(spec, (FiniteCodebook, SrsSpec, UnitarySpec)):
+    if isinstance(spec, FiniteSpec):
         return FiniteEvaluator(to_finite(spec))
-    if isinstance(spec, (ConstrainedSpec, FullCsiSpec, PowerDependentSpec)):
-        eps = resolve_epsilon(spec, power)
-        return ConstrainedEvaluator(eps, getattr(spec, "pinned_relay", None))
+    if isinstance(spec, ContinuousSpec):
+        return ConstrainedEvaluator(resolve_epsilon(spec, power),
+                                    getattr(spec, "pinned_relay", None))
     raise CodebookError(f"unknown codebook spec: {type(spec).__name__}")
 
 
@@ -351,28 +348,6 @@ def phase_classes(vectors: np.ndarray) -> np.ndarray:
     return np.stack(kept) if kept else np.empty((0, canon.shape[1]), dtype=np.complex128)
 
 
-def same_codebook(a, b) -> bool:
-    """Multiset equality of two vector lists up to global phases and ZERO_TOL."""
-    av = canonical_rows(_vectors_of(a))
-    bv = canonical_rows(_vectors_of(b))
-    if av.shape != bv.shape:
-        return False
-    remaining = list(range(bv.shape[0]))
-    for row in av:
-        hit = next((j for j in remaining if np.abs(row - bv[j]).max() <= ZERO_TOL), None)
-        if hit is None:
-            return False
-        remaining.remove(hit)
-    return True
-
-
-def _vectors_of(cb) -> np.ndarray:
-    if isinstance(cb, FiniteCodebook):
-        return cb.vectors
-    mat = np.asarray(cb, dtype=np.complex128)
-    return mat[None, :] if mat.ndim == 1 else mat
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: complex numbers are always [re, im] pairs
 # ---------------------------------------------------------------------------
@@ -380,6 +355,13 @@ def _vectors_of(cb) -> np.ndarray:
 
 def _pairs_from_vector(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in v]
+
+
+def json_required(obj: dict, key: str):
+    """obj[key]; a missing key raises, naming it."""
+    if key not in obj:
+        raise ValueError(f"missing required field {key!r}")
+    return obj[key]
 
 
 def json_int(value, name: str) -> int:
@@ -461,20 +443,20 @@ def _decode_spec(obj) -> CodebookSpec:
     if kind is None and "vectors" in obj:
         kind = "explicit"
     if kind == "explicit":
-        return FiniteCodebook(_matrix_from_json(obj.get("vectors"), "vectors"),
+        return FiniteCodebook(_matrix_from_json(json_required(obj, "vectors"), "vectors"),
                               label=str(obj.get("label", "")))
     if kind == "srs":
-        return SrsSpec(json_floats(obj.get("theta", []), "theta"))
+        return SrsSpec(json_floats(json_required(obj, "theta"), "theta"))
     if kind == "unitary":
-        base = spec_from_json(obj.get("base", {}), "base")
-        if not isinstance(base, (FiniteCodebook, SrsSpec, UnitarySpec)):
+        base = spec_from_json(json_required(obj, "base"), "base")
+        if not isinstance(base, FiniteSpec):
             raise CodebookError("base: must be a finite codebook spec")
-        return UnitarySpec(base, _matrix_from_json(obj.get("matrix"), "matrix"))
+        return UnitarySpec(base, _matrix_from_json(json_required(obj, "matrix"), "matrix"))
     if kind == "constrained":
-        return ConstrainedSpec(json_float(obj.get("epsilon", -1.0), "epsilon"),
-                               json_int(obj.get("pinned_relay", 0), "pinned_relay"))
+        return ConstrainedSpec(json_float(json_required(obj, "epsilon"), "epsilon"),
+                               json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
     if kind == "full_csi":
         return FullCsiSpec()
     if kind == "power_dep_constrained":
-        return PowerDependentSpec(json_int(obj.get("pinned_relay", 0), "pinned_relay"))
+        return PowerDependentSpec(json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
     raise CodebookError(f"unknown codebook type {kind!r}")

@@ -96,10 +96,6 @@ class PowerLevel:
         except OverflowError:
             raise ValueError(f"power must be positive and finite, got {db!r} dB") from None
 
-    @property
-    def db(self) -> float:
-        return 10.0 * math.log10(self.linear)
-
 
 def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int, out=None):
     """Draw `count` independent channel states; returns (f, g) of shape (count, R).

@@ -65,8 +65,7 @@ import numpy as np
 from scipy import special
 
 from . import rng as _rng
-from .codebooks import (CodebookSpec, FiniteCodebook, FiniteEvaluator, SrsSpec, UnitarySpec,
-                        resolve_codebook, resolve_epsilon, to_finite)
+from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
 from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
                     geometry_at_power, sample_channels, snr_geometry, snr_terms)
 
@@ -139,9 +138,9 @@ def check_estimator(estimator) -> str:
 class SimulationPlan:
     """Everything that determines one SER curve, including its randomness.
 
-    A finite codebook's vectors must have one entry per relay of the
-    network, a pinned relay must be one of its relays, and a continuous
-    family must resolve at every grid power.
+    The codebook must resolve at every grid power (resolve_codebook), a
+    finite codebook's vectors must have one entry per relay of the network,
+    and a pinned relay must be one of its relays.
 
     grid_resolution is ignored: it sized the magnitude grid of an earlier,
     approximate continuous-family maximizer, and the field keeps its sixth
@@ -160,21 +159,18 @@ class SimulationPlan:
         grid = power_grid(self.p_grid_db)
         trials = check_trials(self.trials_per_point)
         check_estimator(self.estimator)
-        powers = [PowerLevel.from_db(p_db) for p_db in grid]
+        # a family that cannot be bound at some grid power (the power-dependent
+        # one below P = e) fails here, before any plan runs
+        for p_db in grid:
+            evaluator = resolve_codebook(self.codebook, PowerLevel.from_db(p_db))
         relays = self.network.relay_count
-        if isinstance(self.codebook, (FiniteCodebook, SrsSpec, UnitarySpec)):
-            length = to_finite(self.codebook).relay_count
+        if isinstance(evaluator, FiniteEvaluator):
+            length = evaluator.codebook.relay_count
             if length != relays:
                 raise ValueError(f"codebook vectors have {length} entries, but the network "
                                  f"has {relays} relays")
-        else:
-            # a family that cannot be bound at some grid power (the
-            # power-dependent one below P = e) fails here, before any plan runs
-            for power in powers:
-                resolve_epsilon(self.codebook, power)
-        pinned = getattr(self.codebook, "pinned_relay", None)
-        if pinned is not None and pinned > relays:
-            raise ValueError(f"pinned_relay {pinned} is out of range 1..{relays}")
+        elif evaluator.pinned_relay is not None and evaluator.pinned_relay > relays:
+            raise ValueError(f"pinned_relay {evaluator.pinned_relay} is out of range 1..{relays}")
         object.__setattr__(self, "p_grid_db", grid)
         object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "seed", int(self.seed))
@@ -199,21 +195,34 @@ class SerCurve:
 
     @classmethod
     def read_csv(cls, fh: TextIO) -> "SerCurve":
+        """Parse write_csv's output.  Rows must meet a plan's own rules: p_db
+        a power_grid, ser and std_err finite and >= 0, and trials passing
+        check_trials; an error names the line at fault."""
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"bad curve header {header!r}, expected {CSV_HEADER!r}")
         p, s, e, t = [], [], [], []
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"bad curve row {line!r}")
-            p.append(float(parts[0]))
-            s.append(float(parts[1]))
-            e.append(float(parts[2]))
-            t.append(int(parts[3]))
+            try:
+                if len(parts) != 4:
+                    raise ValueError(f"bad curve row {line!r}")
+                p_db, ser, std_err = (float(x) for x in parts[:3])
+                # this point must be a valid power above the previous one
+                power_grid(p[-1:] + [p_db])
+                for name, value in (("ser", ser), ("std_err", std_err)):
+                    if not 0.0 <= value < math.inf:
+                        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+                trials = check_trials(int(parts[3]))
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from exc
+            p.append(p_db)
+            s.append(ser)
+            e.append(std_err)
+            t.append(trials)
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 

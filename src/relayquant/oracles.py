@@ -13,13 +13,18 @@ in terms of the fading ratio, these give the test suite analytically known
 targets to audit the Monte Carlo machinery against.  The continuous-family
 maximizer is audited by its KKT certificate, which needs no reference value
 at all.
+
+run_audits' defaults, AUDIT_SAMPLES draws at seed AUDIT_SEED, are also those
+of `relayquant oracle`.  The SNR-cap and KKT audits draw on the fixed
+AUDIT_NETWORKS, and every other audit size (DKW_CONFIDENCE, the PDF_BINS
+bins on [1, PDF_Z_MAX], Q_X_MAX) is a module constant, not a parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -117,10 +122,20 @@ def snr_upper_bounds(f, g, x, rset: Iterable[int], config: NetworkConfig, p) -> 
 # ---------------------------------------------------------------------------
 # Audit suite.  The deterministic checks (Q bound, SNR cap, KKT certificate)
 # fail only on an implementation bug.  The ratio-CDF checks test against a
-# 99%-confidence DKW band, so a correct program fails one of them on about
-# one seed in a hundred; a failure there calls for a rerun at another seed
-# before it is read as a bug.
+# DKW band of confidence DKW_CONFIDENCE, so a correct program fails one of
+# them on about one seed in a hundred; a failure there calls for a rerun at
+# another seed before it is read as a bug.
 # ---------------------------------------------------------------------------
+
+AUDIT_SAMPLES = 10**6
+AUDIT_SEED = 20260808
+# asymmetric R = 2 and 3 networks: the SNR-cap audit uses the first, the KKT audit both
+AUDIT_NETWORKS = (NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7)),
+                  NetworkConfig(3, (1.0, 0.5, 2.0, 2.0), (1.2, 0.8, 1.0), (1.5, 1.7, 0.7)))
+DKW_CONFIDENCE = 0.99
+PDF_Z_MAX = 11.0     # the ratio-density histogram has PDF_BINS bins on [1, PDF_Z_MAX]
+PDF_BINS = 40
+Q_X_MAX = 10.0       # the Q bound is checked on [0, Q_X_MAX]
 
 
 @dataclass(frozen=True)
@@ -132,9 +147,9 @@ class AuditCheck:
     detail: str
 
 
-def dkw_band(samples: int, confidence: float = 0.99) -> float:
-    """Dvoretzky-Kiefer-Wolfowitz band: sup |F_hat - F| bound at the confidence."""
-    alpha = 1.0 - confidence
+def dkw_band(samples: int) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz band: sup |F_hat - F| bound at DKW_CONFIDENCE."""
+    alpha = 1.0 - DKW_CONFIDENCE
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
 
 
@@ -156,12 +171,11 @@ def audit_ratio_cdf(count: int, samples: int, seed: int) -> AuditCheck:
     )
 
 
-def audit_ratio_pdf_bound(count: int, samples: int, seed: int,
-                          z_max: float = 11.0, bins: int = 40) -> AuditCheck:
+def audit_ratio_pdf_bound(count: int, samples: int, seed: int) -> AuditCheck:
     """Histogram density of the ratio vs its lower bound, with 3-sigma slack."""
     dist = MaxMinRatio(count)
     draws = dist.sample(samples, _rng.stream(seed, 2, count))
-    edges = np.linspace(1.0, z_max, bins + 1)
+    edges = np.linspace(1.0, PDF_Z_MAX, PDF_BINS + 1)
     counts, _ = np.histogram(draws, bins=edges)
     width = edges[1] - edges[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -175,13 +189,13 @@ def audit_ratio_pdf_bound(count: int, samples: int, seed: int,
         passed=margin <= 0.0,
         statistic=margin,
         threshold=0.0,
-        detail=f"max(bound - histogram - 3 sigma) over {bins} bins",
+        detail=f"max(bound - histogram - 3 sigma) over {PDF_BINS} bins",
     )
 
 
-def audit_q_bound(points: int = 1000, x_max: float = 10.0) -> AuditCheck:
-    """q_lower_bound(x) <= Q(x) on a dense grid in [0, x_max]."""
-    x = np.linspace(0.0, x_max, points)
+def audit_q_bound(points: int = 1000) -> AuditCheck:
+    """q_lower_bound(x) <= Q(x) on a dense grid in [0, Q_X_MAX]."""
+    x = np.linspace(0.0, Q_X_MAX, points)
     gap = float((q_lower_bound(x) - gaussian_tail(x)).max())
     return AuditCheck(
         name="q-lower-bound",
@@ -192,11 +206,10 @@ def audit_q_bound(points: int = 1000, x_max: float = 10.0) -> AuditCheck:
     )
 
 
-def audit_snr_bound(samples: int, seed: int,
-                    config: Optional[NetworkConfig] = None) -> AuditCheck:
-    """Randomized audit that the program's SNR kernel never beats its analytic cap."""
-    if config is None:
-        config = NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7))
+def audit_snr_bound(samples: int, seed: int) -> AuditCheck:
+    """Randomized audit on AUDIT_NETWORKS[0] that the program's SNR kernel never
+    beats its analytic cap."""
+    config = AUDIT_NETWORKS[0]
     r_count = config.relay_count
     subsets = [tuple(r + 1 for r in range(r_count) if mask >> r & 1)
                for mask in range(1, 1 << r_count)]
@@ -241,13 +254,11 @@ def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
     free coordinate, is >= 0 at m_r = 1 and <= 0 at m_r = lo_r (a pinned
     relay with lo_r = 1 is fixed).  The statistic is the worst violation of
     these conditions, with g_r normalized by u_r D + N w_r m_r, over
-    `samples` draws spread evenly over two asymmetric networks, epsilon in
+    `samples` draws spread evenly over AUDIT_NETWORKS, epsilon in
     {0, 1/16, 1/4, 1} on relay 1 and 0-50 dB.  A magnitude outside
     [lo_r, 1] counts as a violation of its size.
     """
-    networks = (NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7)),
-                NetworkConfig(3, (1.0, 0.5, 2.0, 2.0), (1.2, 0.8, 1.0), (1.5, 1.7, 0.7)))
-    cells = [(config, eps, p_db) for config in networks
+    cells = [(config, eps, p_db) for config in AUDIT_NETWORKS
              for eps in (0.0, 1.0 / 16.0, 0.25, 1.0) for p_db in range(0, 60, 10)]
     per_cell = max(1, samples // len(cells))
     worst = 0.0
@@ -275,7 +286,7 @@ def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
     )
 
 
-def run_audits(samples: int = 10**6, seed: int = 20260808) -> list[AuditCheck]:
+def run_audits(samples: int = AUDIT_SAMPLES, seed: int = AUDIT_SEED) -> list[AuditCheck]:
     """Full audit table: CDF at R in {2,3,4}, PDF bound, Q bound, SNR cap, KKT."""
     checks = [audit_ratio_cdf(r, samples, seed) for r in (2, 3, 4)]
     checks.append(audit_ratio_pdf_bound(2, samples, seed))

@@ -22,7 +22,6 @@ allows MAGNITUDE_TOL.  Relay indices in all inputs, outputs, and reports are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,15 +41,6 @@ class HittingSets:
 
     relay_count: int
     sets: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def _members(self) -> frozenset:
-        """Membership set, built on the first query; not a field, so equality
-        and repr see only relay_count and sets."""
-        return frozenset(self.sets)
-
-    def __contains__(self, rset) -> bool:
-        return tuple(sorted(int(r) for r in rset)) in self._members
 
     def min_witness(self) -> tuple[int, ...]:
         if not self.sets:

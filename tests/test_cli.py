@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -122,6 +123,28 @@ def test_slope_rejects_thin_window(tmp_path, capsys):
     path.write_text("p_db,ser,std_err,trials\n10.0,0.1,0.0,10\n20.0,0.01,0.0,10\n",
                     encoding="utf-8")
     assert main(["slope", "-i", str(path), "--window", "10", "20"]) == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("20.0,nan,0.0,10", "ser must be finite and >= 0, got nan"),
+    ("20.0,-0.01,0.0,10", "ser must be finite and >= 0"),
+    ("20.0,0.01,inf,10", "std_err must be finite and >= 0"),
+    ("10.0,0.01,0.0,10", "strictly ascending"),
+    ("5.0,0.01,0.0,10", "strictly ascending"),
+    ("5000.0,0.01,0.0,10", "power must be positive and finite"),
+    ("nan,0.01,0.0,10", "power must be positive and finite"),
+    ("20.0,0.01,0.0,0", ">= 1"),
+    ("20.0,0.01,0.0", "bad curve row"),
+    ("20.0,x,0.0,10", "could not convert"),
+])
+def test_slope_rejects_malformed_row_naming_its_line(tmp_path, capsys, row, message):
+    path = tmp_path / "curve.csv"
+    path.write_text(f"p_db,ser,std_err,trials\n10.0,0.1,0.01,10\n{row}\n30.0,0.001,0.0,10\n",
+                    encoding="utf-8")
+    assert main(["slope", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: line 3: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_analyze_reports(tmp_path, capsys, cb_c2, cb_c5):
@@ -294,6 +317,34 @@ def test_simulate_out_of_range_grid_power_names_field(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("first, second", [("a b", "a_b"), ("SRS", "SRS"), ("x/y", "x?y")])
+def test_simulate_labels_sharing_an_output_file_fail_before_writing(tmp_path, capsys,
+                                                                    first, second):
+    srs = TINY_CONFIG["codebooks"][1]
+    codebooks = [TINY_CONFIG["codebooks"][0], dict(srs, label=first), dict(srs, label=second)]
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, codebooks=codebooks))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}.codebooks[2]: ")
+    assert f"{second!r}" in captured.err and f"{first!r}" in captured.err
+    assert not out.exists() and "wrote" not in captured.out
+
+
+@pytest.mark.parametrize("taken", ["", "pair.csv", "manifest.json"])
+def test_simulate_unwritable_output_exits_two(tmp_path, capsys, taken):
+    # a directory where a file must go, or a file where the output directory must go
+    cfg = _write(tmp_path, "cfg.json", TINY_CONFIG)
+    out = tmp_path / "out"
+    if taken:
+        (out / taken).mkdir(parents=True)
+    else:
+        out.write_text("not a directory", encoding="utf-8")
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / taken}: ") and "Traceback" not in err
+
+
 def test_simulate_accepts_integral_floats(tmp_path, capsys):
     ints = _write(tmp_path, "ints.json", dict(TINY_CONFIG, trials_per_point=1000))
     floats = _write(tmp_path, "floats.json", dict(TINY_CONFIG, trials_per_point=1e3, seed=99.0))
@@ -327,6 +378,16 @@ _SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
     ({"vectors": [[[1, 0], ["0", 0]]]}, "vectors[0][1][0] must be a number"),
     ({"type": "unitary", "base": _SRS2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]},
      "matrix[1][1][1] must be a number"),
+    ({"type": "constrained", "pinned_relay": 1}, "missing required field 'epsilon'"),
+    ({"type": "constrained", "epsilon": 0.5}, "missing required field 'pinned_relay'"),
+    ({"type": "power_dep_constrained"}, "missing required field 'pinned_relay'"),
+    ({"type": "srs"}, "missing required field 'theta'"),
+    ({"type": "explicit"}, "missing required field 'vectors'"),
+    ({"type": "unitary", "base": _SRS2}, "missing required field 'matrix'"),
+    ({"type": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+     "missing required field 'base'"),
+    ({"type": "unitary", "base": _SRS2, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]},
+     "not unitary"),
 ])
 def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry, message):
     out = tmp_path / "out"

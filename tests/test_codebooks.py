@@ -16,10 +16,10 @@ from relayquant import (
     apply_unitary,
     make_srs,
     resolve_codebook,
-    same_codebook,
     spec_from_json,
     spec_to_json,
 )
+from relayquant.cli import main
 from relayquant.codebooks import constrained_best_snr, resolve_epsilon, to_finite
 from relayquant.model import relay_gains, snr_per_vector
 from relayquant.structure import is_omrs, is_srs
@@ -28,8 +28,7 @@ from tests.conftest import U1, U2, snr_reference
 
 def test_make_srs_zero_phases():
     cb = make_srs(3, np.zeros(3))
-    expected = FiniteCodebook(np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex))
-    assert same_codebook(cb, expected)
+    assert np.array_equal(cb.vectors, np.eye(3, dtype=complex))
     assert is_omrs(cb) and is_srs(cb)
 
 
@@ -76,6 +75,22 @@ def test_apply_unitary_rejects_non_unitary():
     bad = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(CodebookError, match="not unitary"):
         apply_unitary(cb, bad)
+
+
+def test_unitary_check_rejects_non_finite_matrix(tmp_path, capsys):
+    # a NaN entry makes U U^H - I NaN, which must fail the tolerance test
+    pairs = [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(CodebookError, match="not unitary"):
+        UnitarySpec(SrsSpec((0.0, 0.0)), bad)
+    with pytest.raises(CodebookError, match="not unitary"):
+        apply_unitary(make_srs(2, np.zeros(2)), bad)
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps({"type": "unitary", "base": {"type": "srs", "theta": [0, 0]},
+                                "matrix": pairs}), encoding="utf-8")
+    assert main(["analyze", "-i", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "not unitary" in err and "must be finite" not in err and "Traceback" not in err
 
 
 def test_diagonal_unitary_maps_srs_to_srs():
@@ -222,13 +237,6 @@ def test_spec_json_errors():
 def test_to_finite_rejects_continuous():
     with pytest.raises(CodebookError):
         to_finite(FullCsiSpec())
-
-
-def test_same_codebook_is_phase_blind():
-    a = make_srs(3, np.zeros(3))
-    b = make_srs(3, (1.0, 2.0, 3.0))
-    assert same_codebook(a, b)
-    assert not same_codebook(a, FiniteCodebook(np.eye(2, dtype=complex)))
 
 
 def _cophased_terms(f, g, config, power):

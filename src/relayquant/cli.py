@@ -10,6 +10,7 @@ output byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import importlib.resources
 import json
@@ -18,8 +19,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .codebooks import (CodebookError, json_floats, json_int, json_required, spec_from_json,
-                        to_finite)
+from .codebooks import (CodebookError, json_fields, json_floats, json_int, json_required,
+                        spec_from_json, to_finite)
 from .model import NetworkConfig
 from .montecarlo import (
     MAX_RESOLVED_REL_ERR,
@@ -38,6 +39,11 @@ from .structure import analyze_codebook
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
 
+# description and grid_resolution are accepted and ignored
+_CONFIG_FIELDS = ("network", "codebooks", "p_grid_db", "trials_per_point", "seed",
+                  "estimator", "description", "grid_resolution")
+_NETWORK_FIELDS = ("relay_count", "power_scalers", "variance_f", "variance_g")
+
 
 class CliError(Exception):
     """Validation failure; maps to exit code 2."""
@@ -50,10 +56,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _require(obj: dict, key: str, path: str):
+@contextlib.contextmanager
+def _blame(path: str):
+    """Turn a TypeError or ValueError raised inside into a CliError naming path."""
     try:
-        return json_required(obj, key)
-    except ValueError as exc:
+        yield
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -88,26 +96,13 @@ def _config_path(arg: str) -> Path:
     raise CliError(f"config {arg!r} is neither a file nor a bundled config name")
 
 
-def _network_from_json(obj, path: str) -> NetworkConfig:
+def _network_from_json(obj) -> NetworkConfig:
     if not isinstance(obj, dict):
-        raise CliError(f"{path}: expected an object")
-    try:
-        lists = {key: json_floats(_require(obj, key, path), key)
-                 for key in ("power_scalers", "variance_f", "variance_g")}
-        return NetworkConfig(json_int(_require(obj, "relay_count", path), "relay_count"), **lists)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _field(convert, obj: dict, key: str, where: str, default=None):
-    """convert(obj[key], key) (or of `default` when given and the key is absent);
-    an error names the field as where.key."""
-    path = f"{where}.{key}"
-    value = obj.get(key, default) if default is not None else _require(obj, key, path)
-    try:
-        return convert(value, key)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError("expected an object")
+    json_fields(obj, _NETWORK_FIELDS)
+    lists = {key: json_floats(json_required(obj, key), key)
+             for key in ("power_scalers", "variance_f", "variance_g")}
+    return NetworkConfig(json_int(json_required(obj, "relay_count"), "relay_count"), **lists)
 
 
 def _output_name(label: str) -> str:
@@ -128,14 +123,6 @@ def _write_file(path: Path, write) -> None:
     print(f"wrote {path}")
 
 
-def _power_grid(values, key: str) -> tuple[float, ...]:
-    return power_grid(json_floats(values, key))
-
-
-def _trials(value, key: str) -> int:
-    return check_trials(json_int(value, key))
-
-
 def _experiment_from_json(cfg, where: str):
     """(plans, seed): one (label, SimulationPlan) per codebook entry, in order.
 
@@ -144,15 +131,22 @@ def _experiment_from_json(cfg, where: str):
     """
     if not isinstance(cfg, dict):
         raise CliError(f"{where}: expected an object")
-    network = _network_from_json(_require(cfg, "network", f"{where}.network"),
-                                 f"{where}.network")
-    entries = _require(cfg, "codebooks", f"{where}.codebooks")
-    if not isinstance(entries, list) or not entries:
-        raise CliError(f"{where}.codebooks: need a non-empty list")
-    p_grid = _field(_power_grid, cfg, "p_grid_db", where)
-    trials = _field(_trials, cfg, "trials_per_point", where, 10**6)
-    seed = _field(json_int, cfg, "seed", where)
-    estimator = _field(lambda value, _: check_estimator(value), cfg, "estimator", where, "plain")
+    with _blame(where):
+        json_fields(cfg, _CONFIG_FIELDS)
+    with _blame(f"{where}.network"):
+        network = _network_from_json(json_required(cfg, "network"))
+    with _blame(f"{where}.codebooks"):
+        entries = json_required(cfg, "codebooks")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("need a non-empty list")
+    with _blame(f"{where}.p_grid_db"):
+        p_grid = power_grid(json_floats(json_required(cfg, "p_grid_db"), "p_grid_db"))
+    with _blame(f"{where}.trials_per_point"):
+        trials = check_trials(json_int(cfg.get("trials_per_point", 10**6), "trials_per_point"))
+    with _blame(f"{where}.seed"):
+        seed = json_int(json_required(cfg, "seed"), "seed")
+    with _blame(f"{where}.estimator"):
+        estimator = check_estimator(cfg.get("estimator", "plain"))
 
     plans = []
     outputs = {}
@@ -168,16 +162,13 @@ def _experiment_from_json(cfg, where: str):
         outputs[name] = label
         body = {k: v for k, v in entry.items() if k not in ("label", "trials_per_point")}
         body.setdefault("label", label)
-        try:
-            spec = spec_from_json(body, where=path)
-        except CodebookError as exc:
-            raise CliError(str(exc)) from exc
-        entry_trials = _field(_trials, entry, "trials_per_point", path, trials)
-        try:
+        spec = spec_from_json(body, where=path)
+        with _blame(f"{path}.trials_per_point"):
+            entry_trials = check_trials(json_int(entry.get("trials_per_point", trials),
+                                                 "trials_per_point"))
+        with _blame(path):
             plans.append((label, SimulationPlan(network, spec, p_grid, entry_trials, seed,
                                                 estimator=estimator)))
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
     return plans, seed
 
 
@@ -218,17 +209,13 @@ def cmd_simulate(args) -> int:
 def cmd_slope(args) -> int:
     path = Path(args.input)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, _blame(path):
             curve = SerCurve.read_csv(fh)
     except OSError as exc:
         raise CliError(f"cannot read curve {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     window = tuple(args.window) if args.window else None
-    try:
+    with _blame(path):
         est = estimate_diversity(curve, window)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     print(json.dumps({
         "slope": est.slope,
         "intercept": est.intercept,
@@ -245,15 +232,9 @@ def cmd_slope(args) -> int:
 
 def cmd_analyze(args) -> int:
     path = Path(args.input)
-    obj = _load_json(path, "codebook")
-    try:
-        spec = spec_from_json(obj, where=str(path))
-    except CodebookError as exc:
-        raise CliError(str(exc)) from exc
-    try:
+    spec = spec_from_json(_load_json(path, "codebook"), where=str(path))
+    with _blame(path):
         report = analyze_codebook(to_finite(spec))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -316,7 +297,8 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, CodebookError) as exc:
+        # spec_from_json's CodebookError already names the entry at fault
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE_EXIT
 

@@ -364,6 +364,13 @@ def json_required(obj: dict, key: str):
     return obj[key]
 
 
+def json_fields(obj: dict, fields) -> None:
+    """Raise, naming the first key of obj that is not one of fields."""
+    for key in obj:
+        if key not in fields:
+            raise ValueError(f"unknown field {key!r}")
+
+
 def json_int(value, name: str) -> int:
     """An integral JSON number as an int; 1e6 passes, bools and fractions raise."""
     if isinstance(value, float) and value.is_integer():
@@ -428,12 +435,18 @@ def spec_to_json(spec: CodebookSpec) -> dict:
 
 
 def spec_from_json(obj: dict, where: str = "codebook") -> CodebookSpec:
-    """Decode one codebook spec.  Any malformed field raises one CodebookError
-    whose message starts with `where`."""
+    """Decode one codebook spec.  Any malformed, missing or unknown field
+    raises one CodebookError whose message starts with `where`."""
     try:
         return _decode_spec(obj)
     except (TypeError, ValueError) as exc:
         raise CodebookError(f"{where}: {exc}") from exc
+
+
+# the fields of each spec type besides "type" and "label"
+_SPEC_FIELDS = {"explicit": ("vectors",), "srs": ("theta",), "unitary": ("base", "matrix"),
+                "constrained": ("epsilon", "pinned_relay"), "full_csi": (),
+                "power_dep_constrained": ("pinned_relay",)}
 
 
 def _decode_spec(obj) -> CodebookSpec:
@@ -442,6 +455,9 @@ def _decode_spec(obj) -> CodebookSpec:
     kind = obj.get("type")
     if kind is None and "vectors" in obj:
         kind = "explicit"
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise CodebookError(f"unknown codebook type {kind!r}")
+    json_fields(obj, _SPEC_FIELDS[kind] + ("type", "label"))
     if kind == "explicit":
         return FiniteCodebook(_matrix_from_json(json_required(obj, "vectors"), "vectors"),
                               label=str(obj.get("label", "")))
@@ -457,6 +473,4 @@ def _decode_spec(obj) -> CodebookSpec:
                                json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
     if kind == "full_csi":
         return FullCsiSpec()
-    if kind == "power_dep_constrained":
-        return PowerDependentSpec(json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
-    raise CodebookError(f"unknown codebook type {kind!r}")
+    return PowerDependentSpec(json_int(json_required(obj, "pinned_relay"), "pinned_relay"))

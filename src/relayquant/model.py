@@ -52,6 +52,14 @@ def _positive_tuple(name: str, values, expect_len: int) -> tuple[float, ...]:
     return out
 
 
+def relay_columns(rset, relay_count: int) -> list[int]:
+    """Ascending 0-based columns of rset, a non-empty set of 1-based relays."""
+    idx = sorted({int(r) for r in rset})
+    if not idx or idx[0] < 1 or idx[-1] > relay_count:
+        raise ValueError(f"rset must be a non-empty subset of 1..{relay_count}")
+    return [r - 1 for r in idx]
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Fixed network parameters.
@@ -150,9 +158,6 @@ def channel_products(f, g, out=None):
     f = np.asarray(f, dtype=np.complex128).T
     g = np.asarray(g, dtype=np.complex128).T
     if out is None:
-        # on fresh storage, contiguous copies of the transposes first: the
-        # ufuncs below then read whole rows
-        f, g = np.ascontiguousarray(f), np.ascontiguousarray(g)
         out = (np.empty(f.shape, dtype=np.complex128), np.empty(f.shape), np.empty(f.shape))
     fg, f2, g2 = out
     # |z|^2 = re^2 + im^2, with the real part of fg as scratch before f g

@@ -58,7 +58,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -154,6 +154,8 @@ class SimulationPlan:
     seed: int
     grid_resolution: Optional[int] = None
     estimator: str = "plain"
+    # the codebook's evaluator at each grid power, which estimate_ser runs
+    evaluators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = power_grid(self.p_grid_db)
@@ -161,8 +163,9 @@ class SimulationPlan:
         check_estimator(self.estimator)
         # a family that cannot be bound at some grid power (the power-dependent
         # one below P = e) fails here, before any plan runs
-        for p_db in grid:
-            evaluator = resolve_codebook(self.codebook, PowerLevel.from_db(p_db))
+        evaluators = tuple(resolve_codebook(self.codebook, PowerLevel.from_db(p_db))
+                           for p_db in grid)
+        evaluator = evaluators[-1]
         relays = self.network.relay_count
         if isinstance(evaluator, FiniteEvaluator):
             length = evaluator.codebook.relay_count
@@ -174,6 +177,7 @@ class SimulationPlan:
         object.__setattr__(self, "p_grid_db", grid)
         object.__setattr__(self, "trials_per_point", trials)
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "evaluators", evaluators)
 
 
 @dataclass(frozen=True)
@@ -263,14 +267,13 @@ class PreparedDraw:
     """DefensiveMixture.prepare's output: what every power of a chunk shares.
 
     h: (2R, n) relay-major true-law states, f above g; fade_at: the flat
-    indices into h of the gains that fade by 1/P, and faded: h's values
-    there; trials: the trials drawn from a cancellation component,
-    ascending, k: that component, and star_fades: whether g at its r* fades.
+    indices into h of the gains that fade by 1/P; trials: the trials drawn
+    from a cancellation component, ascending, k: that component, and
+    star_fades: whether g at its r* fades.
     """
 
     h: np.ndarray
     fade_at: np.ndarray
-    faded: np.ndarray
     trials: np.ndarray
     k: np.ndarray
     star_fades: np.ndarray
@@ -380,7 +383,7 @@ class DefensiveMixture:
         trials = np.flatnonzero(pick >= 2)
         k = pick[trials] - 2
         fade_at = np.flatnonzero(fade)
-        return PreparedDraw(h, fade_at, h.ravel()[fade_at], trials, k,
+        return PreparedDraw(h, fade_at, trials, k,
                             fade[self.config.relay_count + self.relay[k], trials])
 
     def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
@@ -396,7 +399,7 @@ class DefensiveMixture:
         n = draw.h.shape[1]
         h = buffers.states(n)
         np.copyto(h, draw.h)
-        h.ravel()[draw.fade_at] = draw.faded * self.fade_scale
+        h.ravel()[draw.fade_at] *= self.fade_scale
         f, g = h[:r_count], h[r_count:]
         rho, a, b = snr_geometry(f.T, g.T, self.config, self.power,
                                  (buffers.products(n), buffers.geometry(n)))
@@ -474,12 +477,11 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     """
     config = plan.network
     powers = [PowerLevel.from_db(p_db) for p_db in plan.p_grid_db]
-    evaluators = [resolve_codebook(plan.codebook, power) for power in powers]
     proposals = None
     if plan.estimator == "importance":
         proposals = [DefensiveMixture(config, power, ev.canonical
                                       if isinstance(ev, FiniteEvaluator) else None)
-                     for power, ev in zip(powers, evaluators)]
+                     for power, ev in zip(powers, plan.evaluators)]
 
     r_count = config.relay_count
     chunks = _chunk_sizes(plan.trials_per_point)
@@ -498,7 +500,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
         else:
             draw = proposals[0].prepare(gen, size, buffers)
         sums = []
-        for i, (power, ev) in enumerate(zip(powers, evaluators)):
+        for i, (power, ev) in enumerate(zip(powers, plan.evaluators)):
             if proposals is None:
                 geometry = geometry_at_power(products, config, power, buffers.geometry(size))
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,

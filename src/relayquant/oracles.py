@@ -15,9 +15,11 @@ maximizer is audited by its KKT certificate, which needs no reference value
 at all.
 
 run_audits' defaults, AUDIT_SAMPLES draws at seed AUDIT_SEED, are also those
-of `relayquant oracle`.  The SNR-cap and KKT audits draw on the fixed
-AUDIT_NETWORKS, and every other audit size (DKW_CONFIDENCE, the PDF_BINS
-bins on [1, PDF_Z_MAX], Q_X_MAX) is a module constant, not a parameter.
+of `relayquant oracle`.  The density audit takes each bin's sigma from the
+bound's own bin mass, the null, not from the bin's count.  The SNR-cap and
+KKT audits draw on the fixed AUDIT_NETWORKS, and every other audit size
+(DKW_CONFIDENCE, the PDF_BINS bins on [1, PDF_Z_MAX], Q_X_MAX) is a module
+constant, not a parameter.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .model import (
     NetworkConfig,
     PowerLevel,
     beamformed_snr,
+    relay_columns,
     relay_gains,
     sample_channels,
     snr_geometry,
@@ -99,10 +102,7 @@ def snr_upper_bounds(f, g, x, rset: Iterable[int], config: NetworkConfig, p) -> 
     The cap is inf where w = 0 (the bound is vacuous there).
     """
     r_count = config.relay_count
-    idx = sorted({int(r) for r in rset})
-    if not idx or idx[0] < 1 or idx[-1] > r_count:
-        raise ValueError(f"rset must be a non-empty subset of 1..{r_count}")
-    cols = [r - 1 for r in idx]
+    cols = relay_columns(rset, r_count)
 
     scal = np.asarray(config.power_scalers)
     var_f = np.asarray(config.variance_f)
@@ -172,24 +172,29 @@ def audit_ratio_cdf(count: int, samples: int, seed: int) -> AuditCheck:
 
 
 def audit_ratio_pdf_bound(count: int, samples: int, seed: int) -> AuditCheck:
-    """Histogram density of the ratio vs its lower bound, with 3-sigma slack."""
+    """Histogram of the ratio vs its density lower bound, with 3-sigma slack.
+
+    Each bin is tested against the null value p0 = bound * width of its
+    probability, with the null's sigma sqrt(p0 (1 - p0) / samples): the
+    statistic is max((p0 - frac - 3 sigma) / width).  Taking sigma from the
+    null, not from the bin's own fraction, keeps the slack of an empty bin,
+    which small sample counts leave often.
+    """
     dist = MaxMinRatio(count)
     draws = dist.sample(samples, _rng.stream(seed, 2, count))
     edges = np.linspace(1.0, PDF_Z_MAX, PDF_BINS + 1)
     counts, _ = np.histogram(draws, bins=edges)
     width = edges[1] - edges[0]
     mids = 0.5 * (edges[:-1] + edges[1:])
-    frac = counts / samples
-    density = frac / width
-    sigma = np.sqrt(np.maximum(frac * (1.0 - frac), 1e-300) / samples) / width
-    bound = dist.pdf_lower_bound(mids)
-    margin = float((bound - (density + 3.0 * sigma)).max())
+    p0 = dist.pdf_lower_bound(mids) * width
+    sigma = np.sqrt(p0 * (1.0 - p0) / samples)
+    margin = float(((p0 - counts / samples - 3.0 * sigma) / width).max())
     return AuditCheck(
         name=f"ratio-pdf-bound-r{count}",
         passed=margin <= 0.0,
         statistic=margin,
         threshold=0.0,
-        detail=f"max(bound - histogram - 3 sigma) over {PDF_BINS} bins",
+        detail=f"max(bound - histogram - 3 null sigma) over {PDF_BINS} bins",
     )
 
 

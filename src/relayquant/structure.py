@@ -3,8 +3,9 @@
 The central object is the collection of hitting sets of a codebook: index
 sets that intersect the support of every vector.  The smallest hitting set
 caps the achievable diversity order, so computing the collection exactly
-turns high-power decay questions into finite combinatorics.  It is computed
-in one vectorized pass over all 2^R - 1 non-empty subsets, each held as an
+turns high-power decay questions into finite combinatorics.  hitting_sets
+returns it as a plain tuple of relay tuples, tuple[tuple[int, ...], ...],
+whose first member is a smallest one.  It is computed in one vectorized pass over all 2^R - 1 non-empty subsets, each held as an
 int32 bitmask (relay r is bit r - 1): the subsets that AND nonzero with every
 support mask are kept, sorted by (cardinality, lexicographic order of the
 relay tuple) and turned into tuples by joining two precomputed half-tuples.
@@ -27,25 +28,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .codebooks import MAGNITUDE_TOL, ZERO_TOL, FiniteCodebook, phase_classes
+from .model import relay_columns
 
 MAX_ENUMERATION_RELAYS = 20
-
-
-@dataclass(frozen=True)
-class HittingSets:
-    """All index sets that contain a nonzero coordinate of every vector.
-
-    Upward closed by construction: any superset of a member is a member.
-    Sets are sorted by (cardinality, lexicographic order).
-    """
-
-    relay_count: int
-    sets: tuple[tuple[int, ...], ...]
-
-    def min_witness(self) -> tuple[int, ...]:
-        if not self.sets:
-            raise ValueError("no hitting sets exist (codebook contains a zero vector)")
-        return self.sets[0]
 
 
 def _half_tables(bits: int):
@@ -65,8 +50,10 @@ def _tuple_table(positions, offset: int) -> np.ndarray:
                        dtype=object, count=len(positions))
 
 
-def hitting_sets(cb: FiniteCodebook) -> HittingSets:
-    """Enumerate the hitting-set collection exactly.
+def hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
+    """Enumerate the hitting-set collection exactly: every 1-based relay tuple
+    that contains a nonzero coordinate of every vector, in the order below.
+    The collection is upward closed: any superset of a member is a member.
 
     An entry counts as nonzero iff its magnitude exceeds ZERO_TOL.  Every
     non-empty subset is an int32 mask with relay r at bit r - 1; one
@@ -105,7 +92,7 @@ def hitting_sets(cb: FiniteCodebook) -> HittingSets:
                      | reversed_bits[high] >> (2 * half - r_count))
     order = np.argsort(((popcount[low] + popcount[high]) << r_count) - reversed_mask)
     joined = _tuple_table(positions, 0)[low[order]] + _tuple_table(positions, half)[high[order]]
-    return HittingSets(r_count, tuple(joined.tolist()))
+    return tuple(joined.tolist())
 
 
 def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
@@ -115,15 +102,12 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     all relays in rset fade together: min over vectors of max_{r in rset}
     |x_r|^2.
     """
-    idx = sorted({int(r) for r in rset})
-    if not idx or idx[0] < 1 or idx[-1] > cb.relay_count:
-        raise ValueError(f"rset must be a non-empty subset of 1..{cb.relay_count}")
-    cols = [r - 1 for r in idx]
+    cols = relay_columns(rset, cb.relay_count)
     mags2 = np.abs(cb.vectors)[:, cols] ** 2
     return float(mags2.max(axis=1).min())
 
 
-def _nonzero_hitting_sets(cb: FiniteCodebook) -> HittingSets:
+def _nonzero_hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     """hitting_sets, after rejecting a zero vector (no set can hit it)."""
     if bool((np.abs(cb.vectors) <= ZERO_TOL).all(axis=1).any()):
         raise ValueError("codebook contains zero vector")
@@ -138,7 +122,7 @@ def diversity_cap(cb: FiniteCodebook):
     because one nonzero index per vector always forms a hitting set.
     Raises if the codebook contains a zero vector (no set can hit it).
     """
-    witness = _nonzero_hitting_sets(cb).min_witness()
+    witness = _nonzero_hitting_sets(cb)[0]
     return len(witness), witness
 
 
@@ -253,7 +237,7 @@ def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
     that one collection.
     """
     collection = _nonzero_hitting_sets(cb)
-    witness = collection.min_witness()
+    witness = collection[0]
     cap = len(witness)
     card = cardinality_cap(cb)
     full_set = tuple(range(1, cb.relay_count + 1))
@@ -269,7 +253,7 @@ def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
         min_witness_set=witness,
         cap_from_hitting_sets=cap,
         cap_from_cardinality=card,
-        index_sets=collection.sets,
+        index_sets=collection,
         min_max_weight=tuple(weights),
         is_omrs=is_omrs(cb),
         is_srs=is_srs(cb),

@@ -239,6 +239,12 @@ def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
     ("trials_per_point", dict(TINY_CONFIG, trials_per_point=0)),
     ("codebooks[0].trials_per_point", dict(TINY_CONFIG, codebooks=[
         dict(TINY_CONFIG["codebooks"][0], trials_per_point=0)])),
+    ("network", dict(TINY_CONFIG, network=dict(TINY_CONFIG["network"], relay_cont=2))),
+    ("codebooks[0]", dict(TINY_CONFIG, codebooks=[
+        dict(TINY_CONFIG["codebooks"][0], trials_per_pont=100)])),
+    ("codebooks[1]", dict(TINY_CONFIG, codebooks=[TINY_CONFIG["codebooks"][0], {
+        "label": "c", "type": "constrained", "epsilon": 0.25, "epsilonn": 0.5,
+        "pinned_relay": 1}])),
 ])
 def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, bad):
     cfg = _write(tmp_path, "bad.json", bad)
@@ -246,6 +252,17 @@ def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, 
     err = capsys.readouterr().err
     assert f".{field}:" in err
     assert "Traceback" not in err
+
+
+def test_simulate_unknown_top_level_field_names_it(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, estimater="importance"))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown field 'estimater'\n"
+    assert not out.exists()
+    documented = _write(tmp_path, "doc.json", dict(TINY_CONFIG, description="d",
+                                                   grid_resolution=8))
+    assert main(["simulate", "-c", str(documented), "-o", str(out)]) == 0
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -388,6 +405,13 @@ _SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
      "missing required field 'base'"),
     ({"type": "unitary", "base": _SRS2, "matrix": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]},
      "not unitary"),
+    ({"type": "constrained", "epsilonn": 0.25, "pinned_relay": 1}, "unknown field 'epsilonn'"),
+    ({"type": "full_csi", "epsilon": 0.25}, "unknown field 'epsilon'"),
+    ({"type": "srs", "theta": [0.0, 0.0], "trials_per_pont": 100},
+     "unknown field 'trials_per_pont'"),
+    ({"vectors": [[[1, 0], [0, 0]]], "theta": [0.0]}, "unknown field 'theta'"),
+    ({"type": "unitary", "base": dict(_SRS2, vectors=[]), "matrix": [[[1, 0]]]},
+     "base: unknown field 'vectors'"),
 ])
 def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry, message):
     out = tmp_path / "out"

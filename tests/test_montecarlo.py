@@ -519,3 +519,22 @@ def test_plan_rejects_codebook_unresolvable_at_a_grid_power():
     with pytest.raises(ValueError, match="P >= e"):
         SimulationPlan(_fig2_network(), PowerDependentSpec(1), (0.0, 10.0), 100, 1)
     SimulationPlan(_fig2_network(), PowerDependentSpec(1), (5.0, 10.0), 100, 1)
+
+
+def test_plan_resolves_each_grid_power_once(monkeypatch):
+    import relayquant.montecarlo as montecarlo
+
+    calls = []
+    original = montecarlo.resolve_codebook
+
+    def counting(spec, power):
+        calls.append(power.linear)
+        return original(spec, power)
+
+    monkeypatch.setattr(montecarlo, "resolve_codebook", counting)
+    grid = (10.0, 20.0, 30.0)
+    for spec in (SrsSpec((0.0, 0.0, 0.0)), PowerDependentSpec(1)):
+        for estimator in ("plain", "importance"):
+            calls.clear()
+            estimate_ser(SimulationPlan(_fig2_network(), spec, grid, 100, 2, estimator=estimator))
+            assert calls == [PowerLevel.from_db(p).linear for p in grid], (spec, estimator)

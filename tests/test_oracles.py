@@ -78,6 +78,23 @@ def test_ratio_pdf_bound_against_histogram():
     assert check.passed, check.detail
 
 
+def test_ratio_pdf_bound_passes_correct_sampler_at_small_counts():
+    # an empty bin keeps the slack of the bound's own sigma
+    for seed in range(1, 51):
+        check = audit_ratio_pdf_bound(2, 100, seed)
+        assert check.passed, (seed, check.statistic)
+
+
+def test_wrong_law_fails_pdf_audit(monkeypatch):
+    import relayquant.oracles as oracles
+
+    original = oracles.MaxMinRatio.sample
+    monkeypatch.setattr(oracles.MaxMinRatio, "sample",
+                        lambda self, n, gen: original(self, n, gen) ** 1.5)
+    for seed in range(1, 6):
+        assert not audit_ratio_pdf_bound(2, 10**4, seed).passed, seed
+
+
 def test_q_lower_bound_values():
     assert q_lower_bound(0.0) == 0.0
     val = q_lower_bound(1.0)

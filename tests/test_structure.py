@@ -16,12 +16,11 @@ from relayquant import (
     max_pairwise_overlap,
     min_max_weight,
 )
-from relayquant.structure import HittingSets
 from tests.conftest import U1, U2
 
 
 def _sets(cb):
-    return set(hitting_sets(cb).sets)
+    return set(hitting_sets(cb))
 
 
 def test_hitting_sets_worked_examples(cb_c1, cb_c2, cb_c3):
@@ -51,17 +50,16 @@ def test_hitting_sets_match_combinations_in_order():
         vectors = mags * np.exp(2j * np.pi * gen.random((k, r)))
         vectors = vectors[gen.integers(k, size=k + int(gen.integers(0, 3)))]  # duplicate rows
         expected = _combinations_hitting_sets(vectors)
-        col = hitting_sets(FiniteCodebook(vectors))
-        assert col.sets == expected
+        assert hitting_sets(FiniteCodebook(vectors)) == expected
 
 
 def test_hitting_sets_single_relay():
-    assert hitting_sets(FiniteCodebook(np.array([[1.0], [0.5j]]))).sets == ((1,),)
+    assert hitting_sets(FiniteCodebook(np.array([[1.0], [0.5j]]))) == ((1,),)
 
 
 def test_hitting_sets_zero_row_gives_empty_collection():
     cb = FiniteCodebook(np.array([[1, 0, 0.5], [0, 0, 0], [0, 1j, 0]], dtype=complex))
-    assert hitting_sets(cb).sets == ()
+    assert hitting_sets(cb) == ()
     with pytest.raises(ValueError, match="zero vector"):
         diversity_cap(cb)
     with pytest.raises(ValueError, match="zero vector"):
@@ -69,14 +67,7 @@ def test_hitting_sets_zero_row_gives_empty_collection():
 
 
 def test_hitting_sets_srs_at_enumeration_limit():
-    col = hitting_sets(make_srs(20, np.zeros(20)))
-    assert col.sets == (tuple(range(1, 21)),)
-
-
-def test_hitting_sets_membership_kept_out_of_equality_and_repr(cb_c2):
-    col = hitting_sets(cb_c2)
-    assert col == HittingSets(col.relay_count, col.sets)
-    assert repr(col) == f"HittingSets(relay_count=3, sets={col.sets!r})"
+    assert hitting_sets(make_srs(20, np.zeros(20))) == (tuple(range(1, 21)),)
 
 
 def test_hitting_sets_enumeration_cap():
@@ -88,8 +79,8 @@ def test_hitting_sets_enumeration_cap():
 def test_hitting_sets_upward_closed(cb_c1, cb_c2, cb_c3):
     for cb in (cb_c1, cb_c2, cb_c3):
         col = hitting_sets(cb)
-        members = set(col.sets)
-        for s in col.sets:
+        members = set(col)
+        for s in col:
             free = [r for r in range(1, cb.relay_count + 1) if r not in s]
             for extra in free:
                 assert tuple(sorted(s + (extra,))) in members
@@ -201,7 +192,7 @@ def test_full_cap_iff_contains_selection_codebook():
         cb = FiniteCodebook(mat)
         cap = diversity_cap(cb)[0]
         full = cap == cb.relay_count
-        only_full_set = set(hitting_sets(cb).sets) == {tuple(range(1, r + 1))}
+        only_full_set = set(hitting_sets(cb)) == {tuple(range(1, r + 1))}
         assert full == only_full_set
         contains_selection = any(
             is_srs(FiniteCodebook(mat[list(rows)]))

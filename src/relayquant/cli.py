@@ -34,6 +34,7 @@ from .montecarlo import (
     worker_count,
 )
 from .oracles import AUDIT_SAMPLES, AUDIT_SEED, run_audits
+from .rng import check_seed
 from .structure import analyze_codebook
 
 USAGE_EXIT = 1
@@ -68,7 +69,7 @@ def _blame(path: str):
 def _load_json(path: Path, what: str) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -144,7 +145,7 @@ def _experiment_from_json(cfg, where: str):
     with _blame(f"{where}.trials_per_point"):
         trials = check_trials(json_int(cfg.get("trials_per_point", 10**6), "trials_per_point"))
     with _blame(f"{where}.seed"):
-        seed = json_int(json_required(cfg, "seed"), "seed")
+        seed = check_seed(json_int(json_required(cfg, "seed"), "seed"))
     with _blame(f"{where}.estimator"):
         estimator = check_estimator(cfg.get("estimator", "plain"))
 
@@ -242,6 +243,8 @@ def cmd_analyze(args) -> int:
 def cmd_oracle(args) -> int:
     if args.samples < 1:
         raise CliError(f"--samples must be a positive integer, got {args.samples}")
+    with _blame("--seed"):
+        check_seed(args.seed)
     checks = run_audits(samples=args.samples, seed=args.seed)
     width = max(len(c.name) for c in checks)
     failed = 0
@@ -300,6 +303,12 @@ def main(argv=None) -> int:
     except (CliError, CodebookError) as exc:
         # spec_from_json's CodebookError already names the entry at fault
         print(f"error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
+    except RecursionError:
+        # only the JSON parser, spec_from_json and to_finite recurse, once
+        # per level of nesting in the input file
+        source = getattr(args, "config", None) or getattr(args, "input", None)
+        print(f"error: {source}: nested too deeply", file=sys.stderr)
         return FAILURE_EXIT
 
 

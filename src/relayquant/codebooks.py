@@ -31,6 +31,7 @@ import numpy as np
 
 from .model import (
     MAGNITUDE_TOL,
+    ZERO_TOL,
     NetworkConfig,
     PowerLevel,
     canonical_rows,
@@ -39,9 +40,6 @@ from .model import (
 )
 
 UNITARY_TOL = 1e-10
-
-# Magnitudes and entrywise distances at most this large count as zero.
-ZERO_TOL = 1e-12
 
 
 class CodebookError(ValueError):
@@ -188,21 +186,6 @@ def to_finite(spec: FiniteSpec) -> FiniteCodebook:
     raise CodebookError(f"not a finite codebook spec: {type(spec).__name__}")
 
 
-def resolve_epsilon(spec, power: PowerLevel) -> float:
-    """Constraint level of a continuous family at a given power."""
-    if isinstance(spec, FullCsiSpec):
-        return 0.0
-    if isinstance(spec, ConstrainedSpec):
-        return spec.epsilon
-    if isinstance(spec, PowerDependentSpec):
-        logp = math.log(power.linear)
-        if logp < 1.0:
-            raise CodebookError(
-                f"power-dependent constraint needs P >= e, got P = {power.linear:g}")
-        return 1.0 / logp
-    raise CodebookError(f"not a constrained codebook spec: {type(spec).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Continuous-family inner maximizer
 # ---------------------------------------------------------------------------
@@ -320,16 +303,23 @@ class ConstrainedEvaluator:
 def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
     """Bind a codebook spec to a power level, yielding its evaluator.
 
-    Finite specs ignore the power level; the power-dependent family resolves
-    its constraint at P first.  This is the map "power level -> codebook",
-    and the evaluator's best_snr gives the codebook's best SNR at each row of
-    the (n, R) channel arrays f, g.
+    Finite specs ignore the power level; a continuous family binds to its
+    (epsilon, pinned relay), with epsilon = 1/log P (P >= e) for the
+    power-dependent one.  This is the map "power level -> codebook", and the
+    evaluator's best_snr gives the best SNR at each row of the (n, R) f, g.
     """
     if isinstance(spec, FiniteSpec):
         return FiniteEvaluator(to_finite(spec))
-    if isinstance(spec, ContinuousSpec):
-        return ConstrainedEvaluator(resolve_epsilon(spec, power),
-                                    getattr(spec, "pinned_relay", None))
+    if isinstance(spec, FullCsiSpec):
+        return ConstrainedEvaluator(0.0, None)
+    if isinstance(spec, ConstrainedSpec):
+        return ConstrainedEvaluator(spec.epsilon, spec.pinned_relay)
+    if isinstance(spec, PowerDependentSpec):
+        logp = math.log(power.linear)
+        if logp < 1.0:
+            raise CodebookError(
+                f"power-dependent constraint needs P >= e, got P = {power.linear:g}")
+        return ConstrainedEvaluator(1.0 / logp, spec.pinned_relay)
     raise CodebookError(f"unknown codebook spec: {type(spec).__name__}")
 
 
@@ -338,14 +328,15 @@ def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
 # ---------------------------------------------------------------------------
 
 
-def phase_classes(vectors: np.ndarray) -> np.ndarray:
-    """Distinct vectors up to a global phase, compared entrywise within ZERO_TOL."""
-    canon = canonical_rows(np.asarray(vectors, dtype=np.complex128))
-    kept: list[np.ndarray] = []
-    for row in canon:
-        if not any(np.abs(row - rep).max() <= ZERO_TOL for rep in kept):
-            kept.append(row)
-    return np.stack(kept) if kept else np.empty((0, canon.shape[1]), dtype=np.complex128)
+def phase_classes(vectors: np.ndarray) -> list[int]:
+    """Index of the first row of each class of rows equal up to a global
+    phase, compared entrywise within ZERO_TOL in canonical phase."""
+    canon = canonical_rows(vectors)
+    kept: list[int] = []
+    for i, row in enumerate(canon):
+        if not kept or np.abs(canon[kept] - row).max(axis=1).min() > ZERO_TOL:
+            kept.append(i)
+    return kept
 
 
 # ---------------------------------------------------------------------------

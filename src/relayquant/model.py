@@ -37,9 +37,9 @@ import numpy as np
 # Beamforming magnitudes may exceed 1 by at most this much (hand-entered data).
 MAGNITUDE_TOL = 1e-9
 
-# |peak| within this of 1 is treated as an exact unit peak when vectors are
-# rotated to canonical phase; keeps phase-rotated selection vectors bit-equal.
-UNIT_SNAP_TOL = 1e-12
+# Magnitudes, entrywise distances and deviations from 1 at most this large
+# count as zero.
+ZERO_TOL = 1e-12
 
 
 def _positive_tuple(name: str, values, expect_len: int) -> tuple[float, ...]:
@@ -253,7 +253,7 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
     Received SNR is invariant under a global phase on the beamforming vector,
     so evaluating the canonical representative is operationally equivalent and
     makes phase-rotated copies of a vector compare bit-identically.  A peak
-    within UNIT_SNAP_TOL of magnitude 1 is snapped to exactly 1.0.
+    within ZERO_TOL of magnitude 1 is snapped to exactly 1.0.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     out = vectors.copy()
@@ -264,5 +264,5 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
         if peak == 0.0:
             continue
         out[i] = row * (np.conj(row[pivot]) / peak)
-        out[i, pivot] = 1.0 if abs(peak - 1.0) <= UNIT_SNAP_TOL else peak
+        out[i, pivot] = 1.0 if abs(peak - 1.0) <= ZERO_TOL else peak
     return out

@@ -19,11 +19,11 @@ Two estimators are selectable per plan:
   behind outages, and weights its Q value by the likelihood ratio p/q.  The
   estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
   the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
-  to a few percent at 1e6 trials even where the SER is 1e-15.  On the fig2
-  network's five-point grid a trial costs roughly 2.3x (no multi-relay
-  codebook vector) to 4x (three of them) what a plain trial costs (one
-  thread, 2-core Xeon VM, 2026-10), since both share one draw across the
-  grid but only this one maps, re-forms and weights it at every power.
+  to a few percent at 1e6 trials even where the SER is 1e-15.  A trial
+  costs more than a plain one, and more so the more multi-relay vectors the
+  codebook has (CHANGES.md records the measurements): both share one draw
+  across the grid, but only this one maps, re-forms and weights it at every
+  power.
 
 Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
 from the counter stream (seed, 0, c), and evaluates it at every power of the
@@ -38,13 +38,13 @@ DefensiveMixture.prepare draws the chunk and picks each trial's component
 once for the whole grid; at each power, DefensiveMixture.states maps it to
 that power's states and their one SNR geometry, which the codebook's argmax
 reuses; and the likelihood ratio is evaluated only at the trials whose Q
-value is positive, since a trial with Q = 0 adds 0 whatever its weight.  Per-point partial sums are combined in
-chunk order, so the output of either estimator is bit-identical no matter
-how many worker threads run, and point i of a curve equals a one-point plan
-at that power.  The points of a curve share their draws (common random
-numbers), so their errors are positively correlated, which usually steadies
-slope fits; each point's std_err is still the standard error of that point
-alone.
+value is positive, since a trial with Q = 0 adds 0 whatever its weight.
+Per-point partial sums are combined in chunk order, so the output of either
+estimator is bit-identical no matter how many worker threads run, and point
+i of a curve equals a one-point plan at that power.  The points of a curve
+share their draws (common random numbers), so their errors are positively
+correlated, which usually steadies slope fits; each point's std_err is still
+the standard error of that point alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -140,7 +140,8 @@ class SimulationPlan:
 
     The codebook must resolve at every grid power (resolve_codebook), a
     finite codebook's vectors must have one entry per relay of the network,
-    and a pinned relay must be one of its relays.
+    a pinned relay must be one of its relays, and the seed must pass
+    rng.check_seed.
 
     grid_resolution is ignored: it sized the magnitude grid of an earlier,
     approximate continuous-family maximizer, and the field keeps its sixth
@@ -176,7 +177,7 @@ class SimulationPlan:
             raise ValueError(f"pinned_relay {evaluator.pinned_relay} is out of range 1..{relays}")
         object.__setattr__(self, "p_grid_db", grid)
         object.__setattr__(self, "trials_per_point", trials)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _rng.check_seed(self.seed))
         object.__setattr__(self, "evaluators", evaluators)
 
 

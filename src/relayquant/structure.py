@@ -5,14 +5,16 @@ sets that intersect the support of every vector.  The smallest hitting set
 caps the achievable diversity order, so computing the collection exactly
 turns high-power decay questions into finite combinatorics.  hitting_sets
 returns it as a plain tuple of relay tuples, tuple[tuple[int, ...], ...],
-whose first member is a smallest one.  It is computed in one vectorized pass over all 2^R - 1 non-empty subsets, each held as an
-int32 bitmask (relay r is bit r - 1): the subsets that AND nonzero with every
-support mask are kept, sorted by (cardinality, lexicographic order of the
-relay tuple) and turned into tuples by joining two precomputed half-tuples.
-The pass is exponential in R, so it is capped at R = 20.  The module also
-classifies codebooks as orthogonal multiple-relay selection (OMRS: pairwise
-magnitude-disjoint supports) or single-relay selection (SRS: the cardinality-R
-special case).
+whose first member is a smallest one.  It is computed in one vectorized pass
+over all 2^R - 1 non-empty subsets, each held as an int32 bitmask (relay r
+is bit r - 1): the subsets that AND nonzero with every support mask are
+kept, sorted by (cardinality, lexicographic order of the relay tuple) and
+turned into tuples by joining two precomputed half-tuples.  The pass is
+exponential in R, so it is capped at R = 20.  The module also classifies
+codebooks as orthogonal multiple-relay selection (OMRS: pairwise
+magnitude-disjoint supports) or single-relay selection (SRS: the
+cardinality-R special case), counting vectors equal up to a global phase
+as one.
 
 Entries, overlaps and peak deviations from 1 count as zero when they are at
 most ZERO_TOL; only is_admissible, which tests hand-entered unit peaks,
@@ -22,13 +24,13 @@ allows MAGNITUDE_TOL.  Relay indices in all inputs, outputs, and reports are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .codebooks import MAGNITUDE_TOL, ZERO_TOL, FiniteCodebook, phase_classes
-from .model import relay_columns
+from .codebooks import FiniteCodebook, phase_classes
+from .model import MAGNITUDE_TOL, ZERO_TOL, relay_columns
 
 MAX_ENUMERATION_RELAYS = 20
 
@@ -126,11 +128,6 @@ def diversity_cap(cb: FiniteCodebook):
     return len(witness), witness
 
 
-def cardinality_cap(cb: FiniteCodebook) -> int:
-    """min(relay_count, codebook size after phase-class deduplication)."""
-    return min(cb.relay_count, phase_classes(cb.vectors).shape[0])
-
-
 def _pairwise_overlaps(mags: np.ndarray) -> np.ndarray:
     """Overlaps sum_r m_ir m_jr of every row pair i < j of a magnitude matrix.
 
@@ -158,10 +155,10 @@ def is_omrs(cb: FiniteCodebook) -> bool:
     """Orthogonal multiple-relay selection: pairwise magnitude-disjoint supports.
 
     True iff the set of distinct vectors is a singleton or every distinct pair
-    satisfies sum_r |x_r||y_r| <= ZERO_TOL.  Exact duplicates collapse first (they
-    are the same vector, not a violating pair).
+    satisfies sum_r |x_r||y_r| <= ZERO_TOL.  Vectors equal up to a global phase
+    (phase_classes) collapse first: they are one beamformer, not a violating pair.
     """
-    distinct = np.unique(cb.vectors, axis=0)
+    distinct = cb.vectors[phase_classes(cb.vectors)]
     if distinct.shape[0] <= 1:
         return True
     return bool((_pairwise_overlaps(np.abs(distinct)) <= ZERO_TOL).all())
@@ -170,20 +167,18 @@ def is_omrs(cb: FiniteCodebook) -> bool:
 def is_srs(cb: FiniteCodebook) -> bool:
     """Single-relay selection: exactly R vectors, each a unit weight on its own relay.
 
-    Requires the codebook to present exactly R entries forming R distinct
-    phase classes; duplicated entries (even with different global phases)
-    disqualify, since the codebook then cannot select all R relays.
+    SRS is OMRS at cardinality R: exactly R entries forming R phase classes
+    (so duplicates, even up to phase, disqualify), is_omrs, and every peak
+    magnitude within ZERO_TOL of 1.  That implies the rest: R pairwise
+    disjoint unit peaks sit on R distinct relays, and any other entry shares
+    its relay with another vector's peak, so it is at most the pair's overlap
+    over that peak, ZERO_TOL / (1 - ZERO_TOL).
     """
     r_count = cb.relay_count
-    if len(cb) != r_count:
+    if len(cb) != r_count or len(phase_classes(cb.vectors)) != r_count:
         return False
-    if phase_classes(cb.vectors).shape[0] != r_count:
-        return False
-    if not is_omrs(cb):
-        return False
-    order = np.sort(np.abs(cb.vectors), axis=1)
-    peaks_unit = np.all(np.abs(order[:, -1] - 1.0) <= ZERO_TOL)
-    return bool(peaks_unit and (r_count == 1 or np.all(order[:, -2] <= ZERO_TOL)))
+    peaks = np.abs(cb.vectors).max(axis=1)
+    return bool(np.all(np.abs(peaks - 1.0) <= ZERO_TOL) and is_omrs(cb))
 
 
 def is_admissible(cb: FiniteCodebook) -> bool:
@@ -211,23 +206,14 @@ class StructuralReport:
     max_pairwise_overlap: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "relay_count": self.relay_count,
-            "codebook_size": self.codebook_size,
-            "diversity_cap": self.diversity_cap,
-            "min_witness_set": list(self.min_witness_set),
-            "cap_from_hitting_sets": self.cap_from_hitting_sets,
-            "cap_from_cardinality": self.cap_from_cardinality,
-            "index_sets": [list(s) for s in self.index_sets],
-            "min_max_weight": [
-                {"set": list(s), "value": v} for s, v in self.min_max_weight
-            ],
-            "is_omrs": self.is_omrs,
-            "is_srs": self.is_srs,
-            "is_admissible": self.is_admissible,
-            "max_pairwise_overlap": self.max_pairwise_overlap,
-        }
+        """The fields in order; tuples become lists, weights {"set", "value"}."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            min_witness_set=list(self.min_witness_set),
+            index_sets=[list(s) for s in self.index_sets],
+            min_max_weight=[{"set": list(s), "value": v} for s, v in self.min_max_weight],
+        )
+        return out
 
 
 def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
@@ -239,7 +225,7 @@ def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
     collection = _nonzero_hitting_sets(cb)
     witness = collection[0]
     cap = len(witness)
-    card = cardinality_cap(cb)
+    card = min(cb.relay_count, len(phase_classes(cb.vectors)))
     full_set = tuple(range(1, cb.relay_count + 1))
     weights = [(witness, min_max_weight(cb, witness))]
     if full_set != witness:

@@ -191,6 +191,14 @@ def test_oracle_rejects_nonpositive_samples(capsys, samples):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_oracle_rejects_out_of_range_seed(capsys, seed):
+    assert main(["oracle", "--samples", "100", "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed: seed must be an integer in [0, 2**128)")
+    assert "Traceback" not in err
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "relayquant.cli", "oracle", "--samples", "1000"],
@@ -245,6 +253,8 @@ def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):
     ("codebooks[1]", dict(TINY_CONFIG, codebooks=[TINY_CONFIG["codebooks"][0], {
         "label": "c", "type": "constrained", "epsilon": 0.25, "epsilonn": 0.5,
         "pinned_relay": 1}])),
+    ("seed", dict(TINY_CONFIG, seed=-1)),
+    ("seed", dict(TINY_CONFIG, seed=2**128)),
 ])
 def test_simulate_bad_field_names_it_without_traceback(tmp_path, capsys, field, bad):
     cfg = _write(tmp_path, "bad.json", bad)
@@ -374,6 +384,33 @@ def test_simulate_accepts_integral_floats(tmp_path, capsys):
 
 
 _SRS2 = {"type": "srs", "theta": [0.0, 0.0]}
+
+
+def _deep_unitary(depth: int) -> str:
+    """A spec nested `depth` unitary levels deep, as JSON text."""
+    level = '{"type": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "base": '
+    return level * depth + json.dumps(_SRS2) + "}" * depth
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff{}", "can't decode byte 0xff"),
+    (b"[" * 200_000, "nested too deeply"),
+    (_deep_unitary(700).encode(), "nested too deeply"),
+], ids=["not-utf8", "deep-json", "deep-spec"])
+def test_undecodable_or_deeply_nested_file_names_it(tmp_path, capsys, command, content,
+                                                     message):
+    path = tmp_path / "bad.json"
+    if command == "simulate" and content.startswith(b"{"):
+        # the deep spec as the config's only codebook entry; json parses it
+        config = json.dumps(dict(TINY_CONFIG, codebooks="SPEC")).encode()
+        content = config.replace(b'"SPEC"', b"[" + content + b"]")
+    path.write_bytes(content)
+    args = ["simulate", "-c", str(path), "-o", str(tmp_path / "out")]
+    assert main(args if command == "simulate" else ["analyze", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])

@@ -20,7 +20,7 @@ from relayquant import (
     spec_to_json,
 )
 from relayquant.cli import main
-from relayquant.codebooks import constrained_best_snr, resolve_epsilon, to_finite
+from relayquant.codebooks import constrained_best_snr, to_finite
 from relayquant.model import relay_gains, snr_per_vector
 from relayquant.structure import is_omrs, is_srs
 from tests.conftest import U1, U2, snr_reference
@@ -182,10 +182,10 @@ def test_resolve_codebook_srs_power_independent():
 
 def test_resolve_power_dependent_epsilon():
     spec = PowerDependentSpec(1)
-    assert resolve_epsilon(spec, PowerLevel(np.e ** 2)) == pytest.approx(0.5, rel=1e-12)
-    assert resolve_epsilon(spec, PowerLevel(np.e)) == pytest.approx(1.0, rel=1e-12)
+    assert resolve_codebook(spec, PowerLevel(np.e ** 2)).epsilon == pytest.approx(0.5, rel=1e-12)
+    assert resolve_codebook(spec, PowerLevel(np.e)).epsilon == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(CodebookError, match="P >= e"):
-        resolve_epsilon(spec, PowerLevel(2.0))
+        resolve_codebook(spec, PowerLevel(2.0))
 
 
 def test_finite_evaluator_matches_brute_force(cb_c3, asym_network):

@@ -58,6 +58,15 @@ def test_sample_channel_deterministic_for_same_counter():
     assert not np.array_equal(a[0], c[0])
 
 
+def test_stream_rejects_seed_outside_key_range():
+    # 2**128 and -1 would otherwise alias seeds 0 and 2**128 - 1
+    top = stream(2**128 - 1, 0, 0).random()
+    assert top != stream(0, 0, 0).random()
+    for seed in (2**128, -1):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            stream(seed, 0, 0)
+
+
 def test_sample_channels_matches_componentwise_assembly():
     # the complex view of the interleaved normals must reproduce, bit for
     # bit, gains assembled as re + 1j * im from the same stream

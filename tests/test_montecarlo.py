@@ -218,6 +218,9 @@ def test_plan_validation():
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0, 10.0), 100, 1)
     with pytest.raises(ValueError, match="trials_per_point"):
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), 0, 1)
+    for seed in (-1, 2**128, 1.5):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), 100, seed)
 
 
 def test_plan_rejects_codebook_for_other_relay_count():

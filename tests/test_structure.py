@@ -136,6 +136,9 @@ def test_omrs_membership(cb_c3, cb_c5):
     assert not is_omrs(cb_c3)
     single = FiniteCodebook(np.array([[0.5, 0.5]], dtype=complex))
     assert is_omrs(single)
+    # vectors equal up to a global phase, exactly or within ZERO_TOL, are one beamformer
+    for dup in (1.0, 1j, 1 + 1e-15):
+        assert is_omrs(FiniteCodebook(np.array([[1, 0], [dup, 0], [0, 1]], dtype=complex)))
 
 
 def test_srs_membership(cb_c5):

@@ -17,7 +17,6 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .codebooks import (CodebookError, json_fields, json_floats, json_int, json_required,
                         spec_from_json, to_finite)
@@ -78,22 +77,17 @@ def _load_json(path: Path, what: str) -> dict:
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def _bundled_config(name: str) -> Optional[Path]:
-    base = importlib.resources.files("relayquant") / "configs"
-    for candidate in (name, f"{name}.json"):
-        target = base / candidate
-        if target.is_file():
-            return Path(str(target))
-    return None
-
-
 def _config_path(arg: str) -> Path:
+    """arg as a file path, else as the name of a bundled config, with or
+    without its .json suffix."""
     path = Path(arg)
     if path.is_file():
         return path
-    bundled = _bundled_config(arg)
-    if bundled is not None:
-        return bundled
+    base = importlib.resources.files("relayquant") / "configs"
+    for candidate in (arg, f"{arg}.json"):
+        target = base / candidate
+        if target.is_file():
+            return Path(str(target))
     raise CliError(f"config {arg!r} is neither a file nor a bundled config name")
 
 

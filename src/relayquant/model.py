@@ -188,15 +188,13 @@ def geometry_at_power(products, config: NetworkConfig, power, out=None):
     return out
 
 
-def snr_geometry(f, g, config: NetworkConfig, power, out=None):
+def snr_geometry(f, g, config: NetworkConfig, power):
     """Relay-major SNR geometry (rho, a, b) of channel states f, g of shape (n, R).
 
     channel_products followed by geometry_at_power: three contiguous (R, n)
-    arrays, the relay gains rho and the terms a, b of snr_terms.  `out`,
-    when given, is the pair of array triples the two steps write into.
+    arrays, the relay gains rho and the terms a, b of snr_terms.
     """
-    products, geometry = (None, None) if out is None else out
-    return geometry_at_power(channel_products(f, g, products), config, power, geometry)
+    return geometry_at_power(channel_products(f, g), config, power)
 
 
 def beamformed_sums(x, a, b):

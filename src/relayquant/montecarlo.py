@@ -25,26 +25,26 @@ Two estimators are selectable per plan:
   across the grid, but only this one maps, re-forms and weights it at every
   power.
 
-Trials are split into fixed-size chunks.  Chunk c draws its randomness once,
-from the counter stream (seed, 0, c), and evaluates it at every power of the
-grid: the true channel law does not depend on P, and neither do the raw
-draws of the importance proposal.  Each worker thread writes a chunk's
-states, channel products and SNR geometry into ChunkBuffers it allocates
-once per plan, so the arrays that live across a (chunk, power) take no
-fresh pages from the allocator.  Under "plain" the channel products are
-formed once per chunk, and the geometry and the argmax once per power.
-Under "importance" each piece of a chunk's work is done once:
-DefensiveMixture.prepare draws the chunk and picks each trial's component
-once for the whole grid; at each power, DefensiveMixture.states maps it to
-that power's states and their one SNR geometry, which the codebook's argmax
-reuses; and the likelihood ratio is evaluated only at the trials whose Q
+Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser
+picks the estimator's per-chunk code path once per plan.  Chunk c draws its
+randomness once, from the counter stream (seed, 0, c), and evaluates it at
+every power of the grid: the true channel law does not depend on P, and
+neither do the raw draws of the importance proposal.  Under "plain" the
+draw is the channels, whose power-independent products are formed once per
+chunk; under "importance" it is DefensiveMixture.prepare's, which
+DefensiveMixture.states maps to each power's channel states.  Either way
+each power forms one SNR geometry, which the codebook's argmax reuses;
+"importance" then evaluates the likelihood ratio only at the trials whose Q
 value is positive, since a trial with Q = 0 adds 0 whatever its weight.
-Per-point partial sums are combined in chunk order, so the output of either
-estimator is bit-identical no matter how many worker threads run, and point
-i of a curve equals a one-point plan at that power.  The points of a curve
-share their draws (common random numbers), so their errors are positively
-correlated, which usually steadies slope fits; each point's std_err is still
-the standard error of that point alone.
+Each worker thread writes a chunk's arrays into ChunkBuffers it allocates
+once per plan, so the arrays that live across a (chunk, power) take no
+fresh pages from the allocator.  Per-point partial sums are combined in
+chunk order, so the output of either estimator is bit-identical no matter
+how many worker threads run, and point i of a curve equals a one-point plan
+at that power.  The points of a curve share their draws (common random
+numbers), so their errors are positively correlated, which usually steadies
+slope fits; each point's std_err is still the standard error of that point
+alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -67,7 +67,7 @@ from scipy import special
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
 from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
-                    geometry_at_power, sample_channels, snr_geometry, snr_terms)
+                    geometry_at_power, sample_channels, snr_terms)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -402,10 +402,8 @@ class DefensiveMixture:
         np.copyto(h, draw.h)
         h.ravel()[draw.fade_at] *= self.fade_scale
         f, g = h[:r_count], h[r_count:]
-        rho, a, b = snr_geometry(f.T, g.T, self.config, self.power,
-                                 (buffers.products(n), buffers.geometry(n)))
-        if not draw.trials.size:
-            return h, (rho, a, b)
+        products = channel_products(f.T, g.T, buffers.products(n))
+        rho, a, b = geometry_at_power(products, self.config, self.power, buffers.geometry(n))
         trials, k = draw.trials, draw.k
         star, support = self.relay[k], self.support[:, k]
         row = r_count + star
@@ -435,15 +433,14 @@ class DefensiveMixture:
         terms = np.empty((len(self.log_alpha), trials.size))
         terms[0] = self.log_alpha[0]
         terms[1] = self.log_alpha[1] + log_fade
-        if self.relay.size:
-            rho, a, b = (x.take(trials, axis=1) for x in geometry)
-            mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a[self.support],
-                                        b[self.support], states[self.relay], rho[self.relay])
-            row = r_count + self.relay
-            dev = states[row] - mu
-            terms[2:] = (self.log_alpha[2:, None] + log_fade - log_gain[row]
-                         + np.log(self.variance[row] / s2)
-                         - (dev.real ** 2 + dev.imag ** 2) / s2 + z2[row])
+        rho, a, b = (x.take(trials, axis=1) for x in geometry)
+        mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a[self.support],
+                                    b[self.support], states[self.relay], rho[self.relay])
+        row = r_count + self.relay
+        dev = states[row] - mu
+        terms[2:] = (self.log_alpha[2:, None] + log_fade - log_gain[row]
+                     + np.log(self.variance[row] / s2)
+                     - (dev.real ** 2 + dev.imag ** 2) / s2 + z2[row])
         top = terms.max(axis=0)
         terms -= top
         np.maximum(terms, _EXP_FLOOR, out=terms)
@@ -461,11 +458,6 @@ class DefensiveMixture:
         return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size))
 
 
-def _chunk_sizes(trials: int):
-    return [(c, min(CHUNK_TRIALS, trials - c * CHUNK_TRIALS))
-            for c in range((trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS)]
-
-
 def estimate_ser(plan: SimulationPlan) -> SerCurve:
     """Monte Carlo SER at every grid point of the plan.
 
@@ -477,45 +469,47 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     and weights its Q values by the likelihood ratio.
     """
     config = plan.network
-    powers = [PowerLevel.from_db(p_db) for p_db in plan.p_grid_db]
-    proposals = None
-    if plan.estimator == "importance":
-        proposals = [DefensiveMixture(config, power, ev.canonical
-                                      if isinstance(ev, FiniteEvaluator) else None)
-                     for power, ev in zip(powers, plan.evaluators)]
-
     r_count = config.relay_count
-    chunks = _chunk_sizes(plan.trials_per_point)
-    local = threading.local()
+    levels = [(PowerLevel.from_db(p_db), ev)
+              for p_db, ev in zip(plan.p_grid_db, plan.evaluators)]
 
-    def run_chunk(chunk_size):
-        chunk, size = chunk_size
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            # sized for the first chunk, the largest
-            buffers = local.buffers = ChunkBuffers(r_count, chunks[0][1])
-        gen = _rng.stream(plan.seed, 0, chunk)
-        if proposals is None:
+    # chunk_q(gen, size, buffers) yields a chunk's Q values at each grid power
+    if plan.estimator == "plain":
+        def chunk_q(gen, size, buffers):
             f, g = sample_channels(config, gen, size, buffers.draw(size))
             products = channel_products(f, g, buffers.products(size))
-        else:
-            draw = proposals[0].prepare(gen, size, buffers)
-        sums = []
-        for i, (power, ev) in enumerate(zip(powers, plan.evaluators)):
-            if proposals is None:
+            for power, ev in levels:
                 geometry = geometry_at_power(products, config, power, buffers.geometry(size))
-                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,
-                                                            geometry=geometry)))
-            else:
-                h, geometry = proposals[i].states(draw, buffers)
+                yield gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,
+                                                              geometry=geometry)))
+    else:
+        proposals = [DefensiveMixture(config, power, ev.canonical
+                                      if isinstance(ev, FiniteEvaluator) else None)
+                     for power, ev in levels]
+
+        def chunk_q(gen, size, buffers):
+            draw = proposals[0].prepare(gen, size, buffers)
+            for proposal, (power, ev) in zip(proposals, levels):
+                h, geometry = proposal.states(draw, buffers)
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
                     h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
                 # a trial with Q = 0 adds 0 whatever its weight
                 hit = np.flatnonzero(q)
-                q[hit] *= proposals[i].weights(h, geometry, hit)
-            sums.append((float(q.sum()), float(np.square(q).sum())))
-        return sums
+                q[hit] *= proposal.weights(h, geometry, hit)
+                yield q
 
+    n = plan.trials_per_point
+    local = threading.local()
+
+    def run_chunk(chunk):
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n))
+        size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
+        return [(float(q.sum()), float(np.square(q).sum()))
+                for q in chunk_q(_rng.stream(plan.seed, 0, chunk), size, buffers)]
+
+    chunks = range(-(-n // CHUNK_TRIALS))
     workers = worker_count()
     if workers == 1 or len(chunks) == 1:
         partials = [run_chunk(c) for c in chunks]
@@ -523,23 +517,13 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(run_chunk, chunks))
 
-    n = plan.trials_per_point
-    ser_out, err_out = [], []
-    for point_sums in zip(*partials):
-        total = 0.0
-        total_sq = 0.0
-        for s1, s2 in point_sums:
-            total += s1
-            total_sq += s2
-        mean = total / n
-        if n > 1:
-            var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-            std_err = math.sqrt(var / n)
-        else:
-            std_err = 0.0
-        ser_out.append(mean)
-        err_out.append(std_err)
-    return SerCurve(plan.p_grid_db, tuple(ser_out), tuple(err_out), (n,) * len(powers))
+    ser, std_err = [], []
+    for point in zip(*partials):
+        mean = sum(s1 for s1, _ in point) / n
+        var = max(0.0, (sum(s2 for _, s2 in point) - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        ser.append(mean)
+        std_err.append(math.sqrt(var / n))
+    return SerCurve(plan.p_grid_db, tuple(ser), tuple(std_err), (n,) * len(levels))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,18 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
+def _check_word(name: str, value, bits: int) -> int:
+    """value as an int, if it is an integer in [0, 2^bits) (bools excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 1 << bits):
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
+
+
 def check_seed(seed) -> int:
     """seed as an int, if it is an integer in [0, 2^128), the Philox key range;
     a seed outside it would alias one inside."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed < 1 << 128):
-        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return int(seed)
+    return _check_word("seed", seed, 128)
 
 
 def stream(seed: int, lane: int, block: int) -> np.random.Generator:
@@ -31,9 +36,11 @@ def stream(seed: int, lane: int, block: int) -> np.random.Generator:
     Two calls with identical arguments yield identical generators; distinct
     addresses give statistically independent streams with disjoint counter
     ranges (each block owns 2^64 Philox states).  The seed must pass
-    check_seed.
+    check_seed, and lane and block must be integers in [0, 2^64), the range
+    of their counter words; a value outside it would alias one inside.
     """
     seed = check_seed(seed)
-    key = np.array([seed & _MASK64, (seed >> 64) & _MASK64], dtype=np.uint64)
-    counter = np.array([0, block & _MASK64, lane & _MASK64, 0], dtype=np.uint64)
+    key = np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
+    counter = np.array([0, _check_word("block", block, 64), _check_word("lane", lane, 64), 0],
+                       dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))

@@ -140,28 +140,36 @@ def _pairwise_overlaps(mags: np.ndarray) -> np.ndarray:
     return gram[np.triu_indices(mags.shape[0], 1)]
 
 
-def max_pairwise_overlap(cb: FiniteCodebook) -> float:
-    """Largest magnitude overlap sum over distinct entry pairs.
+def _distinct_overlaps(cb: FiniteCodebook) -> np.ndarray:
+    """Overlaps of every pair of distinct vectors: one row per phase class.
 
-    overlap(x, y) = sum_r |x_r| |y_r|; zero for every pair means the codebook
-    selects disjoint relay subsets.  Duplicated entries count as a pair.
+    Vectors equal up to a global phase (phase_classes) are one beamformer,
+    not a pair.
     """
-    if len(cb) < 2:
-        raise ValueError("overlap needs at least two codebook entries")
-    return float(_pairwise_overlaps(np.abs(cb.vectors)).max())
+    return _pairwise_overlaps(np.abs(cb.vectors[phase_classes(cb.vectors)]))
+
+
+def max_pairwise_overlap(cb: FiniteCodebook) -> float:
+    """Largest magnitude overlap over pairs of distinct vectors.
+
+    overlap(x, y) = sum_r |x_r| |y_r|, taken over one vector per phase class
+    as is_omrs counts them; zero for every pair means the codebook selects
+    disjoint relay subsets.  Raises if there are fewer than two distinct
+    vectors.
+    """
+    overlaps = _distinct_overlaps(cb)
+    if not overlaps.size:
+        raise ValueError("overlap needs at least two distinct codebook vectors")
+    return float(overlaps.max())
 
 
 def is_omrs(cb: FiniteCodebook) -> bool:
     """Orthogonal multiple-relay selection: pairwise magnitude-disjoint supports.
 
-    True iff the set of distinct vectors is a singleton or every distinct pair
-    satisfies sum_r |x_r||y_r| <= ZERO_TOL.  Vectors equal up to a global phase
-    (phase_classes) collapse first: they are one beamformer, not a violating pair.
+    True iff every overlap between distinct vectors (see max_pairwise_overlap)
+    is at most ZERO_TOL; a single distinct vector is OMRS.
     """
-    distinct = cb.vectors[phase_classes(cb.vectors)]
-    if distinct.shape[0] <= 1:
-        return True
-    return bool((_pairwise_overlaps(np.abs(distinct)) <= ZERO_TOL).all())
+    return bool((_distinct_overlaps(cb) <= ZERO_TOL).all())
 
 
 def is_srs(cb: FiniteCodebook) -> bool:
@@ -206,13 +214,10 @@ class StructuralReport:
     max_pairwise_overlap: Optional[float]
 
     def to_json(self) -> dict:
-        """The fields in order; tuples become lists, weights {"set", "value"}."""
+        """The fields in order, each weight as {"set", "value"}; relay sets
+        stay tuples, which json.dumps writes as arrays."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            min_witness_set=list(self.min_witness_set),
-            index_sets=[list(s) for s in self.index_sets],
-            min_max_weight=[{"set": list(s), "value": v} for s, v in self.min_max_weight],
-        )
+        out["min_max_weight"] = [{"set": s, "value": v} for s, v in self.min_max_weight]
         return out
 
 
@@ -225,12 +230,13 @@ def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
     collection = _nonzero_hitting_sets(cb)
     witness = collection[0]
     cap = len(witness)
-    card = min(cb.relay_count, len(phase_classes(cb.vectors)))
+    classes = phase_classes(cb.vectors)
+    card = min(cb.relay_count, len(classes))
     full_set = tuple(range(1, cb.relay_count + 1))
     weights = [(witness, min_max_weight(cb, witness))]
     if full_set != witness:
         weights.append((full_set, min_max_weight(cb, full_set)))
-    overlap = max_pairwise_overlap(cb) if len(cb) >= 2 else None
+    overlap = max_pairwise_overlap(cb) if len(classes) >= 2 else None
     return StructuralReport(
         label=cb.label,
         relay_count=cb.relay_count,

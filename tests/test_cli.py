@@ -465,3 +465,17 @@ def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry
     assert captured.err.count(where) == 1 and message in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists() and "wrote" not in captured.out
+
+
+@pytest.mark.parametrize("vectors, is_omrs, overlap", [
+    ([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], True, 0.0),
+    ([[[1, 0], [0, 0]], [[0, 1], [0, 0]]], True, None),
+], ids=["e1,je1,e2", "e1,je1"])
+def test_analyze_overlap_counts_phase_equivalent_vectors_once(tmp_path, capsys, vectors,
+                                                              is_omrs, overlap):
+    # e1 and j e1 are one beamformer: is_omrs and the overlap judge the
+    # same distinct vectors, and one distinct vector has no pair to overlap
+    path = _write(tmp_path, "cb.json", {"vectors": vectors})
+    assert main(["analyze", "-i", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["is_omrs"] is is_omrs and report["max_pairwise_overlap"] == overlap

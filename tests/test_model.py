@@ -67,6 +67,16 @@ def test_stream_rejects_seed_outside_key_range():
             stream(seed, 0, 0)
 
 
+@pytest.mark.parametrize("value", [-1, 2**64, True])
+def test_stream_rejects_lane_and_block_outside_counter_range(value):
+    # -1 and 2**64 would otherwise alias 2**64 - 1 and 0; True is not an index
+    stream(5, 2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError, match=r"lane must be an integer in \[0, 2\*\*64\)"):
+        stream(5, value, 0)
+    with pytest.raises(ValueError, match=r"block must be an integer in \[0, 2\*\*64\)"):
+        stream(5, 0, value)
+
+
 def test_sample_channels_matches_componentwise_assembly():
     # the complex view of the interleaved normals must reproduce, bit for
     # bit, gains assembled as re + 1j * im from the same stream

@@ -165,11 +165,11 @@ def test_relay_gains_once_per_chunk_and_power(monkeypatch):
 
 
 def test_proposal_geometry_is_geometry_of_its_states(monkeypatch):
-    # transform builds one geometry of the faded states and recomputes a, b
+    # states builds one geometry of the faded states and recomputes a, b
     # in place where it redraws g; that must be, bit for bit, the geometry
     # of the states it returns
     from relayquant import montecarlo
-    from relayquant.model import snr_geometry
+    from relayquant.model import geometry_at_power, snr_geometry
 
     net = _fig2_network()
     power = PowerLevel.from_db(40.0)
@@ -178,10 +178,10 @@ def test_proposal_geometry_is_geometry_of_its_states(monkeypatch):
     built = []
 
     def recording(*args):
-        built.append(snr_geometry(*args))
+        built.append(geometry_at_power(*args))
         return built[-1]
 
-    monkeypatch.setattr(montecarlo, "snr_geometry", recording)
+    monkeypatch.setattr(montecarlo, "geometry_at_power", recording)
     f, g, _ = proposal.sample(rng.stream(7, 0, 0), CHUNK_TRIALS)
     assert len(built) == 1
     for kept, fresh in zip(built[0], snr_geometry(f, g, net, power)):
@@ -327,16 +327,20 @@ def test_importance_agrees_with_plain():
 
 
 def test_importance_weights_are_bounded_likelihood_ratios():
-    # E_q[p/q] = 1 exactly, and the defensive share bounds every weight
+    # E_q[p/q] = 1 exactly, and the defensive share bounds every weight; SRS
+    # and the continuous families have no cancellation component
     net = _fig2_network()
     cb = FiniteCodebook(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=complex))
-    for p_db in (10.0, 40.0):
-        power = PowerLevel.from_db(p_db)
-        proposal = DefensiveMixture(net, power, resolve_codebook(cb, power).canonical)
-        assert proposal.relay.size == 3
-        _, _, w = proposal.sample(rng.stream(5, 0, 0), 200_000)
-        assert np.all(w >= 0.0) and w.max() <= 1.0 / ALPHA_PLAIN
-        assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(w.size)
+    for spec, components in ((cb, 3), (SrsSpec((0.0, 0.0, 0.0)), 0),
+                             (ConstrainedSpec(0.25, 1), 0)):
+        for p_db in (10.0, 40.0):
+            power = PowerLevel.from_db(p_db)
+            vectors = getattr(resolve_codebook(spec, power), "canonical", None)
+            proposal = DefensiveMixture(net, power, vectors)
+            assert proposal.relay.size == components
+            _, _, w = proposal.sample(rng.stream(5, 0, 0), 200_000)
+            assert np.all(w >= 0.0) and w.max() <= 1.0 / ALPHA_PLAIN
+            assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(w.size)
 
 
 def _importance_config(tmp_path):

@@ -179,8 +179,10 @@ def test_overlap_statistic(cb_c3, cb_c5, cb_o1):
     assert max_pairwise_overlap(cb_c5) == 0.0
     assert max_pairwise_overlap(cb_o1) == 0.0
     assert max_pairwise_overlap(cb_c3) == pytest.approx(1.0)
+    # twins are one vector, so like a singleton they have no pair to overlap
     twins = FiniteCodebook(np.array([[1, 0], [1, 0]], dtype=complex))
-    assert max_pairwise_overlap(twins) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        max_pairwise_overlap(twins)
     with pytest.raises(ValueError):
         max_pairwise_overlap(FiniteCodebook(np.array([[1, 0]], dtype=complex)))
 
@@ -213,13 +215,13 @@ def test_analyze_report_fields(cb_c2):
     report = analyze_codebook(cb_c2)
     data = report.to_json()
     assert data["diversity_cap"] == 1
-    assert data["min_witness_set"] == [3]
+    assert data["min_witness_set"] == (3,)
     assert data["cap_from_cardinality"] == 2
     assert data["is_omrs"] is False
     assert data["is_srs"] is False
     assert data["is_admissible"] is True
     assert data["max_pairwise_overlap"] == pytest.approx(1.0)
-    assert [3] in data["index_sets"]
+    assert (3,) in data["index_sets"]
     weights = {tuple(e["set"]): e["value"] for e in data["min_max_weight"]}
     assert weights[(1, 2, 3)] == pytest.approx(1.0)
 
@@ -259,10 +261,11 @@ def test_vectorized_structure_checks_match_pairwise_loops():
         k, r = int(gen.integers(2, 9)), int(gen.integers(1, 18))
         mags = gen.uniform(0.05, 1.0, (k, r)) * (gen.random((k, r)) < 0.4)
         cb = FiniteCodebook(mags * np.exp(2j * np.pi * gen.random((k, r))))
-        m = np.abs(cb.vectors)
-        pairs = [float(np.dot(m[i], m[j])) for i in range(k) for j in range(i + 1, k)]
-        assert max_pairwise_overlap(cb) == pytest.approx(max(pairs), rel=1e-14, abs=0.0)
         d = np.abs(np.unique(cb.vectors, axis=0))
-        disjoint = all(float(np.dot(d[i], d[j])) <= 1e-12
-                       for i in range(len(d)) for j in range(i + 1, len(d)))
-        assert is_omrs(cb) == disjoint
+        pairs = [float(np.dot(d[i], d[j])) for i in range(len(d)) for j in range(i + 1, len(d))]
+        if pairs:
+            assert max_pairwise_overlap(cb) == pytest.approx(max(pairs), rel=1e-14, abs=0.0)
+        else:
+            with pytest.raises(ValueError):
+                max_pairwise_overlap(cb)
+        assert is_omrs(cb) == all(x <= 1e-12 for x in pairs)

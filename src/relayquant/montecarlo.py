@@ -37,14 +37,19 @@ each power forms one SNR geometry, which the codebook's argmax reuses;
 "importance" then evaluates the likelihood ratio only at the trials whose Q
 value is positive, since a trial with Q = 0 adds 0 whatever its weight.
 Each worker thread writes a chunk's arrays into ChunkBuffers it allocates
-once per plan, so the arrays that live across a (chunk, power) take no
-fresh pages from the allocator.  Per-point partial sums are combined in
-chunk order, so the output of either estimator is bit-identical no matter
-how many worker threads run, and point i of a curve equals a one-point plan
-at that power.  The points of a curve share their draws (common random
-numbers), so their errors are positively correlated, which usually steadies
-slope fits; each point's std_err is still the standard error of that point
-alone.
+once per plan, so no (2R, n)-sized array of a (chunk, power) takes fresh
+pages from the allocator: under "plain" the channels, their products and
+each power's geometry; under "importance" also the prepared draw, each
+power's states, and what the likelihood ratio gathers at the weighed trials
+and computes from them.  Per-point partial sums are combined in chunk
+order, one rounding per addition, so the output of either estimator is
+bit-identical no matter how many worker threads run, and point i of a curve
+equals a one-point plan at that power.  The bits are fixed for a given
+Python version and numpy build; another numpy may round its elementwise
+functions differently.  The points of a curve share their draws (common
+random numbers), so their errors are positively correlated, which usually
+steadies slope fits; each point's std_err is still the standard error of
+that point alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -93,6 +98,18 @@ _EXP_FLOOR = -700.0
 def gaussian_tail(x):
     """Q(x) = P[N(0,1) > x], evaluated as erfc(x / sqrt(2)) / 2."""
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+def _fold_sum(values) -> float:
+    """Left-to-right float sum, one rounding per addition.
+
+    Builtin sum is compensated (Neumaier) from Python 3.12 on, so a curve
+    reduced with it would change its last bits with the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def worker_count() -> int:
@@ -231,6 +248,20 @@ class SerCurve:
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 
+def _views(stores, n):
+    """The leading n trials of each (rows, flat store) pair, shaped (*rows, n).
+
+    A leading slice of a flat store is contiguous, so the views are too.
+    """
+    return tuple(flat[:math.prod(rows) * n].reshape(*rows, n) for rows, flat in stores)
+
+
+def _stores(capacity, *slots):
+    """One flat store of `capacity` trials per (rows, dtype) slot, as _views reads them."""
+    return tuple((rows, np.empty(math.prod(rows) * capacity, dtype=dtype))
+                 for rows, dtype in slots)
+
+
 class ChunkBuffers:
     """Arrays that one worker thread reuses for every chunk of a plan.
 
@@ -239,14 +270,32 @@ class ChunkBuffers:
     states: f and g as sample_channels draws them (`draw`), or the
     relay-major states of DefensiveMixture.states (`states`).  The others
     hold channel_products' and geometry_at_power's outputs.
+
+    An importance plan passes `components`, the (slots, K) shape of its
+    mixture's support table, and gets the stores the mixture writes into:
+    the prepared draw (`prepared`), and what DefensiveMixture.weights
+    gathers at the weighed trials and computes from them (`hit_states`,
+    `hit_index`, `hit_cancel`, `hit_terms`).  A plain plan passes none
+    and allocates none of them.  Either way a chunk takes no fresh pages
+    for its (R, n)-sized arrays.
     """
 
-    def __init__(self, relays: int, capacity: int):
+    def __init__(self, relays: int, capacity: int,
+                 components: Optional[tuple[int, int]] = None):
         self.relays = relays
         size = relays * capacity
         self._states = np.empty(2 * size, dtype=np.complex128)
         self._products = (np.empty(size, dtype=np.complex128), np.empty(size), np.empty(size))
         self._geometry = (np.empty(size), np.empty(size, dtype=np.complex128), np.empty(size))
+        if components is not None:
+            slots, k = components
+            r2 = (2 * relays,)
+            self._prepared = np.empty_like(self._states)
+            self._hit_states = _stores(capacity, (r2, complex), (r2, float), (r2, float))
+            self._hit_index = _stores(capacity, ((k,), np.intp), ((slots, k), np.intp))
+            self._hit_cancel = _stores(capacity, ((slots, k), complex), ((slots, k), float),
+                                       ((k,), complex), ((k,), float), ((k,), float))
+            self._hit_terms = _stores(capacity, ((k + 2,), float), ((), float))
 
     def draw(self, n):
         """(2, n, R) complex: sample_channels' f and g."""
@@ -262,21 +311,54 @@ class ChunkBuffers:
     def geometry(self, n):
         return tuple(x[:self.relays * n].reshape(self.relays, n) for x in self._geometry)
 
+    def prepared(self, n):
+        """(2R, n) complex: a prepared draw's relay-major true-law states."""
+        return self._prepared[:2 * self.relays * n].reshape(2 * self.relays, n)
+
+    def faded(self, m):
+        """(m,) complex scratch, m <= 2R n, for the gains DefensiveMixture.states
+        fades.  It shares the store of `hit_states`' states, which weights
+        fills only after states has returned."""
+        _, states = self._hit_states[0]
+        return states[:m]
+
+    def hit_states(self, n):
+        """(2R, n) states, |z|^2 / variance and log(q_fade / p) per gain."""
+        return _views(self._hit_states, n)
+
+    def hit_index(self, n):
+        """Flat indices of n trials into a relay-major array of R rows: (K, n)
+        at each component's r*, (slots, K, n) at its support relays."""
+        return _views(self._hit_index, n)
+
+    def hit_cancel(self, n):
+        """a and b at the components' support relays, (slots, K, n), then
+        three (K, n) arrays at each component's r*: complex, float, float."""
+        return _views(self._hit_cancel, n)
+
+    def hit_terms(self, n):
+        """(K + 2, n) log mixture terms and one (n,) row."""
+        return _views(self._hit_terms, n)
+
 
 @dataclass(frozen=True)
 class PreparedDraw:
     """DefensiveMixture.prepare's output: what every power of a chunk shares.
 
-    h: (2R, n) relay-major true-law states, f above g; fade_at: the flat
-    indices into h of the gains that fade by 1/P; trials: the trials drawn
-    from a cancellation component, ascending, k: that component, and
-    star_fades: whether g at its r* fades.
+    h: (2R, n) relay-major true-law states, f above g, a view of the
+    ChunkBuffers' `prepared` store; fade_at: the flat indices into h of the
+    gains that fade by 1/P.  Of the trials drawn from a cancellation
+    component, in ascending order: k, that component; star_at and
+    support_at, the flat indices of the trial at its r* and at its support
+    relays (support[:, k]) into a relay-major (R, n) array; star_fades,
+    whether g at its r* fades.
     """
 
     h: np.ndarray
     fade_at: np.ndarray
-    trials: np.ndarray
     k: np.ndarray
+    star_at: np.ndarray
+    support_at: np.ndarray
     star_fades: np.ndarray
 
 
@@ -315,7 +397,9 @@ class DefensiveMixture:
       trials asked for; the weight never exceeds 1 / ALPHA_PLAIN, so the
       estimator is never much worse than plain sampling.
 
-    `sample` runs all three on every trial.
+    The three steps write their (2R, n)-sized arrays into the caller's
+    ChunkBuffers, built with `support.shape` as its components.  `sample`
+    runs all three on every trial, in buffers of its own.
     """
 
     def __init__(self, config: NetworkConfig, power: PowerLevel,
@@ -337,6 +421,7 @@ class DefensiveMixture:
         self.pivot = np.array([row[idx[-1]] for row, idx in zip(rows, active)],
                               dtype=np.complex128)
         self.pivot_power = np.abs(self.pivot) ** 2
+        self.star_deviation = self.deviation[config.relay_count + self.relay]
         slots = max((idx.size - 1 for idx in active), default=0)
         self.support = np.zeros((slots, len(rows)), dtype=np.intp)
         self.entries = np.zeros((slots, len(rows)), dtype=np.complex128)
@@ -372,20 +457,27 @@ class DefensiveMixture:
 
         Draws true-law gains, the uniform that picks each trial's component
         and the (2R, size) fade coins from `gen`, in that order.  The gains
-        are drawn into `buffers`; the PreparedDraw holds a copy.
+        are drawn into `buffers`' `draw` store and copied, relay-major, into
+        its `prepared` store, which `states` leaves unchanged; the
+        PreparedDraw's h is a view of it, valid until the next `prepare`
+        on the same buffers.
         """
+        r_count = self.config.relay_count
         f, g = sample_channels(self.config, gen, size, buffers.draw(size))
         uniform = gen.random(size)
-        coins = gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_)
+        fade = gen.integers(0, 2, (2 * r_count, size), dtype=np.bool_)
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
-        h = np.concatenate([f.T, g.T])
-        fade = coins & (pick > 0)
+        h = buffers.prepared(size)
+        np.copyto(h[:r_count], f.T)
+        np.copyto(h[r_count:], g.T)
+        # a coin fades its gain except on the trials drawn from the true law
+        fade &= pick > 0
         trials = np.flatnonzero(pick >= 2)
         k = pick[trials] - 2
-        fade_at = np.flatnonzero(fade)
-        return PreparedDraw(h, fade_at, trials, k,
-                            fade[self.config.relay_count + self.relay[k], trials])
+        star = self.relay[k]
+        return PreparedDraw(h, np.flatnonzero(fade), k, star * size + trials,
+                            self.support[:, k] * size + trials, fade[r_count + star, trials])
 
     def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
         """Channel states of a prepared draw at this power, with their geometry.
@@ -400,62 +492,102 @@ class DefensiveMixture:
         n = draw.h.shape[1]
         h = buffers.states(n)
         np.copyto(h, draw.h)
-        h.ravel()[draw.fade_at] *= self.fade_scale
-        f, g = h[:r_count], h[r_count:]
-        products = channel_products(f.T, g.T, buffers.products(n))
+        # the fading gains are gathered into scratch, scaled and put back
+        flat = h.ravel()
+        faded = np.take(flat, draw.fade_at, out=buffers.faded(draw.fade_at.size), mode="clip")
+        faded *= self.fade_scale
+        flat[draw.fade_at] = faded
+        products = channel_products(h[:r_count].T, h[r_count:].T, buffers.products(n))
         rho, a, b = geometry_at_power(products, self.config, self.power, buffers.geometry(n))
-        trials, k = draw.trials, draw.k
-        star, support = self.relay[k], self.support[:, k]
-        row = r_count + star
-        f_star, rho_star = f[star, trials], rho[star, trials]
-        mu, s2 = self._cancel_point(k, a[support, trials], b[support, trials], f_star, rho_star)
+        # f, the first R rows of h, shares the flat indices of rho, a and b;
+        # g is R rows further on
+        at, g_at = draw.star_at, draw.star_at + r_count * n
+        f_star, rho_star = h.take(at), rho.take(at)
+        mu, s2 = self._cancel_point(draw.k, a.take(draw.support_at), b.take(draw.support_at),
+                                    f_star, rho_star)
         # the gain's own standard draw serves as the component's CN(0, 1)
         scale = np.where(draw.star_fades, self.fade_scale, 1.0)
-        unit = h[row, trials] / (scale * self.deviation[row])
+        unit = h.take(g_at) / (scale * self.star_deviation[draw.k])
         g_star = mu + np.sqrt(s2) * unit
-        g[star, trials] = g_star
-        a[star, trials], b[star, trials] = snr_terms(f_star, g_star, rho_star)
+        flat[g_at] = g_star
+        a.ravel()[at], b.ravel()[at] = snr_terms(f_star, g_star, rho_star)
         return h, (rho, a, b)
 
-    def weights(self, h, geometry, trials):
+    def weights(self, h, geometry, trials, buffers: ChunkBuffers):
         """Likelihood ratio p/q, bounded by 1 / ALPHA_PLAIN, from `states`' output.
 
         Evaluated at the given trial indices only; each trial's weight
-        depends on that trial alone.
+        depends on that trial alone.  The gathers at those trials and the
+        intermediates are written into `buffers`' hit stores, which must
+        not hold h or geometry; the weights are a fresh array.
         """
         r_count = self.config.relay_count
-        states = h.take(trials, axis=1)
+        hits = trials.size
+        states, z2, log_gain = buffers.hit_states(hits)
+        # mode="clip" lets take write straight into `out`; every index is valid
+        np.take(h, trials, axis=1, out=states, mode="clip")
         p = self.power.linear
-        z2 = (states.real ** 2 + states.imag ** 2) / self.variance
+        # z2 = (re^2 + im^2) / variance, with log_gain as scratch
+        np.square(states.real, out=z2)
+        np.square(states.imag, out=log_gain)
+        z2 += log_gain
+        z2 /= self.variance
         # q_fade / p per gain is (1 + P exp(-(P - 1) |z|^2)) / 2
-        log_gain = np.log(0.5 + 0.5 * p * np.exp(np.maximum(-(p - 1.0) * z2, _EXP_FLOOR)))
-        log_fade = log_gain.sum(axis=0)
-        terms = np.empty((len(self.log_alpha), trials.size))
+        np.multiply(z2, -(p - 1.0), out=log_gain)
+        np.maximum(log_gain, _EXP_FLOOR, out=log_gain)
+        np.exp(log_gain, out=log_gain)
+        log_gain *= 0.5 * p
+        log_gain += 0.5
+        np.log(log_gain, out=log_gain)
+        terms, log_fade = buffers.hit_terms(hits)
+        np.sum(log_gain, axis=0, out=log_fade)
         terms[0] = self.log_alpha[0]
-        terms[1] = self.log_alpha[1] + log_fade
-        rho, a, b = (x.take(trials, axis=1) for x in geometry)
-        mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a[self.support],
-                                    b[self.support], states[self.relay], rho[self.relay])
+        np.add(self.log_alpha[1], log_fade, out=terms[1])
+        # f, the first R rows of h, shares the flat indices of the geometry
+        rho, a, b = geometry
+        star_at, support_at = buffers.hit_index(hits)
+        np.add((h.shape[1] * self.relay)[:, None], trials, out=star_at)
+        np.add((h.shape[1] * self.support)[..., None], trials, out=support_at)
+        a_support, b_support, star, rho_star, scratch = buffers.hit_cancel(hits)
+        np.take(a, support_at, out=a_support, mode="clip")
+        np.take(b, support_at, out=b_support, mode="clip")
+        np.take(h, star_at, out=star, mode="clip")
+        np.take(rho, star_at, out=rho_star, mode="clip")
+        mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a_support, b_support,
+                                    star, rho_star)
+        # star turns from f into dev = g - mu at r*, and rho_star into scratch
         row = r_count + self.relay
-        dev = states[row] - mu
-        terms[2:] = (self.log_alpha[2:, None] + log_fade - log_gain[row]
-                     + np.log(self.variance[row] / s2)
-                     - (dev.real ** 2 + dev.imag ** 2) / s2 + z2[row])
-        top = terms.max(axis=0)
+        dev = np.take(states, row, axis=0, out=star, mode="clip")
+        dev -= mu
+        # the cancellation terms, in the order log_alpha + log_fade - log_gain
+        # + log(variance / s2) - |dev|^2 / s2 + z2 at g's row of r*
+        cancel = terms[2:]
+        np.add(self.log_alpha[2:, None], log_fade, out=cancel)
+        cancel -= np.take(log_gain, row, axis=0, out=scratch, mode="clip")
+        np.divide(self.variance[row], s2, out=scratch)
+        cancel += np.log(scratch, out=scratch)
+        np.square(dev.real, out=scratch)
+        scratch += np.square(dev.imag, out=rho_star)
+        scratch /= s2
+        cancel -= scratch
+        cancel += np.take(z2, row, axis=0, out=scratch, mode="clip")
+        top = np.max(terms, axis=0, out=log_fade)
         terms -= top
         np.maximum(terms, _EXP_FLOOR, out=terms)
-        return np.exp(-top) / np.exp(terms).sum(axis=0)
+        np.exp(terms, out=terms)
+        np.negative(top, out=top)
+        return np.divide(np.exp(top, out=top), terms.sum(axis=0))
 
     def sample(self, gen: np.random.Generator, size: int):
         """Draw `size` channel states from q; returns (f, g, weights p/q).
 
         f and g have shape (size, R) like sample_channels.  Each call
-        returns fresh arrays.
+        writes into ChunkBuffers of its own, so it returns fresh arrays.
         """
-        buffers = ChunkBuffers(self.config.relay_count, size)
-        h, geometry = self.states(self.prepare(gen, size, buffers), buffers)
         r_count = self.config.relay_count
-        return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size))
+        buffers = ChunkBuffers(r_count, size, self.support.shape)
+        h, geometry = self.states(self.prepare(gen, size, buffers), buffers)
+        return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size), buffers)
 
 
 def estimate_ser(plan: SimulationPlan) -> SerCurve:
@@ -473,8 +605,11 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     levels = [(PowerLevel.from_db(p_db), ev)
               for p_db, ev in zip(plan.p_grid_db, plan.evaluators)]
 
-    # chunk_q(gen, size, buffers) yields a chunk's Q values at each grid power
+    # chunk_q(gen, size, buffers) yields a chunk's Q values at each grid power;
+    # the buffers carry the importance stores only on the importance path
     if plan.estimator == "plain":
+        components = None
+
         def chunk_q(gen, size, buffers):
             f, g = sample_channels(config, gen, size, buffers.draw(size))
             products = channel_products(f, g, buffers.products(size))
@@ -486,6 +621,8 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
         proposals = [DefensiveMixture(config, power, ev.canonical
                                       if isinstance(ev, FiniteEvaluator) else None)
                      for power, ev in levels]
+        # the mixtures of one plan share their components
+        components = proposals[0].support.shape
 
         def chunk_q(gen, size, buffers):
             draw = proposals[0].prepare(gen, size, buffers)
@@ -495,7 +632,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                     h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
                 # a trial with Q = 0 adds 0 whatever its weight
                 hit = np.flatnonzero(q)
-                q[hit] *= proposal.weights(h, geometry, hit)
+                q[hit] *= proposal.weights(h, geometry, hit, buffers)
                 yield q
 
     n = plan.trials_per_point
@@ -504,7 +641,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     def run_chunk(chunk):
         buffers = getattr(local, "buffers", None)
         if buffers is None:
-            buffers = local.buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n))
+            buffers = local.buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
         size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
         return [(float(q.sum()), float(np.square(q).sum()))
                 for q in chunk_q(_rng.stream(plan.seed, 0, chunk), size, buffers)]
@@ -519,8 +656,9 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
 
     ser, std_err = [], []
     for point in zip(*partials):
-        mean = sum(s1 for s1, _ in point) / n
-        var = max(0.0, (sum(s2 for _, s2 in point) - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        mean = _fold_sum(s1 for s1, _ in point) / n
+        var = (max(0.0, (_fold_sum(s2 for _, s2 in point) - n * mean * mean) / (n - 1))
+               if n > 1 else 0.0)
         ser.append(mean)
         std_err.append(math.sqrt(var / n))
     return SerCurve(plan.p_grid_db, tuple(ser), tuple(std_err), (n,) * len(levels))

@@ -22,7 +22,8 @@ from relayquant import (
 from relayquant.cli import main
 from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_codebook,
                                   to_finite)
-from relayquant.montecarlo import ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, DefensiveMixture
+from relayquant.montecarlo import (ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, ChunkBuffers,
+                                   DefensiveMixture)
 from relayquant.structure import diversity_cap
 from tests.conftest import U1, U2
 
@@ -501,8 +502,12 @@ def test_plain_chunks_equal_fresh_array_reference():
                                                power, ev) for c in range(3)])
             sums = [(float(x.sum()), float(np.square(x).sum()))
                     for x in np.split(q, [CHUNK_TRIALS, 2 * CHUNK_TRIALS])]
-            total = sum(s for s, _ in sums)
-            total_sq = sum(s for _, s in sums)
+            # chunk order, one rounding per addition (builtin sum is
+            # compensated from Python 3.12 on)
+            total = total_sq = 0.0
+            for s, s_sq in sums:
+                total += s
+                total_sq += s_sq
             mean = total / trials
             var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
             assert (curve.ser[i], curve.std_err[i]) == (mean, math.sqrt(var / trials)), (spec, p_db)
@@ -545,3 +550,84 @@ def test_plan_resolves_each_grid_power_once(monkeypatch):
             calls.clear()
             estimate_ser(SimulationPlan(_fig2_network(), spec, grid, 100, 2, estimator=estimator))
             assert calls == [PowerLevel.from_db(p).linear for p in grid], (spec, estimator)
+
+
+def test_chunk_sums_fold_left_to_right():
+    # per-chunk partials combine with one rounding per addition, in chunk
+    # order; a compensated sum (builtin sum from Python 3.12, math.fsum)
+    # would keep the 1.0 here and change a curve's last bits
+    from relayquant.montecarlo import _fold_sum
+
+    partials = [1e16, 1.0, -1e16]
+    assert math.fsum(partials) == 1.0
+    assert _fold_sum(partials) == 0.0
+    assert _fold_sum(iter([0.5, 0.25])) == 0.75
+    assert _fold_sum([]) == 0.0
+
+
+def _c3_proposal(p_db):
+    """(network, power, evaluator, mixture) of C3 on the fig2 network at p_db."""
+    net = _fig2_network()
+    power = PowerLevel.from_db(p_db)
+    ev = resolve_codebook(_FIG2_CODEBOOKS["C3"], power)
+    return net, power, ev, DefensiveMixture(net, power, ev.canonical)
+
+
+def test_weights_reuse_of_buffers_leaks_no_stale_data():
+    # weights writes its gathers and intermediates into the buffers' hit
+    # stores; a call after a larger or a smaller hit set must read none of
+    # the earlier call's data
+    net, power, ev, proposal = _c3_proposal(35.0)
+    shared = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+    h, geometry = proposal.states(proposal.prepare(rng.stream(11, 0, 0), CHUNK_TRIALS, shared),
+                                  shared)
+    hit = np.flatnonzero(ev.best_snr(h[:3].T, h[3:].T, net, power, geometry=geometry) < 300.0)
+    hit_sets = [np.arange(CHUNK_TRIALS), hit[::3], hit, hit[1::2], np.arange(0, CHUNK_TRIALS, 7)]
+    assert len({s.size for s in hit_sets}) == len(hit_sets)
+    for trials in hit_sets:
+        fresh = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+        expected = proposal.weights(h, geometry, trials, fresh)
+        got = proposal.weights(h, geometry, trials, shared)
+        assert got.shape == (trials.size,)
+        assert got.tobytes() == expected.tobytes(), trials.size
+
+
+def test_sample_returns_fresh_arrays():
+    _, _, _, proposal = _c3_proposal(40.0)
+    first = proposal.sample(rng.stream(3, 0, 0), 500)
+    second = proposal.sample(rng.stream(3, 0, 0), 500)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(a, b)
+
+
+def test_importance_chunk_takes_few_fresh_bytes():
+    # after a warm-up chunk, a chunk's (2R, n)-sized arrays live in the
+    # buffers: prepare, states and weights allocate only the small per-chunk
+    # index arrays and the argmax's and the cancellation points' temporaries.
+    # numpy reports its array data to tracemalloc.  Before the importance
+    # stores, the second chunk's peak here was 1,682,281 bytes (numpy 2.4,
+    # Python 3.11)
+    import tracemalloc
+
+    net, power, ev, proposal = _c3_proposal(40.0)
+    buffers = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+
+    def chunk(c):
+        draw = proposal.prepare(rng.stream(1, 0, c), CHUNK_TRIALS, buffers)
+        h, geometry = proposal.states(draw, buffers)
+        q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(h[:3].T, h[3:].T, net, power,
+                                                    geometry=geometry)))
+        hit = np.flatnonzero(q)
+        q[hit] *= proposal.weights(h, geometry, hit, buffers)
+        return hit.size
+
+    chunk(0)
+    tracemalloc.start()
+    try:
+        hits = chunk(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hits > 1000
+    assert peak <= 1_682_281 // 2, peak

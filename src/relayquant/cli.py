@@ -3,8 +3,9 @@
 Configs and codebooks are JSON (complex numbers as [re, im] pairs), SER
 curves are CSV with the fixed header p_db,ser,std_err,trials.  Exit codes:
 0 success, 1 usage error, 2 validation or audit failure.  The environment
-variable RELAYQUANT_THREADS caps simulation workers without changing any
-output byte.
+variable RELAYQUANT_THREADS=1 runs a simulation on the calling thread alone;
+a larger value lets one helper thread draw the next trial chunk ahead.
+Neither changes any output byte.
 """
 
 from __future__ import annotations

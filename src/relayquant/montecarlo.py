@@ -25,31 +25,40 @@ Two estimators are selectable per plan:
   across the grid, but only this one maps, re-forms and weights it at every
   power.
 
-Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser
-picks the estimator's per-chunk code path once per plan.  Chunk c draws its
+Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser picks
+the estimator's per-chunk code path once per plan.  Chunk c draws its
 randomness once, from the counter stream (seed, 0, c), and evaluates it at
 every power of the grid: the true channel law does not depend on P, and
 neither do the raw draws of the importance proposal.  Under "plain" the
 draw is the channels, whose power-independent products are formed once per
-chunk; under "importance" it is DefensiveMixture.prepare's, which
-DefensiveMixture.states maps to each power's channel states.  Either way
-each power forms one SNR geometry, which the codebook's argmax reuses;
-"importance" then evaluates the likelihood ratio only at the trials whose Q
-value is positive, since a trial with Q = 0 adds 0 whatever its weight.
-Each worker thread writes a chunk's arrays into ChunkBuffers it allocates
-once per plan, so no (2R, n)-sized array of a (chunk, power) takes fresh
-pages from the allocator: under "plain" the channels, their products and
-each power's geometry; under "importance" also the prepared draw, each
-power's states, and what the likelihood ratio gathers at the weighed trials
-and computes from them.  Per-point partial sums are combined in chunk
-order, one rounding per addition, so the output of either estimator is
-bit-identical no matter how many worker threads run, and point i of a curve
-equals a one-point plan at that power.  The bits are fixed for a given
-Python version and numpy build; another numpy may round its elementwise
-functions differently.  The points of a curve share their draws (common
-random numbers), so their errors are positively correlated, which usually
-steadies slope fits; each point's std_err is still the standard error of
-that point alone.
+chunk; under "importance" it is DefensiveMixture.draw's, which
+DefensiveMixture.index prepares once and DefensiveMixture.states maps to
+each power's channel states.  Either way each power forms one SNR geometry,
+which the codebook's argmax reuses; "importance" then evaluates the
+likelihood ratio only at the trials whose Q value is positive, since a trial
+with Q = 0 adds 0 whatever its weight.  The calling thread evaluates every
+chunk, in chunk order, into one ChunkBuffers allocated once per plan, so no
+(2R, n)-sized array of a (chunk, power) takes fresh pages from the
+allocator: under "plain" the channels, their products and each power's
+geometry; under "importance" also the prepared draw, each power's states,
+and what the likelihood ratio gathers at the weighed trials and computes
+from them.  With RELAYQUANT_THREADS above 1 (worker_count), one helper
+thread draws chunk c + 1 into a spare store while chunk c is evaluated.
+Only one thread evaluates: an importance chunk's evaluation is many short
+numpy calls, and two threads running them pass the interpreter lock back and
+forth on nearly every call, which cost about 1.5 times the CPU for no less
+wall time.  The draws are a few long calls that release the lock.  The
+continuous families' longer calls did gain wall time from a second
+evaluator, which this design gives up (CHANGES.md records the
+measurements).  Per-point partial sums are combined in chunk order, one
+rounding per addition, so the output of either estimator is bit-identical
+whether or not a helper draws ahead, and point i of a curve equals a
+one-point plan at that power.  The bits are fixed for a given Python
+version and numpy build; another numpy may round its elementwise functions
+differently.  The points of a curve share their draws (common random
+numbers), so their errors are positively correlated, which usually steadies
+slope fits; each point's std_err is still the standard error of that point
+alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -61,7 +70,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
@@ -113,7 +121,14 @@ def _fold_sum(values) -> float:
 
 
 def worker_count() -> int:
-    """Thread cap for simulation chunks; RELAYQUANT_THREADS overrides."""
+    """Threads a simulation may use; RELAYQUANT_THREADS overrides the default,
+    the core count capped at 8.
+
+    At 1, estimate_ser draws and evaluates every chunk on the calling
+    thread.  Any larger value lets one helper thread draw the next chunk
+    while the calling thread evaluates the current one; the output bytes are
+    the same either way.
+    """
     env = os.environ.get("RELAYQUANT_THREADS")
     if env is not None:
         try:
@@ -263,13 +278,15 @@ def _stores(capacity, *slots):
 
 
 class ChunkBuffers:
-    """Arrays that one worker thread reuses for every chunk of a plan.
+    """Arrays that estimate_ser's calling thread reuses for every chunk of a plan.
 
     Each holds `capacity` trials of R relays; a smaller chunk uses leading
     slices, which stay contiguous.  One store holds the chunk's channel
     states: f and g as sample_channels draws them (`draw`), or the
     relay-major states of DefensiveMixture.states (`states`).  The others
-    hold channel_products' and geometry_at_power's outputs.
+    hold channel_products' and geometry_at_power's outputs.  When a helper
+    thread draws the next chunk ahead, it draws into a `spare` store, which
+    `swap` then trades for the one the finished chunk used.
 
     An importance plan passes `components`, the (slots, K) shape of its
     mixture's support table, and gets the stores the mixture writes into:
@@ -297,9 +314,21 @@ class ChunkBuffers:
                                        ((k,), complex), ((k,), float), ((k,), float))
             self._hit_terms = _stores(capacity, ((k + 2,), float), ((), float))
 
-    def draw(self, n):
-        """(2, n, R) complex: sample_channels' f and g."""
-        return self._states[:2 * self.relays * n].reshape(2, n, self.relays)
+    def draw(self, n, store=None):
+        """(2, n, R) complex: sample_channels' f and g, in the store behind
+        `states`, or in `store`, one from `spare`."""
+        store = self._states if store is None else store
+        return store[:2 * self.relays * n].reshape(2, n, self.relays)
+
+    def spare(self):
+        """A new flat store like the one behind `draw` and `states`."""
+        return np.empty_like(self._states)
+
+    def swap(self, store):
+        """Put `store`, from `spare` or an earlier swap, behind `draw` and
+        `states`, and return the store it replaces."""
+        self._states, store = store, self._states
+        return store
 
     def states(self, n):
         """(2R, n) complex: relay-major states, f above g."""
@@ -343,7 +372,7 @@ class ChunkBuffers:
 
 @dataclass(frozen=True)
 class PreparedDraw:
-    """DefensiveMixture.prepare's output: what every power of a chunk shares.
+    """DefensiveMixture.index's output: what every power of a chunk shares.
 
     h: (2R, n) relay-major true-law states, f above g, a view of the
     ChunkBuffers' `prepared` store; fade_at: the flat indices into h of the
@@ -389,7 +418,9 @@ class DefensiveMixture:
     * `prepare` (once per chunk): the raw true-law states, the gains that
       fade, and the cancellation trials with their components.  None of it
       depends on P, and the mixtures of one plan share their components, so
-      one prepared draw serves every power.
+      one prepared draw serves every power.  It is `draw`, the chunk's
+      random numbers, then `index`, which forms the PreparedDraw from
+      them; estimate_ser may run the two on different threads.
     * `states` (once per power): fades the draw by 1/P, redraws g at r* on
       the cancellation trials, and returns the states with their one
       snr_geometry, which the codebook's argmax reuses.
@@ -444,28 +475,36 @@ class DefensiveMixture:
         run over each vector's nonzero entries off r* only.
         """
         acc, den = beamformed_sums(self.entries[:, k], a, b)
-        # a at r* is linear in g there; its coefficient is a at g = 1
-        coef_star, _ = snr_terms(f_star, 1.0, rho_star)
+        # a at r* is f g sqrt(rho) (snr_terms), linear in g with this coefficient
+        coef_star = f_star * np.sqrt(rho_star)
         c = self.pivot[k] * coef_star
         mu = -acc / c
         den += self.pivot_power[k] * (mu.real ** 2 + mu.imag ** 2) * rho_star
         return mu, den / (self.p0 * (c.real ** 2 + c.imag ** 2))
 
-    def prepare(self, gen: np.random.Generator, size: int,
-                buffers: ChunkBuffers) -> PreparedDraw:
-        """The power-independent part of `size` trials from q, for `states`.
+    def draw(self, gen: np.random.Generator, size: int, out):
+        """The random numbers of `size` trials from q, for `index`.
 
-        Draws true-law gains, the uniform that picks each trial's component
-        and the (2R, size) fade coins from `gen`, in that order.  The gains
-        are drawn into `buffers`' `draw` store and copied, relay-major, into
-        its `prepared` store, which `states` leaves unchanged; the
-        PreparedDraw's h is a view of it, valid until the next `prepare`
-        on the same buffers.
+        Draws true-law gains into `out`, a (2, size, R) complex store such
+        as ChunkBuffers.draw, then the uniform that picks each trial's
+        component and the (2R, size) fade coins, all from `gen` and in that
+        order.  Returns (f, g, uniform, fade).
+        """
+        f, g = sample_channels(self.config, gen, size, out)
+        return (f, g, gen.random(size),
+                gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_))
+
+    def index(self, drawn, buffers: ChunkBuffers) -> PreparedDraw:
+        """The PreparedDraw of `draw`'s output, for `states`.
+
+        Copies the gains, relay-major, into `buffers`' `prepared` store,
+        which `states` leaves unchanged; the PreparedDraw's h is a view of
+        it, valid until the next `index` on the same buffers.  After this
+        call the store the gains were drawn into may be reused.
         """
         r_count = self.config.relay_count
-        f, g = sample_channels(self.config, gen, size, buffers.draw(size))
-        uniform = gen.random(size)
-        fade = gen.integers(0, 2, (2 * r_count, size), dtype=np.bool_)
+        f, g, uniform, fade = drawn
+        size = uniform.size
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
         h = buffers.prepared(size)
@@ -478,6 +517,12 @@ class DefensiveMixture:
         star = self.relay[k]
         return PreparedDraw(h, np.flatnonzero(fade), k, star * size + trials,
                             self.support[:, k] * size + trials, fade[r_count + star, trials])
+
+    def prepare(self, gen: np.random.Generator, size: int,
+                buffers: ChunkBuffers) -> PreparedDraw:
+        """The power-independent part of `size` trials from q, for `states`:
+        `draw` into `buffers`' `draw` store, then `index`."""
+        return self.index(self.draw(gen, size, buffers.draw(size)), buffers)
 
     def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
         """Channel states of a prepared draw at this power, with their geometry.
@@ -595,7 +640,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
 
     Chunk c draws its trials once, from the counter stream (seed, 0, c), and
     evaluates them at every grid power; per-point partial sums combine in
-    chunk order, so worker count never changes the output bits, and point i
+    chunk order, so worker_count() never changes the output bits, and point i
     of a curve equals a one-point plan at p_grid_db[i].  With plan.estimator
     "importance" each power maps the draw through its own DefensiveMixture
     and weights its Q values by the likelihood ratio.
@@ -605,13 +650,18 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     levels = [(PowerLevel.from_db(p_db), ev)
               for p_db, ev in zip(plan.p_grid_db, plan.evaluators)]
 
-    # chunk_q(gen, size, buffers) yields a chunk's Q values at each grid power;
-    # the buffers carry the importance stores only on the importance path
+    # draw_chunk(gen, size, out) draws a chunk's random numbers, its channels
+    # into `out`; chunk_q(drawn, buffers) yields its Q values at each grid
+    # power.  The buffers carry the importance stores only on that path.
     if plan.estimator == "plain":
         components = None
 
-        def chunk_q(gen, size, buffers):
-            f, g = sample_channels(config, gen, size, buffers.draw(size))
+        def draw_chunk(gen, size, out):
+            return sample_channels(config, gen, size, out)
+
+        def chunk_q(drawn, buffers):
+            f, g = drawn
+            size = f.shape[0]
             products = channel_products(f, g, buffers.products(size))
             for power, ev in levels:
                 geometry = geometry_at_power(products, config, power, buffers.geometry(size))
@@ -623,11 +673,12 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                      for power, ev in levels]
         # the mixtures of one plan share their components
         components = proposals[0].support.shape
+        draw_chunk = proposals[0].draw
 
-        def chunk_q(gen, size, buffers):
-            draw = proposals[0].prepare(gen, size, buffers)
+        def chunk_q(drawn, buffers):
+            prepared = proposals[0].index(drawn, buffers)
             for proposal, (power, ev) in zip(proposals, levels):
-                h, geometry = proposal.states(draw, buffers)
+                h, geometry = proposal.states(prepared, buffers)
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
                     h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
                 # a trial with Q = 0 adds 0 whatever its weight
@@ -636,23 +687,33 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                 yield q
 
     n = plan.trials_per_point
-    local = threading.local()
+    buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
 
-    def run_chunk(chunk):
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
+    def draw(chunk, store=None):
         size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
-        return [(float(q.sum()), float(np.square(q).sum()))
-                for q in chunk_q(_rng.stream(plan.seed, 0, chunk), size, buffers)]
+        return draw_chunk(_rng.stream(plan.seed, 0, chunk), size, buffers.draw(size, store))
+
+    def evaluate(drawn):
+        return [(float(q.sum()), float(np.square(q).sum())) for q in chunk_q(drawn, buffers)]
 
     chunks = range(-(-n // CHUNK_TRIALS))
-    workers = worker_count()
-    if workers == 1 or len(chunks) == 1:
-        partials = [run_chunk(c) for c in chunks]
+    if worker_count() == 1 or len(chunks) == 1:
+        partials = [evaluate(draw(c)) for c in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, chunks))
+        # one helper draws chunk c into the spare store while this thread
+        # evaluates chunk c - 1; the stores then trade places, so `buffers`
+        # holds the chunk being evaluated and the helper never writes a store
+        # in use
+        spare = buffers.spare()
+        partials = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            drawn = draw(0)
+            for chunk in chunks[1:]:
+                ahead = pool.submit(draw, chunk, spare)
+                partials.append(evaluate(drawn))
+                drawn = ahead.result()
+                spare = buffers.swap(spare)
+            partials.append(evaluate(drawn))
 
     ser, std_err = [], []
     for point in zip(*partials):

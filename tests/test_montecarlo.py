@@ -514,7 +514,9 @@ def test_plain_chunks_equal_fresh_array_reference():
 
 
 def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
-    # each worker thread holds its own chunk buffers
+    # at 2 threads a helper draws the next chunk into a spare store, which
+    # trades places with the evaluated chunk's; the partial last chunk uses
+    # leading slices of whichever store it lands in
     for estimator in ("plain", "importance"):
         plan = SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0, 50.0),
                               3 * CHUNK_TRIALS + 5, 29, estimator=estimator)
@@ -525,6 +527,57 @@ def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
             estimate_ser(plan).write_csv(buf)
             curves.append(buf.getvalue())
         assert curves[0] == curves[1], estimator
+
+
+@pytest.mark.parametrize("threads, chunks, pools", [
+    ("2", 3, [1]), ("8", 3, [1]), ("1", 3, []), ("8", 1, [])])
+def test_draw_ahead_creates_one_single_worker_pool(monkeypatch, threads, chunks, pools):
+    # any thread count above 1 means "draw one chunk ahead" on one helper
+    import relayquant.montecarlo as montecarlo
+    from concurrent.futures import ThreadPoolExecutor
+
+    created = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            created.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    for estimator in ("plain", "importance"):
+        created.clear()
+        estimate_ser(SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0),
+                                    (chunks - 1) * CHUNK_TRIALS + 3, 5, estimator=estimator))
+        assert created == pools, estimator
+
+
+def test_draw_ahead_reuses_stores_when_the_helper_runs_ahead(monkeypatch):
+    # a slow Gaussian tail lets the helper finish each draw while the chunk
+    # before it is still being evaluated; a store written while in use, or
+    # traded at the wrong time, would change the bytes
+    import time
+
+    import relayquant.montecarlo as montecarlo
+
+    tail = montecarlo.gaussian_tail
+
+    def slow_tail(x):
+        time.sleep(0.001)
+        return tail(x)
+
+    for estimator in ("plain", "importance"):
+        plan = SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0, 50.0),
+                              4 * CHUNK_TRIALS + 7, 31, estimator=estimator)
+        monkeypatch.setenv("RELAYQUANT_THREADS", "1")
+        inline = io.StringIO()
+        estimate_ser(plan).write_csv(inline)
+        monkeypatch.setenv("RELAYQUANT_THREADS", "2")
+        monkeypatch.setattr(montecarlo, "gaussian_tail", slow_tail)
+        ahead = io.StringIO()
+        estimate_ser(plan).write_csv(ahead)
+        monkeypatch.setattr(montecarlo, "gaussian_tail", tail)
+        assert ahead.getvalue() == inline.getvalue(), estimator
 
 
 def test_plan_rejects_codebook_unresolvable_at_a_grid_power():

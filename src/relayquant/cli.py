@@ -3,9 +3,10 @@
 Configs and codebooks are JSON (complex numbers as [re, im] pairs), SER
 curves are CSV with the fixed header p_db,ser,std_err,trials.  Exit codes:
 0 success, 1 usage error, 2 validation or audit failure.  The environment
-variable RELAYQUANT_THREADS=1 runs a simulation on the calling thread alone;
-a larger value lets one helper thread draw the next trial chunk ahead.
-Neither changes any output byte.
+variable RELAYQUANT_THREADS=1 runs a simulation on the calling thread alone.
+A larger value lets one helper thread draw a finite codebook's next trial
+chunk ahead, and runs a continuous family on that many evaluating threads.
+No value changes any output byte.
 """
 
 from __future__ import annotations

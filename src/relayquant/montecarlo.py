@@ -36,24 +36,34 @@ DefensiveMixture.index prepares once and DefensiveMixture.states maps to
 each power's channel states.  Either way each power forms one SNR geometry,
 which the codebook's argmax reuses; "importance" then evaluates the
 likelihood ratio only at the trials whose Q value is positive, since a trial
-with Q = 0 adds 0 whatever its weight.  The calling thread evaluates every
-chunk, in chunk order, into one ChunkBuffers allocated once per plan, so no
-(2R, n)-sized array of a (chunk, power) takes fresh pages from the
-allocator: under "plain" the channels, their products and each power's
-geometry; under "importance" also the prepared draw, each power's states,
-and what the likelihood ratio gathers at the weighed trials and computes
-from them.  With RELAYQUANT_THREADS above 1 (worker_count), one helper
-thread draws chunk c + 1 into a spare store while chunk c is evaluated.
-Only one thread evaluates: an importance chunk's evaluation is many short
-numpy calls, and two threads running them pass the interpreter lock back and
-forth on nearly every call, which cost about 1.5 times the CPU for no less
-wall time.  The draws are a few long calls that release the lock.  The
-continuous families' longer calls did gain wall time from a second
-evaluator, which this design gives up (CHANGES.md records the
-measurements).  Per-point partial sums are combined in chunk order, one
-rounding per addition, so the output of either estimator is bit-identical
-whether or not a helper draws ahead, and point i of a curve equals a
-one-point plan at that power.  The bits are fixed for a given Python
+with Q = 0 adds 0 whatever its weight.  An evaluating thread writes its
+chunks into one ChunkBuffers allocated once per plan, so no (2R, n)-sized
+array of a (chunk, power) takes fresh pages from the allocator: under
+"plain" the channels, their products and each power's geometry; under
+"importance" also the prepared draw, each power's states, and what the
+likelihood ratio gathers at the weighed trials and computes from them.
+
+At RELAYQUANT_THREADS=1 (worker_count) the calling thread draws and
+evaluates every chunk.  Above 1 the threads follow the codebook's kind:
+
+* a finite codebook's chunks are all evaluated on the calling thread, in
+  chunk order, while one helper thread draws chunk c + 1 into a spare store.
+  The evaluation is many short numpy calls, and two threads running them
+  pass the interpreter lock back and forth on nearly every call, which cost
+  about 1.5 times the CPU for no less wall time.  The draws are a few long
+  calls that release the lock.
+* a continuous family runs worker_count() evaluating threads, at most one
+  per chunk, each drawing and evaluating its share of the chunks in buffers
+  of its own.  Its maximizer is long numpy calls, which overlap across
+  threads, so a second evaluator cuts wall time where a helper that only
+  draws does not.
+
+CHANGES.md records the measurements, made on 2 cores; neither policy has
+been measured above that.
+
+Per-point partial sums are combined in chunk order, one rounding per
+addition, so the output of either estimator is bit-identical at any thread
+count, and point i of a curve equals a one-point plan at that power.  The bits are fixed for a given Python
 version and numpy build; another numpy may round its elementwise functions
 differently.  The points of a curve share their draws (common random
 numbers), so their errors are positively correlated, which usually steadies
@@ -125,9 +135,10 @@ def worker_count() -> int:
     the core count capped at 8.
 
     At 1, estimate_ser draws and evaluates every chunk on the calling
-    thread.  Any larger value lets one helper thread draw the next chunk
-    while the calling thread evaluates the current one; the output bytes are
-    the same either way.
+    thread.  Above 1, a finite codebook's chunks are still evaluated on the
+    calling thread while one helper thread draws the next chunk, whatever
+    the value; a continuous family's chunks are spread over this many
+    evaluating threads.  The output bytes are the same either way.
     """
     env = os.environ.get("RELAYQUANT_THREADS")
     if env is not None:
@@ -278,15 +289,16 @@ def _stores(capacity, *slots):
 
 
 class ChunkBuffers:
-    """Arrays that estimate_ser's calling thread reuses for every chunk of a plan.
+    """Arrays that one of estimate_ser's evaluating threads reuses for its chunks.
 
     Each holds `capacity` trials of R relays; a smaller chunk uses leading
     slices, which stay contiguous.  One store holds the chunk's channel
     states: f and g as sample_channels draws them (`draw`), or the
     relay-major states of DefensiveMixture.states (`states`).  The others
-    hold channel_products' and geometry_at_power's outputs.  When a helper
-    thread draws the next chunk ahead, it draws into a `spare` store, which
-    `swap` then trades for the one the finished chunk used.
+    hold channel_products' and geometry_at_power's outputs.  Each evaluating
+    thread has its own.  When a helper thread draws the next chunk ahead, it
+    draws into a `spare` store, which `swap` then trades for the one the
+    finished chunk used.
 
     An importance plan passes `components`, the (slots, K) shape of its
     mixture's support table, and gets the stores the mixture writes into:
@@ -687,33 +699,49 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                 yield q
 
     n = plan.trials_per_point
-    buffers = ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
 
-    def draw(chunk, store=None):
+    def new_buffers():
+        return ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
+
+    def draw(chunk, buffers, store=None):
         size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
         return draw_chunk(_rng.stream(plan.seed, 0, chunk), size, buffers.draw(size, store))
 
-    def evaluate(drawn):
+    def evaluate(drawn, buffers):
         return [(float(q.sum()), float(np.square(q).sum())) for q in chunk_q(drawn, buffers)]
 
+    def run_chunks(chunks):
+        buffers = new_buffers()
+        return [evaluate(draw(c, buffers), buffers) for c in chunks]
+
     chunks = range(-(-n // CHUNK_TRIALS))
-    if worker_count() == 1 or len(chunks) == 1:
-        partials = [evaluate(draw(c)) for c in chunks]
-    else:
+    threads = min(worker_count(), len(chunks))
+    if threads == 1:
+        partials = run_chunks(chunks)
+    elif isinstance(plan.evaluators[0], FiniteEvaluator):
         # one helper draws chunk c into the spare store while this thread
         # evaluates chunk c - 1; the stores then trade places, so `buffers`
         # holds the chunk being evaluated and the helper never writes a store
         # in use
+        buffers = new_buffers()
         spare = buffers.spare()
         partials = []
         with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = draw(0)
+            drawn = draw(0, buffers)
             for chunk in chunks[1:]:
-                ahead = pool.submit(draw, chunk, spare)
-                partials.append(evaluate(drawn))
+                ahead = pool.submit(draw, chunk, buffers, spare)
+                partials.append(evaluate(drawn, buffers))
                 drawn = ahead.result()
                 spare = buffers.swap(spare)
-            partials.append(evaluate(drawn))
+            partials.append(evaluate(drawn, buffers))
+    else:
+        # a continuous family's maximizer is long numpy calls, which overlap
+        # across threads: worker w draws and evaluates chunks w, w + threads,
+        # ... in buffers of its own, and chunk c is item c // threads of
+        # strand c % threads
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            strands = list(pool.map(run_chunks, (chunks[w::threads] for w in range(threads))))
+        partials = [strands[c % threads][c // threads] for c in chunks]
 
     ser, std_err = [], []
     for point in zip(*partials):

@@ -532,7 +532,8 @@ def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
 @pytest.mark.parametrize("threads, chunks, pools", [
     ("2", 3, [1]), ("8", 3, [1]), ("1", 3, []), ("8", 1, [])])
 def test_draw_ahead_creates_one_single_worker_pool(monkeypatch, threads, chunks, pools):
-    # any thread count above 1 means "draw one chunk ahead" on one helper
+    # a finite codebook draws one chunk ahead on one helper at any thread
+    # count above 1
     import relayquant.montecarlo as montecarlo
     from concurrent.futures import ThreadPoolExecutor
 
@@ -550,6 +551,44 @@ def test_draw_ahead_creates_one_single_worker_pool(monkeypatch, threads, chunks,
         estimate_ser(SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0),
                                     (chunks - 1) * CHUNK_TRIALS + 3, 5, estimator=estimator))
         assert created == pools, estimator
+
+
+@pytest.mark.parametrize("threads, chunks, pools", [
+    ("2", 3, [2]), ("8", 3, [3]), ("8", 12, [8]), ("1", 3, []), ("8", 1, [])])
+def test_continuous_family_fans_chunks_out(monkeypatch, threads, chunks, pools):
+    # a continuous family runs one evaluator per thread, at most one per chunk
+    import relayquant.montecarlo as montecarlo
+    from concurrent.futures import ThreadPoolExecutor
+
+    created = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            created.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    for estimator in ("plain", "importance"):
+        created.clear()
+        estimate_ser(SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (10.0,),
+                                    (chunks - 1) * CHUNK_TRIALS + 3, 5, estimator=estimator))
+        assert created == pools, estimator
+
+
+def test_continuous_family_thread_invariant_with_partial_chunk(monkeypatch):
+    # at 3 threads the five chunks split into strands of 2, 2 and 1, which
+    # must interleave back into chunk order
+    for estimator in ("plain", "importance"):
+        plan = SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (5.0, 15.0),
+                              4 * CHUNK_TRIALS + 7, 37, estimator=estimator)
+        curves = []
+        for threads in ("1", "2", "3", "8"):
+            monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+            buf = io.StringIO()
+            estimate_ser(plan).write_csv(buf)
+            curves.append(buf.getvalue())
+        assert curves[1:] == curves[:1] * 3, estimator
 
 
 def test_draw_ahead_reuses_stores_when_the_helper_runs_ahead(monkeypatch):

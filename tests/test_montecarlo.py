@@ -529,11 +529,14 @@ def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
         assert curves[0] == curves[1], estimator
 
 
-@pytest.mark.parametrize("threads, chunks, pools", [
-    ("2", 3, [1]), ("8", 3, [1]), ("1", 3, []), ("8", 1, [])])
-def test_draw_ahead_creates_one_single_worker_pool(monkeypatch, threads, chunks, pools):
+@pytest.mark.parametrize("kind, threads, chunks, pools", [
+    ("finite", "2", 3, [1]), ("finite", "8", 3, [1]), ("finite", "1", 3, []),
+    ("finite", "8", 1, []), ("continuous", "2", 3, [2]), ("continuous", "8", 3, [3]),
+    ("continuous", "8", 12, [8]), ("continuous", "1", 3, []), ("continuous", "8", 1, [])])
+def test_thread_pool_follows_codebook_kind(monkeypatch, kind, threads, chunks, pools):
     # a finite codebook draws one chunk ahead on one helper at any thread
-    # count above 1
+    # count above 1; a continuous family runs one evaluator per thread, at
+    # most one per chunk
     import relayquant.montecarlo as montecarlo
     from concurrent.futures import ThreadPoolExecutor
 
@@ -546,32 +549,10 @@ def test_draw_ahead_creates_one_single_worker_pool(monkeypatch, threads, chunks,
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    spec = _FIG2_CODEBOOKS["C3"] if kind == "finite" else ConstrainedSpec(0.25, 1)
     for estimator in ("plain", "importance"):
         created.clear()
-        estimate_ser(SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0),
-                                    (chunks - 1) * CHUNK_TRIALS + 3, 5, estimator=estimator))
-        assert created == pools, estimator
-
-
-@pytest.mark.parametrize("threads, chunks, pools", [
-    ("2", 3, [2]), ("8", 3, [3]), ("8", 12, [8]), ("1", 3, []), ("8", 1, [])])
-def test_continuous_family_fans_chunks_out(monkeypatch, threads, chunks, pools):
-    # a continuous family runs one evaluator per thread, at most one per chunk
-    import relayquant.montecarlo as montecarlo
-    from concurrent.futures import ThreadPoolExecutor
-
-    created = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            created.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
-    for estimator in ("plain", "importance"):
-        created.clear()
-        estimate_ser(SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (10.0,),
+        estimate_ser(SimulationPlan(_fig2_network(), spec, (10.0, 30.0),
                                     (chunks - 1) * CHUNK_TRIALS + 3, 5, estimator=estimator))
         assert created == pools, estimator
 

@@ -36,24 +36,22 @@ DefensiveMixture.index prepares once and DefensiveMixture.states maps to
 each power's channel states.  Either way each power forms one SNR geometry,
 which the codebook's argmax reuses; "importance" then evaluates the
 likelihood ratio only at the trials whose Q value is positive, since a trial
-with Q = 0 adds 0 whatever its weight.  An evaluating thread writes its
-chunks into one ChunkBuffers allocated once per plan, so no (2R, n)-sized
-array of a (chunk, power) takes fresh pages from the allocator: under
-"plain" the channels, their products and each power's geometry; under
-"importance" also the prepared draw, each power's states, and what the
-likelihood ratio gathers at the weighed trials and computes from them.
+with Q = 0 adds 0 whatever its weight.  Every array of a chunk that grows
+with its trials is a role of the evaluating thread's ChunkBuffers arena,
+allocated for a full chunk at its first request and reused by every later
+chunk, so later chunks take no fresh pages for them.
 
 At RELAYQUANT_THREADS=1 (worker_count) the calling thread draws and
 evaluates every chunk.  Above 1 the threads follow the codebook's kind:
 
 * a finite codebook's chunks are all evaluated on the calling thread, in
-  chunk order, while one helper thread draws chunk c + 1 into a spare store.
+  chunk order, while one helper thread draws chunk c + 1 into a spare role.
   The evaluation is many short numpy calls, and two threads running them
   pass the interpreter lock back and forth on nearly every call, which cost
   about 1.5 times the CPU for no less wall time.  The draws are a few long
   calls that release the lock.
 * a continuous family runs worker_count() evaluating threads, at most one
-  per chunk, each drawing and evaluating its share of the chunks in buffers
+  per chunk, each drawing and evaluating its share of the chunks in an arena
   of its own.  Its maximizer is long numpy calls, which overlap across
   threads, so a second evaluator cuts wall time where a helper that only
   draws does not.
@@ -63,12 +61,12 @@ been measured above that.
 
 Per-point partial sums are combined in chunk order, one rounding per
 addition, so the output of either estimator is bit-identical at any thread
-count, and point i of a curve equals a one-point plan at that power.  The bits are fixed for a given Python
-version and numpy build; another numpy may round its elementwise functions
-differently.  The points of a curve share their draws (common random
-numbers), so their errors are positively correlated, which usually steadies
-slope fits; each point's std_err is still the standard error of that point
-alone.
+count, and point i of a curve equals a one-point plan at that power.  The
+bits are fixed for a given Python version and numpy build; another numpy may
+round its elementwise functions differently.  The points of a curve share
+their draws (common random numbers), so their errors are positively
+correlated, which usually steadies slope fits; each point's std_err is still
+the standard error of that point alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -138,7 +136,10 @@ def worker_count() -> int:
     thread.  Above 1, a finite codebook's chunks are still evaluated on the
     calling thread while one helper thread draws the next chunk, whatever
     the value; a continuous family's chunks are spread over this many
-    evaluating threads.  The output bytes are the same either way.
+    evaluating threads.  The output bytes are the same either way.  An
+    explicit value above the core count oversubscribes a continuous family:
+    on 2 cores, fig4 under plain sampling at 65,536 trials took 3.71 s of
+    wall time at 8 threads against 2.49 s at 2.
     """
     env = os.environ.get("RELAYQUANT_THREADS")
     if env is not None:
@@ -274,112 +275,50 @@ class SerCurve:
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 
-def _views(stores, n):
-    """The leading n trials of each (rows, flat store) pair, shaped (*rows, n).
-
-    A leading slice of a flat store is contiguous, so the views are too.
-    """
-    return tuple(flat[:math.prod(rows) * n].reshape(*rows, n) for rows, flat in stores)
-
-
-def _stores(capacity, *slots):
-    """One flat store of `capacity` trials per (rows, dtype) slot, as _views reads them."""
-    return tuple((rows, np.empty(math.prod(rows) * capacity, dtype=dtype))
-                 for rows, dtype in slots)
-
-
 class ChunkBuffers:
-    """Arrays that one of estimate_ser's evaluating threads reuses for its chunks.
+    """The scratch arena that one evaluating thread reuses for its chunks.
 
-    Each holds `capacity` trials of R relays; a smaller chunk uses leading
-    slices, which stay contiguous.  One store holds the chunk's channel
-    states: f and g as sample_channels draws them (`draw`), or the
-    relay-major states of DefensiveMixture.states (`states`).  The others
-    hold channel_products' and geometry_at_power's outputs.  Each evaluating
-    thread has its own.  When a helper thread draws the next chunk ahead, it
-    draws into a `spare` store, which `swap` then trades for the one the
-    finished chunk used.
-
-    An importance plan passes `components`, the (slots, K) shape of its
-    mixture's support table, and gets the stores the mixture writes into:
-    the prepared draw (`prepared`), and what DefensiveMixture.weights
-    gathers at the weighed trials and computes from them (`hit_states`,
-    `hit_index`, `hit_cancel`, `hit_terms`).  A plain plan passes none
-    and allocates none of them.  Either way a chunk takes no fresh pages
-    for its (R, n)-sized arrays.
+    The rule: every array of a chunk that grows with its trials is a view
+    that `take` hands out under a role name.  A role's flat store is
+    allocated at its first request, for `capacity` trials, and each caller
+    requests a role with one (rows, dtype) throughout, so a chunk after the
+    first takes no fresh pages for those arrays, and a plan allocates only
+    the roles its estimator requests.  `swap` trades two roles' stores, so
+    that a helper thread can fill one while the other is read; no role is
+    taken by two threads at once, nor swapped while another thread uses it.
     """
 
-    def __init__(self, relays: int, capacity: int,
-                 components: Optional[tuple[int, int]] = None):
-        self.relays = relays
-        size = relays * capacity
-        self._states = np.empty(2 * size, dtype=np.complex128)
-        self._products = (np.empty(size, dtype=np.complex128), np.empty(size), np.empty(size))
-        self._geometry = (np.empty(size), np.empty(size, dtype=np.complex128), np.empty(size))
-        if components is not None:
-            slots, k = components
-            r2 = (2 * relays,)
-            self._prepared = np.empty_like(self._states)
-            self._hit_states = _stores(capacity, (r2, complex), (r2, float), (r2, float))
-            self._hit_index = _stores(capacity, ((k,), np.intp), ((slots, k), np.intp))
-            self._hit_cancel = _stores(capacity, ((slots, k), complex), ((slots, k), float),
-                                       ((k,), complex), ((k,), float), ((k,), float))
-            self._hit_terms = _stores(capacity, ((k + 2,), float), ((), float))
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._flat = {}
 
-    def draw(self, n, store=None):
-        """(2, n, R) complex: sample_channels' f and g, in the store behind
-        `states`, or in `store`, one from `spare`."""
-        store = self._states if store is None else store
-        return store[:2 * self.relays * n].reshape(2, n, self.relays)
+    def take(self, role: str, rows: tuple, n: int, dtype=float) -> np.ndarray:
+        """The C-contiguous (*rows, n) leading view of `role`'s store."""
+        size = math.prod(rows)
+        store = self._flat.get(role)
+        if store is None:
+            store = self._flat[role] = np.empty(size * self.capacity, dtype=dtype)
+        return store[:size * n].reshape(*rows, n)
 
-    def spare(self):
-        """A new flat store like the one behind `draw` and `states`."""
-        return np.empty_like(self._states)
+    def swap(self, role: str, other: str) -> None:
+        self._flat[role], self._flat[other] = self._flat[other], self._flat[role]
 
-    def swap(self, store):
-        """Put `store`, from `spare` or an earlier swap, behind `draw` and
-        `states`, and return the store it replaces."""
-        self._states, store = store, self._states
-        return store
 
-    def states(self, n):
-        """(2R, n) complex: relay-major states, f above g."""
-        return self._states[:2 * self.relays * n].reshape(2 * self.relays, n)
+def _draw_out(buffers: ChunkBuffers, role: str, relays: int, n: int) -> np.ndarray:
+    """`role` as sample_channels' (2, n, R) f and g, which `states` reads as (2R, n)."""
+    return buffers.take(role, (2 * relays,), n, complex).reshape(2, n, relays)
 
-    def products(self, n):
-        return tuple(x[:self.relays * n].reshape(self.relays, n) for x in self._products)
 
-    def geometry(self, n):
-        return tuple(x[:self.relays * n].reshape(self.relays, n) for x in self._geometry)
+def _products_out(buffers: ChunkBuffers, relays: int, n: int):
+    """channel_products' (R, n) outputs f g, |f|^2 and |g|^2."""
+    return (buffers.take("fg", (relays,), n, complex), buffers.take("f2", (relays,), n),
+            buffers.take("g2", (relays,), n))
 
-    def prepared(self, n):
-        """(2R, n) complex: a prepared draw's relay-major true-law states."""
-        return self._prepared[:2 * self.relays * n].reshape(2 * self.relays, n)
 
-    def faded(self, m):
-        """(m,) complex scratch, m <= 2R n, for the gains DefensiveMixture.states
-        fades.  It shares the store of `hit_states`' states, which weights
-        fills only after states has returned."""
-        _, states = self._hit_states[0]
-        return states[:m]
-
-    def hit_states(self, n):
-        """(2R, n) states, |z|^2 / variance and log(q_fade / p) per gain."""
-        return _views(self._hit_states, n)
-
-    def hit_index(self, n):
-        """Flat indices of n trials into a relay-major array of R rows: (K, n)
-        at each component's r*, (slots, K, n) at its support relays."""
-        return _views(self._hit_index, n)
-
-    def hit_cancel(self, n):
-        """a and b at the components' support relays, (slots, K, n), then
-        three (K, n) arrays at each component's r*: complex, float, float."""
-        return _views(self._hit_cancel, n)
-
-    def hit_terms(self, n):
-        """(K + 2, n) log mixture terms and one (n,) row."""
-        return _views(self._hit_terms, n)
+def _geometry_out(buffers: ChunkBuffers, relays: int, n: int):
+    """geometry_at_power's (R, n) outputs rho, a and b."""
+    return (buffers.take("rho", (relays,), n), buffers.take("a", (relays,), n, complex),
+            buffers.take("b", (relays,), n))
 
 
 @dataclass(frozen=True)
@@ -387,7 +326,7 @@ class PreparedDraw:
     """DefensiveMixture.index's output: what every power of a chunk shares.
 
     h: (2R, n) relay-major true-law states, f above g, a view of the
-    ChunkBuffers' `prepared` store; fade_at: the flat indices into h of the
+    arena's "prepared" role; fade_at: the flat indices into h of the
     gains that fade by 1/P.  Of the trials drawn from a cancellation
     component, in ascending order: k, that component; star_at and
     support_at, the flat indices of the trial at its r* and at its support
@@ -440,9 +379,9 @@ class DefensiveMixture:
       trials asked for; the weight never exceeds 1 / ALPHA_PLAIN, so the
       estimator is never much worse than plain sampling.
 
-    The three steps write their (2R, n)-sized arrays into the caller's
-    ChunkBuffers, built with `support.shape` as its components.  `sample`
-    runs all three on every trial, in buffers of its own.
+    The three steps take every array that grows with the trials from the
+    caller's ChunkBuffers arena.  `sample` runs all three on every trial, in
+    an arena of its own.
     """
 
     def __init__(self, config: NetworkConfig, power: PowerLevel,
@@ -497,8 +436,8 @@ class DefensiveMixture:
     def draw(self, gen: np.random.Generator, size: int, out):
         """The random numbers of `size` trials from q, for `index`.
 
-        Draws true-law gains into `out`, a (2, size, R) complex store such
-        as ChunkBuffers.draw, then the uniform that picks each trial's
+        Draws true-law gains into `out`, a contiguous (2, size, R) complex
+        array, then the uniform that picks each trial's
         component and the (2R, size) fade coins, all from `gen` and in that
         order.  Returns (f, g, uniform, fade).
         """
@@ -509,17 +448,17 @@ class DefensiveMixture:
     def index(self, drawn, buffers: ChunkBuffers) -> PreparedDraw:
         """The PreparedDraw of `draw`'s output, for `states`.
 
-        Copies the gains, relay-major, into `buffers`' `prepared` store,
+        Copies the gains, relay-major, into `buffers`' "prepared" role,
         which `states` leaves unchanged; the PreparedDraw's h is a view of
         it, valid until the next `index` on the same buffers.  After this
-        call the store the gains were drawn into may be reused.
+        call the array the gains were drawn into may be reused.
         """
         r_count = self.config.relay_count
         f, g, uniform, fade = drawn
         size = uniform.size
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
-        h = buffers.prepared(size)
+        h = buffers.take("prepared", (2 * r_count,), size, complex)
         np.copyto(h[:r_count], f.T)
         np.copyto(h[r_count:], g.T)
         # a coin fades its gain except on the trials drawn from the true law
@@ -533,8 +472,9 @@ class DefensiveMixture:
     def prepare(self, gen: np.random.Generator, size: int,
                 buffers: ChunkBuffers) -> PreparedDraw:
         """The power-independent part of `size` trials from q, for `states`:
-        `draw` into `buffers`' `draw` store, then `index`."""
-        return self.index(self.draw(gen, size, buffers.draw(size)), buffers)
+        `draw` into `buffers`' "states" role, then `index`."""
+        out = _draw_out(buffers, "states", self.config.relay_count, size)
+        return self.index(self.draw(gen, size, out), buffers)
 
     def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
         """Channel states of a prepared draw at this power, with their geometry.
@@ -547,15 +487,19 @@ class DefensiveMixture:
         """
         r_count = self.config.relay_count
         n = draw.h.shape[1]
-        h = buffers.states(n)
+        h = buffers.take("states", (2 * r_count,), n, complex)
         np.copyto(h, draw.h)
-        # the fading gains are gathered into scratch, scaled and put back
+        # the fading gains are gathered into scratch, scaled and put back; weights
+        # fills the scratch's role only after this call has returned
         flat = h.ravel()
-        faded = np.take(flat, draw.fade_at, out=buffers.faded(draw.fade_at.size), mode="clip")
+        scratch = buffers.take("hit_states", (2 * r_count,), n, complex).ravel()
+        faded = np.take(flat, draw.fade_at, out=scratch[:draw.fade_at.size], mode="clip")
         faded *= self.fade_scale
         flat[draw.fade_at] = faded
-        products = channel_products(h[:r_count].T, h[r_count:].T, buffers.products(n))
-        rho, a, b = geometry_at_power(products, self.config, self.power, buffers.geometry(n))
+        products = channel_products(h[:r_count].T, h[r_count:].T,
+                                    _products_out(buffers, r_count, n))
+        rho, a, b = geometry_at_power(products, self.config, self.power,
+                                      _geometry_out(buffers, r_count, n))
         # f, the first R rows of h, shares the flat indices of rho, a and b;
         # g is R rows further on
         at, g_at = draw.star_at, draw.star_at + r_count * n
@@ -575,12 +519,15 @@ class DefensiveMixture:
 
         Evaluated at the given trial indices only; each trial's weight
         depends on that trial alone.  The gathers at those trials and the
-        intermediates are written into `buffers`' hit stores, which must
-        not hold h or geometry; the weights are a fresh array.
+        intermediates are taken from `buffers`, one role each, none of which
+        may hold h or geometry; the weights are a fresh array.
         """
         r_count = self.config.relay_count
         hits = trials.size
-        states, z2, log_gain = buffers.hit_states(hits)
+        slots, k = self.support.shape
+        states = buffers.take("hit_states", (2 * r_count,), hits, complex)
+        z2 = buffers.take("z2", (2 * r_count,), hits)
+        log_gain = buffers.take("log_gain", (2 * r_count,), hits)
         # mode="clip" lets take write straight into `out`; every index is valid
         np.take(h, trials, axis=1, out=states, mode="clip")
         p = self.power.linear
@@ -596,21 +543,27 @@ class DefensiveMixture:
         log_gain *= 0.5 * p
         log_gain += 0.5
         np.log(log_gain, out=log_gain)
-        terms, log_fade = buffers.hit_terms(hits)
+        terms = buffers.take("terms", (k + 2,), hits)
+        log_fade = buffers.take("log_fade", (), hits)
         np.sum(log_gain, axis=0, out=log_fade)
         terms[0] = self.log_alpha[0]
         np.add(self.log_alpha[1], log_fade, out=terms[1])
         # f, the first R rows of h, shares the flat indices of the geometry
         rho, a, b = geometry
-        star_at, support_at = buffers.hit_index(hits)
+        star_at = buffers.take("star_at", (k,), hits, np.intp)
+        support_at = buffers.take("support_at", (slots, k), hits, np.intp)
         np.add((h.shape[1] * self.relay)[:, None], trials, out=star_at)
         np.add((h.shape[1] * self.support)[..., None], trials, out=support_at)
-        a_support, b_support, star, rho_star, scratch = buffers.hit_cancel(hits)
+        a_support = buffers.take("a_support", (slots, k), hits, complex)
+        b_support = buffers.take("b_support", (slots, k), hits)
+        star = buffers.take("star", (k,), hits, complex)
+        rho_star = buffers.take("rho_star", (k,), hits)
+        scratch = buffers.take("scratch", (k,), hits)
         np.take(a, support_at, out=a_support, mode="clip")
         np.take(b, support_at, out=b_support, mode="clip")
         np.take(h, star_at, out=star, mode="clip")
         np.take(rho, star_at, out=rho_star, mode="clip")
-        mu, s2 = self._cancel_point(np.arange(self.relay.size)[:, None], a_support, b_support,
+        mu, s2 = self._cancel_point(np.arange(k)[:, None], a_support, b_support,
                                     star, rho_star)
         # star turns from f into dev = g - mu at r*, and rho_star into scratch
         row = r_count + self.relay
@@ -638,11 +591,11 @@ class DefensiveMixture:
     def sample(self, gen: np.random.Generator, size: int):
         """Draw `size` channel states from q; returns (f, g, weights p/q).
 
-        f and g have shape (size, R) like sample_channels.  Each call
-        writes into ChunkBuffers of its own, so it returns fresh arrays.
+        f and g have shape (size, R) like sample_channels.  Each call uses
+        an arena of its own, so it returns fresh arrays.
         """
         r_count = self.config.relay_count
-        buffers = ChunkBuffers(r_count, size, self.support.shape)
+        buffers = ChunkBuffers(size)
         h, geometry = self.states(self.prepare(gen, size, buffers), buffers)
         return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size), buffers)
 
@@ -664,19 +617,18 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
 
     # draw_chunk(gen, size, out) draws a chunk's random numbers, its channels
     # into `out`; chunk_q(drawn, buffers) yields its Q values at each grid
-    # power.  The buffers carry the importance stores only on that path.
+    # power
     if plan.estimator == "plain":
-        components = None
-
         def draw_chunk(gen, size, out):
             return sample_channels(config, gen, size, out)
 
         def chunk_q(drawn, buffers):
             f, g = drawn
             size = f.shape[0]
-            products = channel_products(f, g, buffers.products(size))
+            products = channel_products(f, g, _products_out(buffers, r_count, size))
             for power, ev in levels:
-                geometry = geometry_at_power(products, config, power, buffers.geometry(size))
+                geometry = geometry_at_power(products, config, power,
+                                             _geometry_out(buffers, r_count, size))
                 yield gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,
                                                               geometry=geometry)))
     else:
@@ -684,7 +636,6 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                                       if isinstance(ev, FiniteEvaluator) else None)
                      for power, ev in levels]
         # the mixtures of one plan share their components
-        components = proposals[0].support.shape
         draw_chunk = proposals[0].draw
 
         def chunk_q(drawn, buffers):
@@ -699,19 +650,18 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                 yield q
 
     n = plan.trials_per_point
+    capacity = min(CHUNK_TRIALS, n)
 
-    def new_buffers():
-        return ChunkBuffers(r_count, min(CHUNK_TRIALS, n), components)
-
-    def draw(chunk, buffers, store=None):
+    def draw(chunk, buffers, role="states"):
         size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
-        return draw_chunk(_rng.stream(plan.seed, 0, chunk), size, buffers.draw(size, store))
+        return draw_chunk(_rng.stream(plan.seed, 0, chunk), size,
+                          _draw_out(buffers, role, r_count, size))
 
     def evaluate(drawn, buffers):
         return [(float(q.sum()), float(np.square(q).sum())) for q in chunk_q(drawn, buffers)]
 
     def run_chunks(chunks):
-        buffers = new_buffers()
+        buffers = ChunkBuffers(capacity)
         return [evaluate(draw(c, buffers), buffers) for c in chunks]
 
     chunks = range(-(-n // CHUNK_TRIALS))
@@ -719,25 +669,24 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     if threads == 1:
         partials = run_chunks(chunks)
     elif isinstance(plan.evaluators[0], FiniteEvaluator):
-        # one helper draws chunk c into the spare store while this thread
-        # evaluates chunk c - 1; the stores then trade places, so `buffers`
+        # one helper draws chunk c into "spare" while this thread evaluates
+        # chunk c - 1 from "states"; the two then trade stores, so "states"
         # holds the chunk being evaluated and the helper never writes a store
         # in use
-        buffers = new_buffers()
-        spare = buffers.spare()
+        buffers = ChunkBuffers(capacity)
         partials = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             drawn = draw(0, buffers)
             for chunk in chunks[1:]:
-                ahead = pool.submit(draw, chunk, buffers, spare)
+                ahead = pool.submit(draw, chunk, buffers, "spare")
                 partials.append(evaluate(drawn, buffers))
                 drawn = ahead.result()
-                spare = buffers.swap(spare)
+                buffers.swap("states", "spare")
             partials.append(evaluate(drawn, buffers))
     else:
         # a continuous family's maximizer is long numpy calls, which overlap
         # across threads: worker w draws and evaluates chunks w, w + threads,
-        # ... in buffers of its own, and chunk c is item c // threads of
+        # ... in an arena of its own, and chunk c is item c // threads of
         # strand c % threads
         with ThreadPoolExecutor(max_workers=threads) as pool:
             strands = list(pool.map(run_chunks, (chunks[w::threads] for w in range(threads))))

@@ -600,6 +600,58 @@ def test_draw_ahead_reuses_stores_when_the_helper_runs_ahead(monkeypatch):
         assert ahead.getvalue() == inline.getvalue(), estimator
 
 
+def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch):
+    # every array of a chunk that grows with its trials is a role of the
+    # evaluating thread's ChunkBuffers: each role keeps one (rows, dtype), is
+    # first requested before that thread starts its second chunk (which
+    # calls gaussian_tail for the (G + 1)th time on a grid of G powers), and
+    # a plain plan requests no role of the importance proposal
+    import threading
+
+    import relayquant.montecarlo as montecarlo
+
+    events = []  # (thread, arena, role, rows, dtype); arena None marks a tail call
+
+    class RecordingArena(ChunkBuffers):
+        def take(self, role, rows, n, dtype=float):
+            events.append((threading.get_ident(), self, role, rows, np.dtype(dtype)))
+            return super().take(role, rows, n, dtype)
+
+    tail = montecarlo.gaussian_tail
+
+    def marked_tail(x):
+        events.append((threading.get_ident(), None, None, None, None))
+        return tail(x)
+
+    monkeypatch.setattr(montecarlo, "ChunkBuffers", RecordingArena)
+    monkeypatch.setattr(montecarlo, "gaussian_tail", marked_tail)
+    plain_roles = {"states", "spare", "fg", "f2", "g2", "rho", "a", "b"}
+    grid = (20.0, 40.0)
+    for spec, estimator in ((_FIG2_CODEBOOKS["C3"], "importance"), (_FIG2_CODEBOOKS["C3"], "plain"),
+                            (ConstrainedSpec(0.25, 1), "importance")):
+        plan = SimulationPlan(_fig2_network(), spec, grid, 3 * CHUNK_TRIALS + 7, 41,
+                              estimator=estimator)
+        for threads in ("1", "2"):
+            case = (estimator, type(spec).__name__, threads)
+            monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+            events.clear()
+            estimate_ser(plan)
+            shapes, evaluator, first = {}, {}, {}
+            for i, (thread, arena, role, rows, dtype) in enumerate(events):
+                if arena is not None:
+                    assert shapes.setdefault(role, (rows, dtype)) == (rows, dtype), (case, role)
+                    evaluator.setdefault(arena, thread)
+                    first.setdefault((arena, role), i)
+            for (arena, role), i in first.items():
+                tails = [j for j, (thread, marked, *_) in enumerate(events)
+                         if marked is None and thread == evaluator[arena]]
+                assert i < tails[len(grid)], (case, role)
+            if estimator == "plain":
+                assert set(shapes) <= plain_roles, case
+            else:
+                assert {"prepared", "hit_states", "terms"} <= set(shapes), case
+
+
 def test_plan_rejects_codebook_unresolvable_at_a_grid_power():
     with pytest.raises(ValueError, match="P >= e"):
         SimulationPlan(_fig2_network(), PowerDependentSpec(1), (0.0, 10.0), 100, 1)
@@ -651,14 +703,14 @@ def test_weights_reuse_of_buffers_leaks_no_stale_data():
     # stores; a call after a larger or a smaller hit set must read none of
     # the earlier call's data
     net, power, ev, proposal = _c3_proposal(35.0)
-    shared = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+    shared = ChunkBuffers(CHUNK_TRIALS)
     h, geometry = proposal.states(proposal.prepare(rng.stream(11, 0, 0), CHUNK_TRIALS, shared),
                                   shared)
     hit = np.flatnonzero(ev.best_snr(h[:3].T, h[3:].T, net, power, geometry=geometry) < 300.0)
     hit_sets = [np.arange(CHUNK_TRIALS), hit[::3], hit, hit[1::2], np.arange(0, CHUNK_TRIALS, 7)]
     assert len({s.size for s in hit_sets}) == len(hit_sets)
     for trials in hit_sets:
-        fresh = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+        fresh = ChunkBuffers(CHUNK_TRIALS)
         expected = proposal.weights(h, geometry, trials, fresh)
         got = proposal.weights(h, geometry, trials, shared)
         assert got.shape == (trials.size,)
@@ -684,7 +736,7 @@ def test_importance_chunk_takes_few_fresh_bytes():
     import tracemalloc
 
     net, power, ev, proposal = _c3_proposal(40.0)
-    buffers = ChunkBuffers(3, CHUNK_TRIALS, proposal.support.shape)
+    buffers = ChunkBuffers(CHUNK_TRIALS)
 
     def chunk(c):
         draw = proposal.prepare(rng.stream(1, 0, c), CHUNK_TRIALS, buffers)

@@ -7,6 +7,14 @@ variable RELAYQUANT_THREADS=1 runs a simulation on the calling thread alone.
 A larger value lets one helper thread draw a finite codebook's next trial
 chunk ahead, and runs a continuous family on that many evaluating threads.
 No value changes any output byte.
+
+simulate passes every plan of a config to one estimate_ser call.  The plain
+curves of a config that share a trial count are evaluated on one draw per
+chunk (montecarlo.draw_groups), finite codebooks and continuous families
+apart; their errors were already correlated across codebooks, since every
+entry shares the config's seed.  An importance curve draws its own, since
+its proposal depends on its codebook.  A curve's bytes do not depend on
+which other codebooks its config lists.
 """
 
 from __future__ import annotations
@@ -20,15 +28,21 @@ import re
 import sys
 from pathlib import Path
 
-from .codebooks import (CodebookError, json_fields, json_floats, json_int, json_required,
-                        spec_from_json, to_finite)
+import numpy as np
+import scipy
+
+from . import __version__
+from .codebooks import (CodebookError, json_fields, json_floats, json_int, json_label,
+                        json_required, spec_from_json, to_finite)
 from .model import NetworkConfig
 from .montecarlo import (
+    CHUNK_TRIALS,
     MAX_RESOLVED_REL_ERR,
     SerCurve,
     SimulationPlan,
     check_estimator,
     check_trials,
+    draw_groups,
     estimate_diversity,
     estimate_ser,
     power_grid,
@@ -151,7 +165,8 @@ def _experiment_from_json(cfg, where: str):
         path = f"{where}.codebooks[{i}]"
         if not isinstance(entry, dict):
             raise CliError(f"{path}: expected an object")
-        label = str(entry.get("label") or f"codebook{i}")
+        with _blame(f"{path}.label"):
+            label = json_label(entry, f"codebook{i}")
         name = _output_name(label)
         if name in outputs:
             raise CliError(f"{path}: label {label!r} writes {name}, "
@@ -175,7 +190,7 @@ def cmd_simulate(args) -> int:
     where = str(cfg_path)
     plans, seed = _experiment_from_json(cfg, where)
     try:
-        worker_count()
+        threads = worker_count()
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -184,9 +199,10 @@ def cmd_simulate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot write {out_dir}: {exc}") from exc
+    labels, sims = zip(*plans)
+    curves = estimate_ser(*sims)
     outputs = {}
-    for label, plan in plans:
-        curve = estimate_ser(plan)
+    for label, curve in zip(labels, curves if len(sims) > 1 else (curves,)):
         name = _output_name(label)
         _write_file(out_dir / name, curve.write_csv)
         outputs[label] = name
@@ -197,6 +213,11 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
+        "versions": {"relayquant": __version__, "python": sys.version.split()[0],
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "chunk_trials": CHUNK_TRIALS,
+        "threads": threads,
+        "draw_groups": [[labels[i] for i in group] for group in draw_groups(sims)],
     }
     _write_file(out_dir / "manifest.json",
                 lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))

@@ -371,6 +371,16 @@ def json_int(value, name: str) -> int:
     return int(value)
 
 
+def json_label(obj: dict, default: str = "") -> str:
+    """obj["label"], which must be a non-empty string when present, else default."""
+    if "label" not in obj:
+        return default
+    label = obj["label"]
+    if not isinstance(label, str) or not label:
+        raise ValueError(f"label must be a non-empty string, got {label!r}")
+    return label
+
+
 def json_float(value, name: str) -> float:
     """A JSON number (int or float) as a float; strings and bools raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -449,9 +459,10 @@ def _decode_spec(obj) -> CodebookSpec:
     if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
         raise CodebookError(f"unknown codebook type {kind!r}")
     json_fields(obj, _SPEC_FIELDS[kind] + ("type", "label"))
+    label = json_label(obj)
     if kind == "explicit":
         return FiniteCodebook(_matrix_from_json(json_required(obj, "vectors"), "vectors"),
-                              label=str(obj.get("label", "")))
+                              label=label)
     if kind == "srs":
         return SrsSpec(json_floats(json_required(obj, "theta"), "theta"))
     if kind == "unitary":

@@ -26,9 +26,9 @@ Two estimators are selectable per plan:
   power.
 
 Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser picks
-the estimator's per-chunk code path once per plan.  Chunk c draws its
-randomness once, from the counter stream (seed, 0, c), and evaluates it at
-every power of the grid: the true channel law does not depend on P, and
+the estimator's per-chunk code path once per group of plans (below).  Chunk
+c draws its randomness once, from the counter stream (seed, 0, c), and
+evaluates it at every power of the grid: the true channel law does not depend on P, and
 neither do the raw draws of the importance proposal.  Under "plain" the
 draw is the channels, whose power-independent products are formed once per
 chunk; under "importance" it is DefensiveMixture.draw's, which
@@ -41,20 +41,34 @@ with its trials is a role of the evaluating thread's ChunkBuffers arena,
 allocated for a full chunk at its first request and reused by every later
 chunk, so later chunks take no fresh pages for them.
 
-At RELAYQUANT_THREADS=1 (worker_count) the calling thread draws and
-evaluates every chunk.  Above 1 the threads follow the codebook's kind:
+estimate_ser takes the plans of a whole experiment at once.  Plain plans of
+one network, seed, grid and trial count draw the same channels in every
+chunk, so draw_groups puts together those whose evaluators are of one kind
+(finite or continuous), and each chunk of a group is drawn once: its
+products are formed once, each power's geometry once, and every plan's
+argmax and Gaussian tail run on that geometry.  The curves' errors were
+already correlated across codebooks, since they share a seed (common random
+numbers); sharing the draw changes no bit of any curve.  An importance plan
+draws alone, since its proposal maps the draw to each power's channel states
+through its own codebook's cancellation components.  The draw and geometry
+roles of the arena do not depend on the codebook, so a group uses the roles
+of one plan.
 
-* a finite codebook's chunks are all evaluated on the calling thread, in
+At RELAYQUANT_THREADS=1 (worker_count) the calling thread draws and
+evaluates every chunk.  Above 1 the threads follow the kind of a group's
+codebooks:
+
+* a finite group's chunks are all evaluated on the calling thread, in
   chunk order, while one helper thread draws chunk c + 1 into a spare role.
   The evaluation is many short numpy calls, and two threads running them
   pass the interpreter lock back and forth on nearly every call, which cost
   about 1.5 times the CPU for no less wall time.  The draws are a few long
   calls that release the lock.
-* a continuous family runs worker_count() evaluating threads, at most one
-  per chunk, each drawing and evaluating its share of the chunks in an arena
-  of its own.  Its maximizer is long numpy calls, which overlap across
-  threads, so a second evaluator cuts wall time where a helper that only
-  draws does not.
+* a continuous group runs worker_count() evaluating threads, at most one
+  per chunk, each drawing and evaluating its share of the chunks, for every
+  plan of the group, in an arena of its own.  Its maximizer is long numpy
+  calls, which overlap across threads, so a second evaluator cuts wall time
+  where a helper that only draws does not.
 
 CHANGES.md records the measurements, made on 2 cores; neither policy has
 been measured above that.
@@ -133,11 +147,11 @@ def worker_count() -> int:
     the core count capped at 8.
 
     At 1, estimate_ser draws and evaluates every chunk on the calling
-    thread.  Above 1, a finite codebook's chunks are still evaluated on the
-    calling thread while one helper thread draws the next chunk, whatever
-    the value; a continuous family's chunks are spread over this many
-    evaluating threads.  The output bytes are the same either way.  An
-    explicit value above the core count oversubscribes a continuous family:
+    thread.  Above 1, the chunks of finite codebooks are still evaluated on
+    the calling thread while one helper thread draws the next chunk,
+    whatever the value; the chunks of continuous families are spread over
+    this many evaluating threads.  The output bytes are the same either way.
+    An explicit value above the core count oversubscribes a continuous family:
     on 2 cores, fig4 under plain sampling at 65,536 trials took 3.71 s of
     wall time at 8 threads against 2.49 s at 2.
     """
@@ -600,25 +614,59 @@ class DefensiveMixture:
         return h[:r_count].T, h[r_count:].T, self.weights(h, geometry, np.arange(size), buffers)
 
 
-def estimate_ser(plan: SimulationPlan) -> SerCurve:
-    """Monte Carlo SER at every grid point of the plan.
+def draw_groups(plans: Sequence[SimulationPlan]) -> list[list[int]]:
+    """The indices of `plans` that share one draw per chunk, grouped in order
+    of first appearance.
+
+    Plain plans of one network, seed, grid and trial count draw the same
+    channels in every chunk and form the same geometry at every power, so
+    estimate_ser evaluates those whose evaluators are of one kind (finite or
+    continuous, which picks the threading policy) on one draw.  An importance
+    plan maps its draw to each power's channel states through its own
+    codebook's proposal, so it is a group of its own.
+    """
+    groups = {}
+    for i, plan in enumerate(plans):
+        key = ((plan.network, plan.seed, plan.p_grid_db, plan.trials_per_point,
+                isinstance(plan.evaluators[0], FiniteEvaluator))
+               if plan.estimator == "plain" else i)
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def estimate_ser(*plans: SimulationPlan):
+    """Monte Carlo SER at every grid point of each plan: a SerCurve for one
+    plan, a tuple of them in argument order for several.
 
     Chunk c draws its trials once, from the counter stream (seed, 0, c), and
     evaluates them at every grid power; per-point partial sums combine in
     chunk order, so worker_count() never changes the output bits, and point i
-    of a curve equals a one-point plan at p_grid_db[i].  With plan.estimator
-    "importance" each power maps the draw through its own DefensiveMixture
-    and weights its Q values by the likelihood ratio.
+    of a curve equals a one-point plan at p_grid_db[i].  The plans of one
+    draw_groups group share each chunk's draw, products and geometry, so a
+    curve's bits do not depend on the other plans of the call.  With
+    estimator "importance" each power maps the draw through its own
+    DefensiveMixture and weights its Q values by the likelihood ratio.
     """
-    config = plan.network
+    if not plans:
+        raise TypeError("estimate_ser needs at least one plan")
+    curves = [None] * len(plans)
+    for group in draw_groups(plans):
+        for i, curve in zip(group, _estimate_group([plans[i] for i in group])):
+            curves[i] = curve
+    return curves[0] if len(plans) == 1 else tuple(curves)
+
+
+def _estimate_group(plans: list) -> list:
+    """The curves of one draw_groups group, in its order."""
+    lead = plans[0]
+    config = lead.network
     r_count = config.relay_count
-    levels = [(PowerLevel.from_db(p_db), ev)
-              for p_db, ev in zip(plan.p_grid_db, plan.evaluators)]
+    powers = [PowerLevel.from_db(p_db) for p_db in lead.p_grid_db]
 
     # draw_chunk(gen, size, out) draws a chunk's random numbers, its channels
     # into `out`; chunk_q(drawn, buffers) yields its Q values at each grid
-    # power
-    if plan.estimator == "plain":
+    # power, for each plan in turn
+    if lead.estimator == "plain":
         def draw_chunk(gen, size, out):
             return sample_channels(config, gen, size, out)
 
@@ -626,21 +674,22 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
             f, g = drawn
             size = f.shape[0]
             products = channel_products(f, g, _products_out(buffers, r_count, size))
-            for power, ev in levels:
+            for i, power in enumerate(powers):
                 geometry = geometry_at_power(products, config, power,
                                              _geometry_out(buffers, r_count, size))
-                yield gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, config, power,
-                                                              geometry=geometry)))
+                for plan in plans:
+                    yield gaussian_tail(np.sqrt(2.0 * plan.evaluators[i].best_snr(
+                        f, g, config, power, geometry=geometry)))
     else:
         proposals = [DefensiveMixture(config, power, ev.canonical
                                       if isinstance(ev, FiniteEvaluator) else None)
-                     for power, ev in levels]
+                     for power, ev in zip(powers, lead.evaluators)]
         # the mixtures of one plan share their components
         draw_chunk = proposals[0].draw
 
         def chunk_q(drawn, buffers):
             prepared = proposals[0].index(drawn, buffers)
-            for proposal, (power, ev) in zip(proposals, levels):
+            for proposal, power, ev in zip(proposals, powers, lead.evaluators):
                 h, geometry = proposal.states(prepared, buffers)
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
                     h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
@@ -649,12 +698,12 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                 q[hit] *= proposal.weights(h, geometry, hit, buffers)
                 yield q
 
-    n = plan.trials_per_point
+    n = lead.trials_per_point
     capacity = min(CHUNK_TRIALS, n)
 
     def draw(chunk, buffers, role="states"):
         size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
-        return draw_chunk(_rng.stream(plan.seed, 0, chunk), size,
+        return draw_chunk(_rng.stream(lead.seed, 0, chunk), size,
                           _draw_out(buffers, role, r_count, size))
 
     def evaluate(drawn, buffers):
@@ -668,7 +717,7 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
     threads = min(worker_count(), len(chunks))
     if threads == 1:
         partials = run_chunks(chunks)
-    elif isinstance(plan.evaluators[0], FiniteEvaluator):
+    elif isinstance(lead.evaluators[0], FiniteEvaluator):
         # one helper draws chunk c into "spare" while this thread evaluates
         # chunk c - 1 from "states"; the two then trade stores, so "states"
         # holds the chunk being evaluated and the helper never writes a store
@@ -692,6 +741,8 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
             strands = list(pool.map(run_chunks, (chunks[w::threads] for w in range(threads))))
         partials = [strands[c % threads][c // threads] for c in chunks]
 
+    # a chunk's partials run over the powers and, within each power, over the
+    # plans, so plan j's points are every len(plans)-th entry from j
     ser, std_err = [], []
     for point in zip(*partials):
         mean = _fold_sum(s1 for s1, _ in point) / n
@@ -699,7 +750,9 @@ def estimate_ser(plan: SimulationPlan) -> SerCurve:
                if n > 1 else 0.0)
         ser.append(mean)
         std_err.append(math.sqrt(var / n))
-    return SerCurve(plan.p_grid_db, tuple(ser), tuple(std_err), (n,) * len(levels))
+    m = len(plans)
+    return [SerCurve(lead.p_grid_db, tuple(ser[j::m]), tuple(std_err[j::m]), (n,) * len(powers))
+            for j in range(m)]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relayquant.cli import main
+from relayquant.montecarlo import CHUNK_TRIALS, worker_count
 
 TINY_CONFIG = {
     "network": {
@@ -41,6 +42,12 @@ def test_simulate_writes_curves_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 99
     assert manifest["outputs"] == {"pair": "pair.csv", "SRS": "SRS.csv"}
+    assert set(manifest["versions"]) == {"relayquant", "python", "numpy", "scipy"}
+    assert manifest["versions"]["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert manifest["chunk_trials"] == CHUNK_TRIALS
+    assert manifest["threads"] == worker_count()
+    # both curves are plain, finite and of one trial count: one draw serves both
+    assert manifest["draw_groups"] == [["pair", "SRS"]]
     header = (out / "pair.csv").read_text().splitlines()[0]
     assert header == "p_db,ser,std_err,trials"
 
@@ -356,6 +363,63 @@ def test_simulate_labels_sharing_an_output_file_fail_before_writing(tmp_path, ca
     assert captured.err.startswith(f"error: {cfg}.codebooks[2]: ")
     assert f"{second!r}" in captured.err and f"{first!r}" in captured.err
     assert not out.exists() and "wrote" not in captured.out
+
+
+def test_simulate_manifest_lists_draw_groups(tmp_path, capsys):
+    # an entry of its own trial count, a continuous family and every
+    # importance curve draw apart
+    codebooks = [TINY_CONFIG["codebooks"][0],
+                 {"label": "family", "type": "constrained", "epsilon": 0.25, "pinned_relay": 1},
+                 dict(TINY_CONFIG["codebooks"][1], trials_per_point=6000),
+                 {"label": "X", "type": "full_csi"}]
+    for estimator, groups in (("plain", [["pair"], ["family", "X"], ["SRS"]]),
+                              ("importance", [["pair"], ["family"], ["SRS"], ["X"]])):
+        cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, codebooks=codebooks,
+                                                  estimator=estimator, trials_per_point=100))
+        out = tmp_path / estimator
+        assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "manifest.json").read_text())["draw_groups"] == groups
+
+
+@pytest.mark.parametrize("label", [3.5, True, ["a"], {"x": 1}, "", None, 0])
+def test_simulate_label_must_be_a_nonempty_string(tmp_path, capsys, label):
+    codebooks = [TINY_CONFIG["codebooks"][0], dict(TINY_CONFIG["codebooks"][1], label=label)]
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, codebooks=codebooks))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}.codebooks[1].label: ")
+    assert "non-empty string" in captured.err and "Traceback" not in captured.err
+    assert not out.exists() and "wrote" not in captured.out
+
+
+def test_simulate_absent_label_defaults_to_entry_index(tmp_path, capsys):
+    srs = {k: v for k, v in TINY_CONFIG["codebooks"][1].items() if k != "label"}
+    codebooks = [TINY_CONFIG["codebooks"][0], srs]
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, codebooks=codebooks))
+    out = tmp_path / "out"
+    assert main(["simulate", "-c", str(cfg), "-o", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {"pair": "pair.csv", "codebook1": "codebook1.csv"}
+
+
+@pytest.mark.parametrize("spec", [
+    {"label": 3.5, "vectors": [[[1, 0], [0, 0]]]},
+    {"label": True, "vectors": [[[1, 0], [0, 0]]]},
+    {"label": ["a"], "vectors": [[[1, 0], [0, 0]]]},
+    {"label": {"x": 1}, "vectors": [[[1, 0], [0, 0]]]},
+    {"label": "", "vectors": [[[1, 0], [0, 0]]]},
+    {"label": 3, "type": "srs", "theta": [0.0, 0.0]},
+    {"type": "unitary", "base": {"label": None, "type": "srs", "theta": [0.0, 0.0]},
+     "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}])
+def test_analyze_label_must_be_a_nonempty_string(tmp_path, capsys, spec):
+    path = _write(tmp_path, "cb.json", spec)
+    assert main(["analyze", "-i", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "label must be a non-empty string" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("taken", ["", "pair.csv", "manifest.json"])

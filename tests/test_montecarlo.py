@@ -1,3 +1,4 @@
+import importlib.resources
 import io
 import json
 import math
@@ -21,9 +22,9 @@ from relayquant import (
 )
 from relayquant.cli import main
 from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_codebook,
-                                  to_finite)
+                                  spec_from_json, to_finite)
 from relayquant.montecarlo import (ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, ChunkBuffers,
-                                   DefensiveMixture)
+                                   DefensiveMixture, draw_groups)
 from relayquant.structure import diversity_cap
 from tests.conftest import U1, U2
 
@@ -627,15 +628,20 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
     monkeypatch.setattr(montecarlo, "gaussian_tail", marked_tail)
     plain_roles = {"states", "spare", "fg", "f2", "g2", "rho", "a", "b"}
     grid = (20.0, 40.0)
-    for spec, estimator in ((_FIG2_CODEBOOKS["C3"], "importance"), (_FIG2_CODEBOOKS["C3"], "plain"),
-                            (ConstrainedSpec(0.25, 1), "importance")):
-        plan = SimulationPlan(_fig2_network(), spec, grid, 3 * CHUNK_TRIALS + 7, 41,
-                              estimator=estimator)
+    # the last two cases are draw groups: a chunk calls the tail once per
+    # power and plan
+    for specs, estimator in (((_FIG2_CODEBOOKS["C3"],), "importance"),
+                             ((_FIG2_CODEBOOKS["C3"],), "plain"),
+                             ((ConstrainedSpec(0.25, 1),), "importance"),
+                             (tuple(_FIG2_CODEBOOKS.values()), "plain"),
+                             ((ConstrainedSpec(0.25, 1), PowerDependentSpec(1)), "plain")):
+        plans = [SimulationPlan(_fig2_network(), spec, grid, 3 * CHUNK_TRIALS + 7, 41,
+                                estimator=estimator) for spec in specs]
         for threads in ("1", "2"):
-            case = (estimator, type(spec).__name__, threads)
+            case = (estimator, type(specs[0]).__name__, len(specs), threads)
             monkeypatch.setenv("RELAYQUANT_THREADS", threads)
             events.clear()
-            estimate_ser(plan)
+            estimate_ser(*plans)
             shapes, evaluator, first = {}, {}, {}
             for i, (thread, arena, role, rows, dtype) in enumerate(events):
                 if arena is not None:
@@ -645,11 +651,104 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
             for (arena, role), i in first.items():
                 tails = [j for j, (thread, marked, *_) in enumerate(events)
                          if marked is None and thread == evaluator[arena]]
-                assert i < tails[len(grid)], (case, role)
+                assert i < tails[len(grid) * len(plans)], (case, role)
             if estimator == "plain":
                 assert set(shapes) <= plain_roles, case
             else:
                 assert {"prepared", "hit_states", "terms"} <= set(shapes), case
+
+
+def _bundled(name):
+    """(network, {label: spec}) of a bundled config."""
+    cfg = json.loads((importlib.resources.files("relayquant") / "configs" / f"{name}.json")
+                     .read_text(encoding="utf-8"))
+    n = cfg["network"]
+    net = NetworkConfig(n["relay_count"], tuple(n["power_scalers"]), tuple(n["variance_f"]),
+                        tuple(n["variance_g"]))
+    return net, {e["label"]: spec_from_json({k: v for k, v in e.items()
+                                             if k != "trials_per_point"})
+                 for e in cfg["codebooks"]}
+
+
+def _csv_bytes(curve):
+    buf = io.StringIO()
+    curve.write_csv(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
+def test_draw_group_curves_equal_each_plan_alone(monkeypatch, threads):
+    # fig2's seven codebooks share each chunk's draw, products and geometry
+    # (a finite group: a helper draws ahead), and so do fig4's continuous
+    # families (a continuous group: strands); a curve's bytes must not depend
+    # on the other plans of its group
+    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    trials = 3 * CHUNK_TRIALS + 7
+    fig2_net, fig2 = _bundled("fig2")
+    fig4_net, fig4 = _bundled("fig4")
+    plans = [SimulationPlan(fig2_net, spec, (0.0, 8.0, 16.0), trials, 43)
+             for spec in fig2.values()]
+    plans += [SimulationPlan(fig4_net, spec, (5.0, 15.0), trials, 47)
+              for label, spec in fig4.items() if label != "SRS"]
+    assert draw_groups(plans) == [list(range(7)), list(range(7, 12))]
+    grouped = estimate_ser(*plans)
+    assert len(grouped) == len(plans)
+    for i, (plan, curve) in enumerate(zip(plans, grouped)):
+        assert _csv_bytes(curve) == _csv_bytes(estimate_ser(plan)), i
+
+
+def test_draw_group_draws_and_forms_geometry_once_per_chunk(monkeypatch):
+    import relayquant.montecarlo as montecarlo
+
+    drawn, built = [], []
+    sample, geometry = montecarlo.sample_channels, montecarlo.geometry_at_power
+
+    def counting_sample(*args):
+        drawn.append(args[2])
+        return sample(*args)
+
+    def counting_geometry(*args):
+        built.append(args[2].linear)
+        return geometry(*args)
+
+    monkeypatch.setattr(montecarlo, "sample_channels", counting_sample)
+    monkeypatch.setattr(montecarlo, "geometry_at_power", counting_geometry)
+    fig2_net, fig2 = _bundled("fig2")
+    grid = (0.0, 8.0, 16.0)
+    plans = [SimulationPlan(fig2_net, spec, grid, 3 * CHUNK_TRIALS + 7, 43)
+             for spec in fig2.values()]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+        drawn.clear()
+        built.clear()
+        estimate_ser(*plans)
+        assert sorted(drawn) == [7] + [CHUNK_TRIALS] * 3, threads
+        assert len(built) == 4 * len(grid), threads
+
+
+def test_mixed_call_returns_curves_in_argument_order():
+    # importance plans draw alone; plain plans group by trial count and by
+    # evaluator kind; the curves come back in the order the plans were given
+    net = _fig2_network()
+    grid = (10.0, 20.0)
+    short, long = CHUNK_TRIALS + 3, 2 * CHUNK_TRIALS + 1
+    c3, srs, family = _FIG2_CODEBOOKS["C3"], _FIG2_CODEBOOKS["SRS"], ConstrainedSpec(0.25, 1)
+    plans = [SimulationPlan(net, c3, grid, short, 9, estimator="importance"),
+             SimulationPlan(net, c3, grid, short, 9),
+             SimulationPlan(net, family, grid, short, 9),
+             SimulationPlan(net, srs, grid, long, 9),
+             SimulationPlan(net, srs, grid, short, 9, estimator="importance"),
+             SimulationPlan(net, _FIG2_CODEBOOKS["O1"], grid, short, 9),
+             SimulationPlan(net, PowerDependentSpec(1), grid, long, 9),
+             SimulationPlan(net, srs, grid, short, 9)]
+    assert draw_groups(plans) == [[0], [1, 5, 7], [2], [3], [4], [6]]
+    curves = estimate_ser(*plans)
+    assert isinstance(curves, tuple) and len(curves) == len(plans)
+    for i, (plan, curve) in enumerate(zip(plans, curves)):
+        assert _csv_bytes(curve) == _csv_bytes(estimate_ser(plan)), i
+    assert isinstance(estimate_ser(plans[0]), SerCurve)
+    with pytest.raises(TypeError):
+        estimate_ser()
 
 
 def test_plan_rejects_codebook_unresolvable_at_a_grid_power():

@@ -269,3 +269,33 @@ def test_vectorized_structure_checks_match_pairwise_loops():
             with pytest.raises(ValueError):
                 max_pairwise_overlap(cb)
         assert is_omrs(cb) == all(x <= 1e-12 for x in pairs)
+
+
+def test_structural_identities_on_every_small_support_pattern():
+    # every codebook of K <= 4 supports drawn, with repetition, from the
+    # nonempty subsets of R <= 4 relays, with seeded magnitudes and phases:
+    # the cap is at most K; a cap of K < R needs pairwise disjoint supports
+    # (two supports that share a relay are hit by that one relay); and the
+    # cap is R exactly when every relay has a single-relay vector
+    gen = np.random.default_rng(2010)
+    checked = 0
+    for r_count in range(1, 5):
+        subsets = [s for size in range(1, r_count + 1)
+                   for s in itertools.combinations(range(r_count), size)]
+        for k in range(1, 5):
+            for supports in itertools.combinations_with_replacement(subsets, k):
+                vectors = np.zeros((k, r_count), dtype=complex)
+                for row, support in zip(vectors, supports):
+                    cols = list(support)
+                    row[cols] = (gen.uniform(0.1, 1.0, len(cols))
+                                 * np.exp(2j * np.pi * gen.uniform(size=len(cols))))
+                cb = FiniteCodebook(vectors)
+                cap, _ = diversity_cap(cb)
+                case = (r_count, supports)
+                assert cap <= k, case
+                if cap == k < r_count:
+                    assert is_omrs(cb), case
+                singles = all((r,) in supports for r in range(r_count))
+                assert (cap == r_count) == singles, case
+                checked += 1
+    assert checked == 4242

@@ -3,10 +3,9 @@
 Configs and codebooks are JSON (complex numbers as [re, im] pairs), SER
 curves are CSV with the fixed header p_db,ser,std_err,trials.  Exit codes:
 0 success, 1 usage error, 2 validation or audit failure.  The environment
-variable RELAYQUANT_THREADS=1 runs a simulation on the calling thread alone.
-A larger value lets one helper thread draw a finite codebook's next trial
-chunk ahead, and runs a continuous family on that many evaluating threads.
-No value changes any output byte.
+variable RELAYQUANT_THREADS sets the threads of a continuous family, which
+runs its trial chunks over that many strands; finite codebooks always run on
+the calling thread.  No value changes any output byte.
 
 simulate passes every plan of a config to one estimate_ser call.  The plain
 curves of a config that share a trial count are evaluated on one draw per
@@ -153,7 +152,7 @@ def _experiment_from_json(cfg, where: str):
     with _blame(f"{where}.p_grid_db"):
         p_grid = power_grid(json_floats(json_required(cfg, "p_grid_db"), "p_grid_db"))
     with _blame(f"{where}.trials_per_point"):
-        trials = check_trials(json_int(cfg.get("trials_per_point", 10**6), "trials_per_point"))
+        trials = check_trials(cfg.get("trials_per_point", 10**6))
     with _blame(f"{where}.seed"):
         seed = check_seed(json_int(json_required(cfg, "seed"), "seed"))
     with _blame(f"{where}.estimator"):
@@ -176,8 +175,7 @@ def _experiment_from_json(cfg, where: str):
         body.setdefault("label", label)
         spec = spec_from_json(body, where=path)
         with _blame(f"{path}.trials_per_point"):
-            entry_trials = check_trials(json_int(entry.get("trials_per_point", trials),
-                                                 "trials_per_point"))
+            entry_trials = check_trials(entry.get("trials_per_point", trials))
         with _blame(path):
             plans.append((label, SimulationPlan(network, spec, p_grid, entry_trials, seed,
                                                 estimator=estimator)))

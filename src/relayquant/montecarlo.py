@@ -28,18 +28,17 @@ Two estimators are selectable per plan:
 Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser picks
 the estimator's per-chunk code path once per group of plans (below).  Chunk
 c draws its randomness once, from the counter stream (seed, 0, c), and
-evaluates it at every power of the grid: the true channel law does not depend on P, and
-neither do the raw draws of the importance proposal.  Under "plain" the
-draw is the channels, whose power-independent products are formed once per
-chunk; under "importance" it is DefensiveMixture.draw's, which
-DefensiveMixture.index prepares once and DefensiveMixture.states maps to
-each power's channel states.  Either way each power forms one SNR geometry,
-which the codebook's argmax reuses; "importance" then evaluates the
-likelihood ratio only at the trials whose Q value is positive, since a trial
-with Q = 0 adds 0 whatever its weight.  Every array of a chunk that grows
-with its trials is a role of the evaluating thread's ChunkBuffers arena,
-allocated for a full chunk at its first request and reused by every later
-chunk, so later chunks take no fresh pages for them.
+evaluates it at every power of the grid: the true channel law does not
+depend on P, and neither do the raw draws of the importance proposal.  Under
+"plain" the draw is the channels, whose power-independent products are
+formed once per chunk; under "importance" it is DefensiveMixture.prepare's,
+which DefensiveMixture.states maps to each power's channel states.  Either
+way each power forms one SNR geometry, which the codebook's argmax reuses;
+"importance" then evaluates the likelihood ratio only at the trials whose Q
+value is positive, since a trial with Q = 0 adds 0 whatever its weight.
+Every array of a chunk that grows with its trials is a role of the strand's
+ChunkBuffers arena, allocated for a full chunk at its first request and
+reused by every later chunk, so later chunks take no fresh pages for them.
 
 estimate_ser takes the plans of a whole experiment at once.  Plain plans of
 one network, seed, grid and trial count draw the same channels in every
@@ -54,24 +53,16 @@ through its own codebook's cancellation components.  The draw and geometry
 roles of the arena do not depend on the codebook, so a group uses the roles
 of one plan.
 
-At RELAYQUANT_THREADS=1 (worker_count) the calling thread draws and
-evaluates every chunk.  Above 1 the threads follow the kind of a group's
-codebooks:
-
-* a finite group's chunks are all evaluated on the calling thread, in
-  chunk order, while one helper thread draws chunk c + 1 into a spare role.
-  The evaluation is many short numpy calls, and two threads running them
-  pass the interpreter lock back and forth on nearly every call, which cost
-  about 1.5 times the CPU for no less wall time.  The draws are a few long
-  calls that release the lock.
-* a continuous group runs worker_count() evaluating threads, at most one
-  per chunk, each drawing and evaluating its share of the chunks, for every
-  plan of the group, in an arena of its own.  Its maximizer is long numpy
-  calls, which overlap across threads, so a second evaluator cuts wall time
-  where a helper that only draws does not.
-
-CHANGES.md records the measurements, made on 2 cores; neither policy has
-been measured above that.
+A group runs its chunks over strands, each a thread that draws and
+evaluates its share of the chunks, for every plan of the group, in an arena
+of its own.  A finite group runs one strand, the calling thread: its
+evaluation is many short numpy calls, and two threads running them pass the
+interpreter lock back and forth on nearly every call, for no less wall time
+(a thread that only drew ahead saved neither CPU nor wall time either).  A
+continuous group runs worker_count() strands, at most one per chunk: its
+maximizer is long numpy calls, which overlap across threads, so a second
+strand cuts wall time.  CHANGES.md records the measurements, made on 2
+cores.
 
 Per-point partial sums are combined in chunk order, one rounding per
 addition, so the output of either estimator is bit-identical at any thread
@@ -100,7 +91,7 @@ import numpy as np
 from scipy import special
 
 from . import rng as _rng
-from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
+from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
 from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
                     geometry_at_power, sample_channels, snr_terms)
 
@@ -146,14 +137,12 @@ def worker_count() -> int:
     """Threads a simulation may use; RELAYQUANT_THREADS overrides the default,
     the core count capped at 8.
 
-    At 1, estimate_ser draws and evaluates every chunk on the calling
-    thread.  Above 1, the chunks of finite codebooks are still evaluated on
-    the calling thread while one helper thread draws the next chunk,
-    whatever the value; the chunks of continuous families are spread over
-    this many evaluating threads.  The output bytes are the same either way.
-    An explicit value above the core count oversubscribes a continuous family:
-    on 2 cores, fig4 under plain sampling at 65,536 trials took 3.71 s of
-    wall time at 8 threads against 2.49 s at 2.
+    The chunks of finite codebooks run on the calling thread whatever the
+    value; the chunks of continuous families are spread over this many
+    strands, at most one per chunk.  The output bytes are the same either
+    way.  An explicit value above the core count oversubscribes a continuous
+    family: on 2 cores, fig4 under plain sampling at 65,536 trials took
+    3.71 s of wall time at 8 threads against 2.49 s at 2.
     """
     env = os.environ.get("RELAYQUANT_THREADS")
     if env is not None:
@@ -181,9 +170,12 @@ def power_grid(p_grid_db) -> tuple[float, ...]:
 
 
 def check_trials(trials) -> int:
-    if int(trials) < 1:
+    """trials as an int by json_int's rule (1e6 passes, fractions, bools and
+    strings raise), and at least 1."""
+    trials = json_int(trials, "trials_per_point")
+    if trials < 1:
         raise ValueError("trials_per_point must be >= 1")
-    return int(trials)
+    return trials
 
 
 def check_estimator(estimator) -> str:
@@ -290,16 +282,15 @@ class SerCurve:
 
 
 class ChunkBuffers:
-    """The scratch arena that one evaluating thread reuses for its chunks.
+    """The scratch arena that one strand reuses for its chunks.
 
     The rule: every array of a chunk that grows with its trials is a view
     that `take` hands out under a role name.  A role's flat store is
     allocated at its first request, for `capacity` trials, and each caller
     requests a role with one (rows, dtype) throughout, so a chunk after the
     first takes no fresh pages for those arrays, and a plan allocates only
-    the roles its estimator requests.  `swap` trades two roles' stores, so
-    that a helper thread can fill one while the other is read; no role is
-    taken by two threads at once, nor swapped while another thread uses it.
+    the roles its estimator requests.  Each strand has an arena of its own,
+    so no role is taken by two threads.
     """
 
     def __init__(self, capacity: int):
@@ -314,13 +305,10 @@ class ChunkBuffers:
             store = self._flat[role] = np.empty(size * self.capacity, dtype=dtype)
         return store[:size * n].reshape(*rows, n)
 
-    def swap(self, role: str, other: str) -> None:
-        self._flat[role], self._flat[other] = self._flat[other], self._flat[role]
 
-
-def _draw_out(buffers: ChunkBuffers, role: str, relays: int, n: int) -> np.ndarray:
-    """`role` as sample_channels' (2, n, R) f and g, which `states` reads as (2R, n)."""
-    return buffers.take(role, (2 * relays,), n, complex).reshape(2, n, relays)
+def _draw_out(buffers: ChunkBuffers, relays: int, n: int) -> np.ndarray:
+    """"states" as sample_channels' (2, n, R) f and g, which `states` reads as (2R, n)."""
+    return buffers.take("states", (2 * relays,), n, complex).reshape(2, n, relays)
 
 
 def _products_out(buffers: ChunkBuffers, relays: int, n: int):
@@ -337,7 +325,7 @@ def _geometry_out(buffers: ChunkBuffers, relays: int, n: int):
 
 @dataclass(frozen=True)
 class PreparedDraw:
-    """DefensiveMixture.index's output: what every power of a chunk shares.
+    """DefensiveMixture.prepare's output: what every power of a chunk shares.
 
     h: (2R, n) relay-major true-law states, f above g, a view of the
     arena's "prepared" role; fade_at: the flat indices into h of the
@@ -383,9 +371,7 @@ class DefensiveMixture:
     * `prepare` (once per chunk): the raw true-law states, the gains that
       fade, and the cancellation trials with their components.  None of it
       depends on P, and the mixtures of one plan share their components, so
-      one prepared draw serves every power.  It is `draw`, the chunk's
-      random numbers, then `index`, which forms the PreparedDraw from
-      them; estimate_ser may run the two on different threads.
+      one prepared draw serves every power.
     * `states` (once per power): fades the draw by 1/P, redraws g at r* on
       the cancellation trials, and returns the states with their one
       snr_geometry, which the codebook's argmax reuses.
@@ -447,29 +433,21 @@ class DefensiveMixture:
         den += self.pivot_power[k] * (mu.real ** 2 + mu.imag ** 2) * rho_star
         return mu, den / (self.p0 * (c.real ** 2 + c.imag ** 2))
 
-    def draw(self, gen: np.random.Generator, size: int, out):
-        """The random numbers of `size` trials from q, for `index`.
+    def prepare(self, gen: np.random.Generator, size: int,
+                buffers: ChunkBuffers) -> PreparedDraw:
+        """The power-independent part of `size` trials from q, for `states`.
 
-        Draws true-law gains into `out`, a contiguous (2, size, R) complex
-        array, then the uniform that picks each trial's
-        component and the (2R, size) fade coins, all from `gen` and in that
-        order.  Returns (f, g, uniform, fade).
-        """
-        f, g = sample_channels(self.config, gen, size, out)
-        return (f, g, gen.random(size),
-                gen.integers(0, 2, (2 * self.config.relay_count, size), dtype=np.bool_))
-
-    def index(self, drawn, buffers: ChunkBuffers) -> PreparedDraw:
-        """The PreparedDraw of `draw`'s output, for `states`.
-
-        Copies the gains, relay-major, into `buffers`' "prepared" role,
-        which `states` leaves unchanged; the PreparedDraw's h is a view of
-        it, valid until the next `index` on the same buffers.  After this
-        call the array the gains were drawn into may be reused.
+        Draws from `gen`, in this order, the true-law gains into `buffers`'
+        "states" role, the uniform that picks each trial's component and the
+        (2R, size) fade coins.  The gains are then copied, relay-major, into
+        the "prepared" role, which `states` leaves unchanged; the
+        PreparedDraw's h is a view of it, valid until the next `prepare` on
+        the same buffers.
         """
         r_count = self.config.relay_count
-        f, g, uniform, fade = drawn
-        size = uniform.size
+        f, g = sample_channels(self.config, gen, size, _draw_out(buffers, r_count, size))
+        uniform = gen.random(size)
+        fade = gen.integers(0, 2, (2 * r_count, size), dtype=np.bool_)
         pick = np.searchsorted(self.cum_alpha, uniform, side="right")
         np.minimum(pick, len(self.cum_alpha) - 1, out=pick)
         h = buffers.take("prepared", (2 * r_count,), size, complex)
@@ -482,13 +460,6 @@ class DefensiveMixture:
         star = self.relay[k]
         return PreparedDraw(h, np.flatnonzero(fade), k, star * size + trials,
                             self.support[:, k] * size + trials, fade[r_count + star, trials])
-
-    def prepare(self, gen: np.random.Generator, size: int,
-                buffers: ChunkBuffers) -> PreparedDraw:
-        """The power-independent part of `size` trials from q, for `states`:
-        `draw` into `buffers`' "states" role, then `index`."""
-        out = _draw_out(buffers, "states", self.config.relay_count, size)
-        return self.index(self.draw(gen, size, out), buffers)
 
     def states(self, draw: PreparedDraw, buffers: ChunkBuffers):
         """Channel states of a prepared draw at this power, with their geometry.
@@ -621,7 +592,7 @@ def draw_groups(plans: Sequence[SimulationPlan]) -> list[list[int]]:
     Plain plans of one network, seed, grid and trial count draw the same
     channels in every chunk and form the same geometry at every power, so
     estimate_ser evaluates those whose evaluators are of one kind (finite or
-    continuous, which picks the threading policy) on one draw.  An importance
+    continuous, which picks the strand count) on one draw.  An importance
     plan maps its draw to each power's channel states through its own
     codebook's proposal, so it is a group of its own.
     """
@@ -663,16 +634,11 @@ def _estimate_group(plans: list) -> list:
     r_count = config.relay_count
     powers = [PowerLevel.from_db(p_db) for p_db in lead.p_grid_db]
 
-    # draw_chunk(gen, size, out) draws a chunk's random numbers, its channels
-    # into `out`; chunk_q(drawn, buffers) yields its Q values at each grid
-    # power, for each plan in turn
+    # chunk_q(gen, size, buffers) draws a chunk of `size` trials from `gen`
+    # and yields its Q values at each grid power, for each plan in turn
     if lead.estimator == "plain":
-        def draw_chunk(gen, size, out):
-            return sample_channels(config, gen, size, out)
-
-        def chunk_q(drawn, buffers):
-            f, g = drawn
-            size = f.shape[0]
+        def chunk_q(gen, size, buffers):
+            f, g = sample_channels(config, gen, size, _draw_out(buffers, r_count, size))
             products = channel_products(f, g, _products_out(buffers, r_count, size))
             for i, power in enumerate(powers):
                 geometry = geometry_at_power(products, config, power,
@@ -684,11 +650,10 @@ def _estimate_group(plans: list) -> list:
         proposals = [DefensiveMixture(config, power, ev.canonical
                                       if isinstance(ev, FiniteEvaluator) else None)
                      for power, ev in zip(powers, lead.evaluators)]
-        # the mixtures of one plan share their components
-        draw_chunk = proposals[0].draw
 
-        def chunk_q(drawn, buffers):
-            prepared = proposals[0].index(drawn, buffers)
+        def chunk_q(gen, size, buffers):
+            # the mixtures of one plan share their components
+            prepared = proposals[0].prepare(gen, size, buffers)
             for proposal, power, ev in zip(proposals, powers, lead.evaluators):
                 h, geometry = proposal.states(prepared, buffers)
                 q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
@@ -701,45 +666,27 @@ def _estimate_group(plans: list) -> list:
     n = lead.trials_per_point
     capacity = min(CHUNK_TRIALS, n)
 
-    def draw(chunk, buffers, role="states"):
-        size = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
-        return draw_chunk(_rng.stream(lead.seed, 0, chunk), size,
-                          _draw_out(buffers, role, r_count, size))
-
-    def evaluate(drawn, buffers):
-        return [(float(q.sum()), float(np.square(q).sum())) for q in chunk_q(drawn, buffers)]
-
     def run_chunks(chunks):
         buffers = ChunkBuffers(capacity)
-        return [evaluate(draw(c, buffers), buffers) for c in chunks]
+        return [[(float(q.sum()), float(np.square(q).sum()))
+                 for q in chunk_q(_rng.stream(lead.seed, 0, c),
+                                  min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), buffers)]
+                for c in chunks]
 
     chunks = range(-(-n // CHUNK_TRIALS))
     threads = min(worker_count(), len(chunks))
-    if threads == 1:
+    # a finite group's many short numpy calls would contend for the
+    # interpreter lock; a continuous family's maximizer is long numpy calls,
+    # which overlap across threads
+    strands = 1 if isinstance(lead.evaluators[0], FiniteEvaluator) else threads
+    if strands == 1:
         partials = run_chunks(chunks)
-    elif isinstance(lead.evaluators[0], FiniteEvaluator):
-        # one helper draws chunk c into "spare" while this thread evaluates
-        # chunk c - 1 from "states"; the two then trade stores, so "states"
-        # holds the chunk being evaluated and the helper never writes a store
-        # in use
-        buffers = ChunkBuffers(capacity)
-        partials = []
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = draw(0, buffers)
-            for chunk in chunks[1:]:
-                ahead = pool.submit(draw, chunk, buffers, "spare")
-                partials.append(evaluate(drawn, buffers))
-                drawn = ahead.result()
-                buffers.swap("states", "spare")
-            partials.append(evaluate(drawn, buffers))
     else:
-        # a continuous family's maximizer is long numpy calls, which overlap
-        # across threads: worker w draws and evaluates chunks w, w + threads,
-        # ... in an arena of its own, and chunk c is item c // threads of
-        # strand c % threads
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            strands = list(pool.map(run_chunks, (chunks[w::threads] for w in range(threads))))
-        partials = [strands[c % threads][c // threads] for c in chunks]
+        # strand w draws and evaluates chunks w, w + strands, ... in an arena
+        # of its own, so chunk c is item c // strands of strand c % strands
+        with ThreadPoolExecutor(max_workers=strands) as pool:
+            done = list(pool.map(run_chunks, (chunks[w::strands] for w in range(strands))))
+        partials = [done[c % strands][c // strands] for c in chunks]
 
     # a chunk's partials run over the powers and, within each power, over the
     # plans, so plan j's points are every len(plans)-th entry from j

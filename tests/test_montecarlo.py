@@ -225,6 +225,22 @@ def test_plan_validation():
             SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), 100, seed)
 
 
+@pytest.mark.parametrize("trials, message", [
+    (2.5, "must be an integer"), (True, "must be an integer"), (False, "must be an integer"),
+    ("7", "must be an integer"), (None, "must be an integer"), (0, "must be >= 1"),
+    (-3, "must be >= 1"), (0.0, "must be >= 1")])
+def test_plan_rejects_trials_that_are_not_a_positive_integer(trials, message):
+    # a fraction, bool or string is not truncated or parsed into a count
+    with pytest.raises(ValueError, match=f"trials_per_point {message}"):
+        SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), trials, 1)
+
+
+@pytest.mark.parametrize("trials", [7, 7.0, np.int64(7)])
+def test_plan_takes_integral_trials_as_int(trials):
+    plan = SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0,), trials, 1)
+    assert type(plan.trials_per_point) is int and plan.trials_per_point == 7
+
+
 def test_plan_rejects_codebook_for_other_relay_count():
     net = _fig2_network()
     short = FiniteCodebook(np.array([[1, 0], [0, 1]], dtype=complex))
@@ -515,9 +531,8 @@ def test_plain_chunks_equal_fresh_array_reference():
 
 
 def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
-    # at 2 threads a helper draws the next chunk into a spare store, which
-    # trades places with the evaluated chunk's; the partial last chunk uses
-    # leading slices of whichever store it lands in
+    # a finite codebook runs on the calling thread at any thread count; the
+    # partial last chunk uses leading slices of the full chunks' stores
     for estimator in ("plain", "importance"):
         plan = SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0, 50.0),
                               3 * CHUNK_TRIALS + 5, 29, estimator=estimator)
@@ -531,13 +546,13 @@ def test_c3_curves_thread_invariant_with_partial_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, threads, chunks, pools", [
-    ("finite", "2", 3, [1]), ("finite", "8", 3, [1]), ("finite", "1", 3, []),
+    ("finite", "2", 3, []), ("finite", "8", 3, []), ("finite", "1", 3, []),
     ("finite", "8", 1, []), ("continuous", "2", 3, [2]), ("continuous", "8", 3, [3]),
     ("continuous", "8", 12, [8]), ("continuous", "1", 3, []), ("continuous", "8", 1, [])])
 def test_thread_pool_follows_codebook_kind(monkeypatch, kind, threads, chunks, pools):
-    # a finite codebook draws one chunk ahead on one helper at any thread
-    # count above 1; a continuous family runs one evaluator per thread, at
-    # most one per chunk
+    # a finite codebook runs on the calling thread, with no pool, at any
+    # thread count; a continuous family runs one strand per thread, at most
+    # one per chunk
     import relayquant.montecarlo as montecarlo
     from concurrent.futures import ThreadPoolExecutor
 
@@ -573,40 +588,13 @@ def test_continuous_family_thread_invariant_with_partial_chunk(monkeypatch):
         assert curves[1:] == curves[:1] * 3, estimator
 
 
-def test_draw_ahead_reuses_stores_when_the_helper_runs_ahead(monkeypatch):
-    # a slow Gaussian tail lets the helper finish each draw while the chunk
-    # before it is still being evaluated; a store written while in use, or
-    # traded at the wrong time, would change the bytes
-    import time
-
-    import relayquant.montecarlo as montecarlo
-
-    tail = montecarlo.gaussian_tail
-
-    def slow_tail(x):
-        time.sleep(0.001)
-        return tail(x)
-
-    for estimator in ("plain", "importance"):
-        plan = SimulationPlan(_fig2_network(), _FIG2_CODEBOOKS["C3"], (10.0, 30.0, 50.0),
-                              4 * CHUNK_TRIALS + 7, 31, estimator=estimator)
-        monkeypatch.setenv("RELAYQUANT_THREADS", "1")
-        inline = io.StringIO()
-        estimate_ser(plan).write_csv(inline)
-        monkeypatch.setenv("RELAYQUANT_THREADS", "2")
-        monkeypatch.setattr(montecarlo, "gaussian_tail", slow_tail)
-        ahead = io.StringIO()
-        estimate_ser(plan).write_csv(ahead)
-        monkeypatch.setattr(montecarlo, "gaussian_tail", tail)
-        assert ahead.getvalue() == inline.getvalue(), estimator
-
-
 def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch):
     # every array of a chunk that grows with its trials is a role of the
-    # evaluating thread's ChunkBuffers: each role keeps one (rows, dtype), is
-    # first requested before that thread starts its second chunk (which
-    # calls gaussian_tail for the (G + 1)th time on a grid of G powers), and
-    # a plain plan requests no role of the importance proposal
+    # strand's ChunkBuffers: each role keeps one (rows, dtype), is first
+    # requested before that strand starts its second chunk (which calls
+    # gaussian_tail for the (G + 1)th time on a grid of G powers), a plain
+    # plan requests no role of the importance proposal, and a finite group
+    # takes every role on the calling thread
     import threading
 
     import relayquant.montecarlo as montecarlo
@@ -626,7 +614,7 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
 
     monkeypatch.setattr(montecarlo, "ChunkBuffers", RecordingArena)
     monkeypatch.setattr(montecarlo, "gaussian_tail", marked_tail)
-    plain_roles = {"states", "spare", "fg", "f2", "g2", "rho", "a", "b"}
+    plain_roles = {"states", "fg", "f2", "g2", "rho", "a", "b"}
     grid = (20.0, 40.0)
     # the last two cases are draw groups: a chunk calls the tail once per
     # power and plan
@@ -656,6 +644,8 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
                 assert set(shapes) <= plain_roles, case
             else:
                 assert {"prepared", "hit_states", "terms"} <= set(shapes), case
+            if not isinstance(specs[0], (ConstrainedSpec, PowerDependentSpec)):
+                assert set(evaluator.values()) == {threading.get_ident()}, case
 
 
 def _bundled(name):
@@ -679,7 +669,7 @@ def _csv_bytes(curve):
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 def test_draw_group_curves_equal_each_plan_alone(monkeypatch, threads):
     # fig2's seven codebooks share each chunk's draw, products and geometry
-    # (a finite group: a helper draws ahead), and so do fig4's continuous
+    # (a finite group: the calling thread), and so do fig4's continuous
     # families (a continuous group: strands); a curve's bytes must not depend
     # on the other plans of its group
     monkeypatch.setenv("RELAYQUANT_THREADS", threads)

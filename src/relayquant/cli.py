@@ -31,8 +31,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .codebooks import (CodebookError, json_fields, json_floats, json_int, json_label,
-                        json_required, spec_from_json, to_finite)
+from .codebooks import (CodebookError, FiniteSpec, json_fields, json_floats, json_int,
+                        json_label, json_required, spec_from_json, to_finite)
 from .model import NetworkConfig
 from .montecarlo import (
     CHUNK_TRIALS,
@@ -248,7 +248,11 @@ def cmd_slope(args) -> int:
 
 def cmd_analyze(args) -> int:
     path = Path(args.input)
-    spec = spec_from_json(_load_json(path, "codebook"), where=str(path))
+    obj = _load_json(path, "codebook")
+    spec = spec_from_json(obj, where=str(path))
+    if not isinstance(spec, FiniteSpec):
+        raise CliError(f"{path}: analyze takes an explicit, srs or unitary codebook, "
+                       f"got type {obj['type']!r}")
     with _blame(path):
         report = analyze_codebook(to_finite(spec))
     print(json.dumps(report.to_json(), indent=2))

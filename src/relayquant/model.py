@@ -38,7 +38,8 @@ import numpy as np
 MAGNITUDE_TOL = 1e-9
 
 # Magnitudes, entrywise distances and deviations from 1 at most this large
-# count as zero.
+# count as zero: an entry is in its vector's support, the relays the vector
+# uses, iff its magnitude exceeds ZERO_TOL (see supports).
 ZERO_TOL = 1e-12
 
 
@@ -245,13 +246,21 @@ def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
     return out
 
 
+def supports(vectors) -> np.ndarray:
+    """(K, R) bool mask of the entries of (K, R) `vectors` that are in their
+    row's support: those whose magnitude exceeds ZERO_TOL."""
+    return np.abs(np.asarray(vectors)) > ZERO_TOL
+
+
 def canonical_rows(vectors: np.ndarray) -> np.ndarray:
     """Rotate each row's global phase so its largest-magnitude entry is real >= 0.
 
     Received SNR is invariant under a global phase on the beamforming vector,
     so evaluating the canonical representative is operationally equivalent and
     makes phase-rotated copies of a vector compare bit-identically.  A peak
-    within ZERO_TOL of magnitude 1 is snapped to exactly 1.0.
+    within ZERO_TOL of magnitude 1 is snapped to exactly 1.0, and every entry
+    outside its row's support (magnitude at most ZERO_TOL) is set to exactly
+    0, so code that skips zero entries follows the support rule.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     out = vectors.copy()
@@ -263,4 +272,5 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
             continue
         out[i] = row * (np.conj(row[pivot]) / peak)
         out[i, pivot] = 1.0 if abs(peak - 1.0) <= ZERO_TOL else peak
+    out[~supports(vectors)] = 0.0
     return out

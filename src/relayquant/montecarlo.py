@@ -27,13 +27,14 @@ Two estimators are selectable per plan:
 
 Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser picks
 the estimator's per-chunk code path once per group of plans (below).  Chunk
-c draws its randomness once, from the counter stream (seed, 0, c), and
-evaluates it at every power of the grid: the true channel law does not
-depend on P, and neither do the raw draws of the importance proposal.  Under
-"plain" the draw is the channels, whose power-independent products are
-formed once per chunk; under "importance" it is DefensiveMixture.prepare's,
-which DefensiveMixture.states maps to each power's channel states.  Either
-way each power forms one SNR geometry, which the codebook's argmax reuses;
+c draws its randomness once, from the counter stream (seed, Lane.CHUNKS, c)
+of rng, and evaluates it at every power of the grid: the true channel law
+does not depend on P, and neither do the raw draws of the importance
+proposal.  Under "plain" the draw is the channels, whose power-independent
+products are formed once per chunk; under "importance" it is
+DefensiveMixture.prepare's, which DefensiveMixture.states maps to each
+power's channel states.  Either way each power forms one SNR geometry,
+which the codebook's argmax reuses;
 "importance" then evaluates the likelihood ratio only at the trials whose Q
 value is positive, since a trial with Q = 0 adds 0 whatever its weight.
 Every array of a chunk that grows with its trials is a role of the strand's
@@ -56,13 +57,10 @@ of one plan.
 A group runs its chunks over strands, each a thread that draws and
 evaluates its share of the chunks, for every plan of the group, in an arena
 of its own.  A finite group runs one strand, the calling thread: its
-evaluation is many short numpy calls, and two threads running them pass the
-interpreter lock back and forth on nearly every call, for no less wall time
-(a thread that only drew ahead saved neither CPU nor wall time either).  A
-continuous group runs worker_count() strands, at most one per chunk: its
-maximizer is long numpy calls, which overlap across threads, so a second
-strand cuts wall time.  CHANGES.md records the measurements, made on 2
-cores.
+evaluation is many short numpy calls, which would pass the interpreter lock
+back and forth between threads.  A continuous group runs worker_count()
+strands, at most one per chunk: its maximizer is long numpy calls, which
+overlap across threads.
 
 Per-point partial sums are combined in chunk order, one rounding per
 addition, so the output of either estimator is bit-identical at any thread
@@ -361,8 +359,9 @@ class DefensiveMixture:
       noise-to-signal scale of its SNR (destructive interference between
       relays).
       Components are built from the evaluator's canonical rows, so
-      codebooks that differ only by per-vector phases that canonical_rows
-      removes exactly (e.g. rotated selection codebooks) sample identically.
+      codebooks that differ only by what canonical_rows removes exactly,
+      per-vector phases and entries outside the supports (e.g. rotated
+      selection codebooks, or SRS times U U^H), sample identically.
       Continuous families pass no vectors and get the fade component alone.
 
     Drawing is split in three steps, so that a Monte Carlo chunk does each
@@ -609,10 +608,11 @@ def estimate_ser(*plans: SimulationPlan):
     """Monte Carlo SER at every grid point of each plan: a SerCurve for one
     plan, a tuple of them in argument order for several.
 
-    Chunk c draws its trials once, from the counter stream (seed, 0, c), and
-    evaluates them at every grid power; per-point partial sums combine in
-    chunk order, so worker_count() never changes the output bits, and point i
-    of a curve equals a one-point plan at p_grid_db[i].  The plans of one
+    Chunk c draws its trials once, from the counter stream (seed,
+    Lane.CHUNKS, c), and evaluates them at every grid power; per-point
+    partial sums combine in chunk order, so worker_count() never changes the
+    output bits, and point i of a curve equals a one-point plan at
+    p_grid_db[i].  The plans of one
     draw_groups group share each chunk's draw, products and geometry, so a
     curve's bits do not depend on the other plans of the call.  With
     estimator "importance" each power maps the draw through its own
@@ -669,7 +669,7 @@ def _estimate_group(plans: list) -> list:
     def run_chunks(chunks):
         buffers = ChunkBuffers(capacity)
         return [[(float(q.sum()), float(np.square(q).sum()))
-                 for q in chunk_q(_rng.stream(lead.seed, 0, c),
+                 for q in chunk_q(_rng.stream(lead.seed, _rng.Lane.CHUNKS, c),
                                   min(CHUNK_TRIALS, n - c * CHUNK_TRIALS), buffers)]
                 for c in chunks]
 

@@ -156,7 +156,7 @@ def dkw_band(samples: int) -> float:
 def audit_ratio_cdf(count: int, samples: int, seed: int) -> AuditCheck:
     """Empirical CDF of simulated max/min ratios vs the exact CDF, DKW band."""
     dist = MaxMinRatio(count)
-    z = np.sort(dist.sample(samples, _rng.stream(seed, 1, count)))
+    z = np.sort(dist.sample(samples, _rng.stream(seed, _rng.Lane.RATIO_CDF, count)))
     theory = dist.cdf(z)
     i = np.arange(1, samples + 1)
     dev = max(float((i / samples - theory).max()),
@@ -181,7 +181,7 @@ def audit_ratio_pdf_bound(count: int, samples: int, seed: int) -> AuditCheck:
     which small sample counts leave often.
     """
     dist = MaxMinRatio(count)
-    draws = dist.sample(samples, _rng.stream(seed, 2, count))
+    draws = dist.sample(samples, _rng.stream(seed, _rng.Lane.RATIO_PDF, count))
     edges = np.linspace(1.0, PDF_Z_MAX, PDF_BINS + 1)
     counts, _ = np.histogram(draws, bins=edges)
     width = edges[1] - edges[0]
@@ -218,7 +218,7 @@ def audit_snr_bound(samples: int, seed: int) -> AuditCheck:
     r_count = config.relay_count
     subsets = [tuple(r + 1 for r in range(r_count) if mask >> r & 1)
                for mask in range(1, 1 << r_count)]
-    gen = _rng.stream(seed, 3, 0)
+    gen = _rng.stream(seed, _rng.Lane.SNR_BOUND, 0)
     per_subset = max(1, samples // len(subsets))
     failures = 0
     worst = -math.inf
@@ -269,7 +269,7 @@ def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
     worst = 0.0
     for i, (config, eps, p_db) in enumerate(cells):
         power = PowerLevel.from_db(p_db)
-        f, g = sample_channels(config, _rng.stream(seed, 4, i), per_cell)
+        f, g = sample_channels(config, _rng.stream(seed, _rng.Lane.KKT, i), per_cell)
         mag, _ = constrained_best_snr(f, g, config, power, eps, 1)
         rho = relay_gains(f, config, power)
         u = np.abs(f * g) * np.sqrt(rho)

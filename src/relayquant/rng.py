@@ -2,18 +2,33 @@
 
 Every stream is addressed by (seed, lane, block) through the 256-bit Philox
 counter, so the values drawn from one stream never depend on how many other
-streams were consumed, in which order, or on which thread.  Monte Carlo code
-draws each trial chunk from lane 0, one block per chunk, and evaluates that
-draw at every power-grid point; the audits in oracles use other lanes.
+streams were consumed, in which order, or on which thread.  Lane names the
+consumer of a stream, one lane each.
 """
 
 from __future__ import annotations
 
+import enum
 import numbers
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+
+@enum.unique
+class Lane(enum.IntEnum):
+    """The lane of each consumer of streams, with the block it draws from.
+
+    A lane's number is part of every value drawn on it, so no number changes
+    or is reused.
+    """
+
+    CHUNKS = 0      # montecarlo: trial chunk c, block c
+    RATIO_CDF = 1   # oracles.audit_ratio_cdf: block = relay count
+    RATIO_PDF = 2   # oracles.audit_ratio_pdf_bound: block = relay count
+    SNR_BOUND = 3   # oracles.audit_snr_bound: block 0
+    KKT = 4         # oracles.audit_cophased_maximizer: block = cell index
 
 
 def _check_word(name: str, value, bits: int) -> int:

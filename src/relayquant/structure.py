@@ -11,15 +11,15 @@ is bit r - 1): the subsets that AND nonzero with every support mask are
 kept, sorted by (cardinality, lexicographic order of the relay tuple) and
 turned into tuples by joining two precomputed half-tuples.  The pass is
 exponential in R, so it is capped at R = 20.  The module also classifies
-codebooks as orthogonal multiple-relay selection (OMRS: pairwise
-magnitude-disjoint supports) or single-relay selection (SRS: the
-cardinality-R special case), counting vectors equal up to a global phase
-as one.
+codebooks as orthogonal multiple-relay selection (OMRS: pairwise disjoint
+supports) or single-relay selection (SRS: the cardinality-R special case),
+counting vectors equal up to a global phase as one.
 
-Entries, overlaps and peak deviations from 1 count as zero when they are at
-most ZERO_TOL; only is_admissible, which tests hand-entered unit peaks,
-allows MAGNITUDE_TOL.  Relay indices in all inputs, outputs, and reports are
-1-based.
+Entries and peak deviations from 1 count as zero when they are at most
+ZERO_TOL: a vector's support is model.supports, which the SNR kernel and the
+importance proposal follow too.  Only is_admissible, which tests hand-entered
+unit peaks, allows MAGNITUDE_TOL.  Relay indices in all inputs, outputs, and
+reports are 1-based.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .codebooks import FiniteCodebook, phase_classes
-from .model import MAGNITUDE_TOL, ZERO_TOL, relay_columns
+from .model import MAGNITUDE_TOL, ZERO_TOL, relay_columns, supports
 
 MAX_ENUMERATION_RELAYS = 20
 
@@ -57,7 +57,7 @@ def hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     that contains a nonzero coordinate of every vector, in the order below.
     The collection is upward closed: any superset of a member is a member.
 
-    An entry counts as nonzero iff its magnitude exceeds ZERO_TOL.  Every
+    An entry counts as nonzero iff model.supports holds it.  Every
     non-empty subset is an int32 mask with relay r at bit r - 1; one
     vectorized pass keeps the masks that AND nonzero with every support mask,
     so a zero vector leaves the collection empty.  Guarded at R <= 20 because
@@ -76,8 +76,8 @@ def hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     if r_count > MAX_ENUMERATION_RELAYS:
         raise ValueError(
             f"exponential enumeration cap: relay_count {r_count} > {MAX_ENUMERATION_RELAYS}")
-    supports = np.abs(cb.vectors) > ZERO_TOL
-    masks = np.unique(supports @ (np.int32(1) << np.arange(r_count, dtype=np.int32)))
+    bits = np.int32(1) << np.arange(r_count, dtype=np.int32)
+    masks = np.unique(supports(cb.vectors) @ bits)
     subsets = np.arange(1, 1 << r_count, dtype=np.int32)
     hits = np.ones(subsets.size, dtype=bool)
     for mask in masks:
@@ -111,7 +111,7 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
 
 def _nonzero_hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     """hitting_sets, after rejecting a zero vector (no set can hit it)."""
-    if bool((np.abs(cb.vectors) <= ZERO_TOL).all(axis=1).any()):
+    if not supports(cb.vectors).any(axis=1).all():
         raise ValueError("codebook contains zero vector")
     return hitting_sets(cb)
 
@@ -140,36 +140,26 @@ def _pairwise_overlaps(mags: np.ndarray) -> np.ndarray:
     return gram[np.triu_indices(mags.shape[0], 1)]
 
 
-def _distinct_overlaps(cb: FiniteCodebook) -> np.ndarray:
-    """Overlaps of every pair of distinct vectors: one row per phase class.
-
-    Vectors equal up to a global phase (phase_classes) are one beamformer,
-    not a pair.
-    """
-    return _pairwise_overlaps(np.abs(cb.vectors[phase_classes(cb.vectors)]))
-
-
 def max_pairwise_overlap(cb: FiniteCodebook) -> float:
     """Largest magnitude overlap over pairs of distinct vectors.
 
     overlap(x, y) = sum_r |x_r| |y_r|, taken over one vector per phase class
-    as is_omrs counts them; zero for every pair means the codebook selects
-    disjoint relay subsets.  Raises if there are fewer than two distinct
-    vectors.
+    (vectors equal up to a global phase are one beamformer, not a pair), as
+    is_omrs counts them.  Raises if there are fewer than two distinct vectors.
     """
-    overlaps = _distinct_overlaps(cb)
+    overlaps = _pairwise_overlaps(np.abs(cb.vectors[phase_classes(cb.vectors)]))
     if not overlaps.size:
         raise ValueError("overlap needs at least two distinct codebook vectors")
     return float(overlaps.max())
 
 
 def is_omrs(cb: FiniteCodebook) -> bool:
-    """Orthogonal multiple-relay selection: pairwise magnitude-disjoint supports.
+    """Orthogonal multiple-relay selection: pairwise disjoint supports.
 
-    True iff every overlap between distinct vectors (see max_pairwise_overlap)
-    is at most ZERO_TOL; a single distinct vector is OMRS.
+    True iff no relay is in the support of two distinct vectors, one per
+    phase class; a single distinct vector is OMRS.
     """
-    return bool((_distinct_overlaps(cb) <= ZERO_TOL).all())
+    return bool((supports(cb.vectors[phase_classes(cb.vectors)]).sum(axis=0) <= 1).all())
 
 
 def is_srs(cb: FiniteCodebook) -> bool:
@@ -177,10 +167,8 @@ def is_srs(cb: FiniteCodebook) -> bool:
 
     SRS is OMRS at cardinality R: exactly R entries forming R phase classes
     (so duplicates, even up to phase, disqualify), is_omrs, and every peak
-    magnitude within ZERO_TOL of 1.  That implies the rest: R pairwise
-    disjoint unit peaks sit on R distinct relays, and any other entry shares
-    its relay with another vector's peak, so it is at most the pair's overlap
-    over that peak, ZERO_TOL / (1 - ZERO_TOL).
+    magnitude within ZERO_TOL of 1.  R disjoint supports on R relays are one
+    relay each.
     """
     r_count = cb.relay_count
     if len(cb) != r_count or len(phase_classes(cb.vectors)) != r_count:

@@ -184,6 +184,31 @@ def test_analyze_rejects_bad_vectors(tmp_path, capsys):
     assert "exceeds 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "constrained", "epsilon": 0.25, "pinned_relay": 1},
+    {"type": "full_csi"},
+    {"type": "power_dep_constrained", "pinned_relay": 2},
+], ids=lambda spec: spec["type"])
+def test_analyze_names_the_continuous_type_it_rejects(tmp_path, capsys, spec):
+    path = _write(tmp_path, "c.json", spec)
+    assert main(["analyze", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: analyze takes an explicit, srs or unitary "
+                            f"codebook, got type {spec['type']!r}\n")
+    assert captured.out == ""
+
+
+def test_analyze_reads_supports_at_zero_tol(tmp_path, capsys):
+    # 1e-7 is on both vectors' supports: relay 1 hits them both, and they
+    # are not OMRS although their magnitude overlap is only 1e-14
+    path = _write(tmp_path, "tiny.json",
+                  {"vectors": [[[1e-7, 0], [0, 0], [1, 0]], [[1e-7, 0], [1, 0], [0, 0]]]})
+    assert main(["analyze", "-i", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["is_omrs"] is False and report["diversity_cap"] == 1
+    assert report["min_witness_set"] == [1]
+
+
 def test_oracle_small_sample_run(capsys):
     assert main(["oracle", "--samples", "2000", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -11,9 +11,10 @@ from relayquant import (
     make_srs,
     resolve_codebook,
 )
-from relayquant.model import (canonical_rows, channel_products, geometry_at_power, relay_gains,
-                              sample_channels, snr_geometry, snr_per_vector)
-from relayquant.rng import stream
+from relayquant.model import (ZERO_TOL, canonical_rows, channel_products, geometry_at_power,
+                              relay_gains, sample_channels, snr_geometry, snr_per_vector,
+                              supports)
+from relayquant.rng import Lane, stream
 from tests.conftest import snr_reference
 
 
@@ -75,6 +76,13 @@ def test_stream_rejects_lane_and_block_outside_counter_range(value):
         stream(5, value, 0)
     with pytest.raises(ValueError, match=r"block must be an integer in \[0, 2\*\*64\)"):
         stream(5, 0, value)
+
+
+def test_stream_lanes_keep_their_numbers():
+    # every curve and audit statistic is drawn at these lane numbers
+    assert {lane.name: int(lane) for lane in Lane} == {
+        "CHUNKS": 0, "RATIO_CDF": 1, "RATIO_PDF": 2, "SNR_BOUND": 3, "KKT": 4}
+    assert stream(9, Lane.KKT, 2).random() == stream(9, 4, 2).random()
 
 
 def test_sample_channels_matches_componentwise_assembly():
@@ -272,3 +280,20 @@ def test_canonical_rows_snaps_unit_peaks():
     ])
     canon = canonical_rows(rows)
     assert np.array_equal(canon, np.eye(3, dtype=complex))
+
+
+def test_canonical_rows_zero_every_entry_off_the_support():
+    above = np.nextafter(ZERO_TOL, 1.0)
+    rows = np.array([
+        [ZERO_TOL * 1j, 0.5j, above],
+        [-above, ZERO_TOL / 3, 1.0],
+        [ZERO_TOL, -ZERO_TOL, 0.0],
+    ])
+    assert np.array_equal(supports(rows), [[False, True, True], [True, False, True],
+                                           [False, False, False]])
+    canon = canonical_rows(rows)
+    assert np.array_equal(canon != 0, supports(rows))
+    # kept entries only turn by their row's phase
+    assert np.allclose(np.abs(canon), np.where(supports(rows), np.abs(rows), 0.0),
+                       rtol=1e-15, atol=0.0)
+    assert canon[0, 1] == 0.5 and canon[1, 2] == 1.0

@@ -215,6 +215,22 @@ def test_phase_rotated_selection_curves_identical():
         assert a == b  # bit-identical, not just close
 
 
+def test_srs_times_unitary_round_trip_simulates_as_srs():
+    # SRS F F^H, F the 3-point DFT: its off-diagonal entries are round-off
+    # of 1e-16, outside the supports, so it evaluates and samples as SRS
+    dft = np.exp(-2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    srs = SrsSpec((0.0, 0.0, 0.0))
+    round_trip = UnitarySpec(UnitarySpec(srs, dft), dft.conj().T)
+    assert 0 < np.abs(to_finite(round_trip).vectors - np.eye(3)).max() <= 1e-12
+    canonical = resolve_codebook(round_trip, PowerLevel(1.0)).canonical
+    assert DefensiveMixture(_fig2_network(), PowerLevel(1e3), canonical).relay.size == 0
+    for estimator in ("plain", "importance"):
+        a, b = (estimate_ser(SimulationPlan(_fig2_network(), spec, (20.0, 30.0),
+                                            CHUNK_TRIALS + 5, 17, estimator=estimator))
+                for spec in (srs, round_trip))
+        assert _csv_bytes(a) == _csv_bytes(b), estimator
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="ascending"):
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0, 10.0), 100, 1)

@@ -16,6 +16,8 @@ from relayquant import (
     max_pairwise_overlap,
     min_max_weight,
 )
+from relayquant.codebooks import phase_classes
+from relayquant.model import canonical_rows
 from tests.conftest import U1, U2
 
 
@@ -271,31 +273,58 @@ def test_vectorized_structure_checks_match_pairwise_loops():
         assert is_omrs(cb) == all(x <= 1e-12 for x in pairs)
 
 
-def test_structural_identities_on_every_small_support_pattern():
-    # every codebook of K <= 4 supports drawn, with repetition, from the
-    # nonempty subsets of R <= 4 relays, with seeded magnitudes and phases:
-    # the cap is at most K; a cap of K < R needs pairwise disjoint supports
-    # (two supports that share a relay are hit by that one relay); and the
-    # cap is R exactly when every relay has a single-relay vector
-    gen = np.random.default_rng(2010)
-    checked = 0
+def _small_support_patterns():
+    """(r_count, supports) for every codebook of K <= 4 supports drawn, with
+    repetition, from the nonempty subsets of R <= 4 relays: 4,242 in all."""
     for r_count in range(1, 5):
         subsets = [s for size in range(1, r_count + 1)
                    for s in itertools.combinations(range(r_count), size)]
         for k in range(1, 5):
             for supports in itertools.combinations_with_replacement(subsets, k):
-                vectors = np.zeros((k, r_count), dtype=complex)
-                for row, support in zip(vectors, supports):
-                    cols = list(support)
-                    row[cols] = (gen.uniform(0.1, 1.0, len(cols))
-                                 * np.exp(2j * np.pi * gen.uniform(size=len(cols))))
-                cb = FiniteCodebook(vectors)
-                cap, _ = diversity_cap(cb)
-                case = (r_count, supports)
-                assert cap <= k, case
-                if cap == k < r_count:
-                    assert is_omrs(cb), case
-                singles = all((r,) in supports for r in range(r_count))
-                assert (cap == r_count) == singles, case
-                checked += 1
+                yield r_count, supports
+
+
+def _check_structural_identities(cb, r_count, supports):
+    # the cap is at most K; it equals the number of distinct vectors exactly
+    # when their supports are pairwise disjoint (two supports that share a
+    # relay are hit by that one relay); and it is R exactly when every relay
+    # has a single-relay vector
+    cap, _ = diversity_cap(cb)
+    case = (r_count, supports)
+    assert cap <= len(supports), case
+    assert is_omrs(cb) == (cap == len(phase_classes(cb.vectors))), case
+    singles = all((r,) in supports for r in range(r_count))
+    assert (cap == r_count) == singles, case
+
+
+def test_structural_identities_on_every_small_support_pattern():
+    # seeded magnitudes and phases on every small support pattern
+    gen = np.random.default_rng(2010)
+    checked = 0
+    for r_count, supports in _small_support_patterns():
+        vectors = np.zeros((len(supports), r_count), dtype=complex)
+        for row, support in zip(vectors, supports):
+            cols = list(support)
+            row[cols] = (gen.uniform(0.1, 1.0, len(cols))
+                         * np.exp(2j * np.pi * gen.uniform(size=len(cols))))
+        _check_structural_identities(FiniteCodebook(vectors), r_count, supports)
+        checked += 1
     assert checked == 4242
+
+
+def test_structural_identities_read_supports_at_zero_tol():
+    # the same patterns with on-support magnitudes of 1e-7, 0.3 or 1 and
+    # off-support entries of 0 or 1e-13: the supports, and so every
+    # identity, are those of the pattern, and canonical_rows keeps exactly
+    # the support's entries
+    gen = np.random.default_rng(2011)
+    for r_count, supports in _small_support_patterns():
+        pattern = np.zeros((len(supports), r_count), dtype=bool)
+        for row, support in zip(pattern, supports):
+            row[list(support)] = True
+        mags = np.where(pattern, gen.choice([1e-7, 0.3, 1.0], pattern.shape),
+                        gen.choice([0.0, 1e-13], pattern.shape))
+        cb = FiniteCodebook(mags * np.exp(2j * np.pi * gen.uniform(size=pattern.shape)))
+        assert np.array_equal(canonical_rows(cb.vectors) != 0, pattern), supports
+        assert hitting_sets(cb) == hitting_sets(FiniteCodebook(pattern.astype(complex)))
+        _check_structural_identities(cb, r_count, supports)

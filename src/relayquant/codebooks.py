@@ -17,7 +17,8 @@ quasi-concave; its KKT conditions put the optimum on the one-parameter curve
 m(c) = clip(c u / w, lo, 1), which has at most 2R breakpoints and one
 closed-form stationary point between each pair (Jing & Jafarkhani, IEEE
 Trans. IT 55(6), 2009).  Checking those O(R) candidates costs O(R^2) per
-channel state and needs no tuning knob.
+channel state and needs no tuning knob.  A finite codebook's argmax runs
+over one row per beamformer, by the phase rule stated in model.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ import numpy as np
 
 from .model import (
     MAGNITUDE_TOL,
-    ZERO_TOL,
     NetworkConfig,
     PowerLevel,
     canonical_rows,
+    phase_classes,
     snr_geometry,
     snr_per_vector,
 )
@@ -85,6 +86,9 @@ class SrsSpec:
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         if len(self.theta) < 1:
             raise CodebookError("srs spec needs at least one phase")
+        for i, t in enumerate(self.theta):
+            if not math.isfinite(t):
+                raise CodebookError(f"theta[{i}] must be finite, got {t}")
 
 
 @dataclass(frozen=True)
@@ -272,11 +276,11 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
 
 
 class FiniteEvaluator:
-    """Largest SNR over an explicit vector list, evaluated in canonical phase."""
+    """Largest SNR over an explicit vector list, one canonical row per phase class."""
 
     def __init__(self, codebook: FiniteCodebook):
         self.codebook = codebook
-        self.canonical = canonical_rows(codebook.vectors)
+        self.canonical = canonical_rows(codebook.vectors[phase_classes(codebook.vectors)])
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
                  geometry=None) -> np.ndarray:
@@ -321,22 +325,6 @@ def resolve_codebook(spec: CodebookSpec, power: PowerLevel):
                 f"power-dependent constraint needs P >= e, got P = {power.linear:g}")
         return ConstrainedEvaluator(1.0 / logp, spec.pinned_relay)
     raise CodebookError(f"unknown codebook spec: {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Phase-class utilities (SNR is invariant under a global phase per vector)
-# ---------------------------------------------------------------------------
-
-
-def phase_classes(vectors: np.ndarray) -> list[int]:
-    """Index of the first row of each class of rows equal up to a global
-    phase, compared entrywise within ZERO_TOL in canonical phase."""
-    canon = canonical_rows(vectors)
-    kept: list[int] = []
-    for i, row in enumerate(canon):
-        if not kept or np.abs(canon[kept] - row).max(axis=1).min() > ZERO_TOL:
-            kept.append(i)
-    return kept
 
 
 # ---------------------------------------------------------------------------

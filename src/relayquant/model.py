@@ -23,6 +23,10 @@ that do not depend on P, (f g, |f|^2, |g|^2), and geometry_at_power forms
 many powers runs the first step once.  Both steps, and sample_channels,
 can write into arrays the caller holds.
 
+Which rows of a codebook are one beamformer, in simulate and analyze alike,
+is decided here: supports (entries above ZERO_TOL), canonical_rows (pivot on
+the first entry within ZERO_TOL of the peak) and phase_classes.
+
 Relay indices in public arguments and reports are 1-based, matching the usual
 "relay 1 .. relay R" numbering; arrays are of course 0-based internally.
 """
@@ -253,20 +257,20 @@ def supports(vectors) -> np.ndarray:
 
 
 def canonical_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each row's global phase so its largest-magnitude entry is real >= 0.
+    """Rotate each row's global phase so its pivot entry is real >= 0.
 
-    Received SNR is invariant under a global phase on the beamforming vector,
-    so evaluating the canonical representative is operationally equivalent and
-    makes phase-rotated copies of a vector compare bit-identically.  A peak
-    within ZERO_TOL of magnitude 1 is snapped to exactly 1.0, and every entry
-    outside its row's support (magnitude at most ZERO_TOL) is set to exactly
-    0, so code that skips zero entries follows the support rule.
+    The pivot is the row's first entry within ZERO_TOL of its peak magnitude,
+    so copies of a vector that differ by a global phase pivot alike and agree
+    entrywise within ZERO_TOL; received SNR does not change under that phase.
+    A pivot within ZERO_TOL of magnitude 1 is snapped to exactly 1.0, and every
+    entry outside its row's support is set to exactly 0, so code that skips
+    zero entries follows the support rule.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     out = vectors.copy()
     for i, row in enumerate(vectors):
         mags = np.abs(row)
-        pivot = int(np.argmax(mags))
+        pivot = int(np.argmax(mags >= mags.max() - ZERO_TOL))
         peak = float(mags[pivot])
         if peak == 0.0:
             continue
@@ -274,3 +278,14 @@ def canonical_rows(vectors: np.ndarray) -> np.ndarray:
         out[i, pivot] = 1.0 if abs(peak - 1.0) <= ZERO_TOL else peak
     out[~supports(vectors)] = 0.0
     return out
+
+
+def phase_classes(vectors: np.ndarray) -> list[int]:
+    """Index of the first row of each phase class, the rows that agree
+    entrywise within ZERO_TOL in canonical phase: one beamformer per class."""
+    canon = canonical_rows(vectors)
+    kept: list[int] = []
+    for i, row in enumerate(canon):
+        if not kept or np.abs(canon[kept] - row).max(axis=1).min() > ZERO_TOL:
+            kept.append(i)
+    return kept

@@ -91,7 +91,7 @@ from scipy import special
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
 from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
-                    geometry_at_power, sample_channels, snr_terms)
+                    geometry_at_power, sample_channels, snr_terms, supports)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -352,16 +352,16 @@ class DefensiveMixture:
     * p: the true channel law;
     * q_fade: each gain independently keeps its law or has |z|^2 scaled by
       1/P, with probability 1/2 each (the deep fades behind relay outages);
-    * q_cancel,k: one component per canonical codebook vector k with two or
-      more active relays.  The other gains fade as in q_fade; g at k's last
-      active relay r* is drawn from CN(mu_k, s_k^2), where mu_k zeroes
-      vector k's SNR numerator (see model.snr_geometry) and s_k^2 is the
-      noise-to-signal scale of its SNR (destructive interference between
-      relays).
-      Components are built from the evaluator's canonical rows, so
-      codebooks that differ only by what canonical_rows removes exactly,
-      per-vector phases and entries outside the supports (e.g. rotated
-      selection codebooks, or SRS times U U^H), sample identically.
+    * q_cancel,k: one component per canonical codebook vector k whose
+      support (model.supports) holds two or more relays.  The other gains
+      fade as in q_fade; g at k's last active relay r* is drawn from
+      CN(mu_k, s_k^2), where mu_k zeroes vector k's SNR numerator (see
+      model.snr_geometry) and s_k^2 is the noise-to-signal scale of its SNR
+      (destructive interference between relays).
+      Components are built from the evaluator's canonical rows, one per
+      beamformer by model's phase rule, so codebooks that differ only by
+      per-vector phases, repeated vectors or off-support entries (e.g.
+      rotated SRS, or SRS times U U^H) sample identically.
       Continuous families pass no vectors and get the fade component alone.
 
     Drawing is split in three steps, so that a Monte Carlo chunk does each
@@ -391,13 +391,13 @@ class DefensiveMixture:
         self.deviation = np.sqrt(self.variance[:, 0])
         self.p0 = config.power_scalers[0] * power.linear
         self.fade_scale = 1.0 / math.sqrt(power.linear)
-        rows = [row for row in (() if vectors is None else vectors)
-                if np.count_nonzero(row) >= 2]
+        rows = np.zeros((0, config.relay_count)) if vectors is None else np.asarray(vectors)
+        rows = rows[supports(rows).sum(axis=1) >= 2]
         # cancellation component k draws g at relay[k], its vector's last
         # active relay, and pivot[k] is the vector's entry there.  Its other
-        # nonzero entries are entries[:, k], at relays support[:, k]; shorter
+        # support entries are entries[:, k], at relays support[:, k]; shorter
         # lists are padded with zero entries, which add exact zeros to sums
-        active = [np.flatnonzero(row) for row in rows]
+        active = [np.flatnonzero(mask) for mask in supports(rows)]
         self.relay = np.array([idx[-1] for idx in active], dtype=np.intp)
         self.pivot = np.array([row[idx[-1]] for row, idx in zip(rows, active)],
                               dtype=np.complex128)
@@ -410,7 +410,7 @@ class DefensiveMixture:
             self.support[:idx.size - 1, k] = idx[:-1]
             self.entries[:idx.size - 1, k] = row[idx[:-1]]
         rest = 1.0 - ALPHA_PLAIN - ALPHA_FADE
-        if rows:
+        if len(rows):
             alphas = [ALPHA_PLAIN, ALPHA_FADE] + [rest / len(rows)] * len(rows)
         else:
             alphas = [ALPHA_PLAIN, 1.0 - ALPHA_PLAIN]

@@ -13,7 +13,7 @@ turned into tuples by joining two precomputed half-tuples.  The pass is
 exponential in R, so it is capped at R = 20.  The module also classifies
 codebooks as orthogonal multiple-relay selection (OMRS: pairwise disjoint
 supports) or single-relay selection (SRS: the cardinality-R special case),
-counting vectors equal up to a global phase as one.
+counting each model.phase_classes class as one vector, as simulate does.
 
 Entries and peak deviations from 1 count as zero when they are at most
 ZERO_TOL: a vector's support is model.supports, which the SNR kernel and the
@@ -29,8 +29,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .codebooks import FiniteCodebook, phase_classes
-from .model import MAGNITUDE_TOL, ZERO_TOL, relay_columns, supports
+from .codebooks import FiniteCodebook
+from .model import MAGNITUDE_TOL, ZERO_TOL, phase_classes, relay_columns, supports
 
 MAX_ENUMERATION_RELAYS = 20
 
@@ -101,11 +101,11 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     """Worst case over the codebook of the best squared magnitude inside rset.
 
     This is the coefficient that controls how fast errors can be forced when
-    all relays in rset fade together: min over vectors of max_{r in rset}
-    |x_r|^2.
+    all relays in rset fade together: min over vectors, one per phase class,
+    of max_{r in rset} |x_r|^2.
     """
     cols = relay_columns(rset, cb.relay_count)
-    mags2 = np.abs(cb.vectors)[:, cols] ** 2
+    mags2 = np.abs(cb.vectors[phase_classes(cb.vectors)])[:, cols] ** 2
     return float(mags2.max(axis=1).min())
 
 

@@ -518,6 +518,8 @@ def test_undecodable_or_deeply_nested_file_names_it(tmp_path, capsys, command, c
     ({"vectors": [[[1, 0], [0]]]}, "[re, im] pairs"),
     ({"type": "constrained", "epsilon": True, "pinned_relay": 1}, "epsilon must be a number"),
     ({"type": "srs", "theta": [0.0, "1"]}, "theta[1] must be a number"),
+    ({"type": "srs", "theta": [math.inf, 0.0]}, "theta[0] must be finite"),
+    ({"type": "srs", "theta": [0.0, math.nan]}, "theta[1] must be finite"),
     ({"vectors": [[[1, 0], ["0", 0]]]}, "vectors[0][1][0] must be a number"),
     ({"type": "unitary", "base": _SRS2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]},
      "matrix[1][1][1] must be a number"),
@@ -554,6 +556,19 @@ def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry
     assert captured.err.count(where) == 1 and message in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists() and "wrote" not in captured.out
+
+
+def test_analyze_counts_a_rotated_copy_with_tied_peaks_once(tmp_path, capsys):
+    # x and e^{j theta} x at theta = 2 pi 5 / 999 (about 0.031447): rounding
+    # after the rotation leaves x's two tied magnitudes in the other order
+    x = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2.0)
+    rows = (x, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1000)[5]) * x)
+    path = _write(tmp_path, "cb.json", {"vectors": [[[z.real, z.imag] for z in row]
+                                                    for row in rows]})
+    assert main(["analyze", "-i", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["is_omrs"] is True and report["cap_from_cardinality"] == 1
+    assert report["max_pairwise_overlap"] is None
 
 
 @pytest.mark.parametrize("vectors, is_omrs, overlap", [

@@ -12,8 +12,8 @@ from relayquant import (
     resolve_codebook,
 )
 from relayquant.model import (ZERO_TOL, canonical_rows, channel_products, geometry_at_power,
-                              relay_gains, sample_channels, snr_geometry, snr_per_vector,
-                              supports)
+                              phase_classes, relay_gains, sample_channels, snr_geometry,
+                              snr_per_vector, supports)
 from relayquant.rng import Lane, stream
 from tests.conftest import snr_reference
 
@@ -297,3 +297,19 @@ def test_canonical_rows_zero_every_entry_off_the_support():
     assert np.allclose(np.abs(canon), np.where(supports(rows), np.abs(rows), 0.0),
                        rtol=1e-15, atol=0.0)
     assert canon[0, 1] == 0.5 and canon[1, 2] == 1.0
+
+
+def test_phase_classes_keep_rotated_copies_with_tied_peaks_together():
+    # the pivot is the first entry within ZERO_TOL of the peak, so rounding
+    # after a rotation cannot move it between two tied magnitudes
+    x = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2.0)
+    for theta in np.linspace(0.0, 2.0 * np.pi, 1000):
+        assert phase_classes(np.array([x, np.exp(1j * theta) * x])) == [0], theta
+    gen = np.random.default_rng(0)
+    for _ in range(2000):
+        r = int(gen.integers(2, 6))
+        v = gen.standard_normal(r) + 1j * gen.standard_normal(r)
+        first, second = np.argsort(np.abs(v))[::-1][:2]
+        v[second] *= np.abs(v[first]) / np.abs(v[second])  # the two largest tie
+        copy = np.exp(2j * np.pi * gen.uniform()) * v
+        assert phase_classes(np.array([v, copy])) == [0], v

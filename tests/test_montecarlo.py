@@ -231,6 +231,24 @@ def test_srs_times_unitary_round_trip_simulates_as_srs():
         assert _csv_bytes(a) == _csv_bytes(b), estimator
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_listed_copies_of_a_beamformer_simulate_as_the_codebook(monkeypatch, threads):
+    # C3 with row 1 listed again and e^{0.7j} times row 2 appended: both are
+    # beamformers C3 already has, so the argmax and the importance proposal
+    # see C3's rows once each, and the curves are C3's byte for byte
+    monkeypatch.setenv("RELAYQUANT_THREADS", threads)
+    c3 = _FIG2_CODEBOOKS["C3"]
+    copies = FiniteCodebook(np.vstack([c3.vectors, c3.vectors[:1],
+                                       np.exp(0.7j) * c3.vectors[1:2]]))
+    canonical = resolve_codebook(copies, PowerLevel(1.0)).canonical
+    assert np.array_equal(canonical, resolve_codebook(c3, PowerLevel(1.0)).canonical)
+    for estimator in ("plain", "importance"):
+        a, b = (estimate_ser(SimulationPlan(_fig2_network(), spec, (30.0, 40.0),
+                                            CHUNK_TRIALS + 5, 5, estimator=estimator))
+                for spec in (c3, copies))
+        assert _csv_bytes(a) == _csv_bytes(b), estimator
+
+
 def test_plan_validation():
     with pytest.raises(ValueError, match="ascending"):
         SimulationPlan(_tiny_net(), SrsSpec((0.0, 0.0)), (10.0, 10.0), 100, 1)

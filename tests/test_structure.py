@@ -16,8 +16,7 @@ from relayquant import (
     max_pairwise_overlap,
     min_max_weight,
 )
-from relayquant.codebooks import phase_classes
-from relayquant.model import canonical_rows
+from relayquant.model import canonical_rows, phase_classes
 from tests.conftest import U1, U2
 
 
@@ -328,3 +327,23 @@ def test_structural_identities_read_supports_at_zero_tol():
         assert np.array_equal(canonical_rows(cb.vectors) != 0, pattern), supports
         assert hitting_sets(cb) == hitting_sets(FiniteCodebook(pattern.astype(complex)))
         _check_structural_identities(cb, r_count, supports)
+
+
+def test_structural_identities_count_a_rotated_copy_once():
+    # equal magnitudes on each support tie the canonical pivot; a phase-rotated
+    # copy of one row is the same beamformer, so the report keeps every field
+    # but the listed size, and is_srs, which also asks for exactly R entries
+    gen = np.random.default_rng(2012)
+    for r_count, supports in _small_support_patterns():
+        vectors = np.zeros((len(supports), r_count), dtype=complex)
+        for row, support in zip(vectors, supports):
+            cols = list(support)
+            row[cols] = gen.choice([0.3, 1.0]) * np.exp(2j * np.pi * gen.uniform(size=len(cols)))
+        i = int(gen.integers(len(supports)))
+        copy = np.exp(2j * np.pi * gen.uniform()) * vectors[i]
+        copied = FiniteCodebook(np.vstack([vectors, copy]))
+        _check_structural_identities(copied, r_count, supports)
+        report = analyze_codebook(copied).to_json()
+        expected = dict(analyze_codebook(FiniteCodebook(vectors)).to_json(),
+                        codebook_size=len(supports) + 1, is_srs=False)
+        assert report == expected, (r_count, supports)

@@ -144,10 +144,12 @@ CodebookSpec = Union[FiniteSpec, ContinuousSpec]
 def _unitary(matrix) -> np.ndarray:
     """matrix as a complex array, if it is square, finite and unitary within UNITARY_TOL."""
     mat = np.asarray(matrix, dtype=np.complex128)
+    # checked before the product, which warns on an infinite entry
+    if not np.isfinite(mat).all():
+        raise CodebookError("matrix is not unitary: it has a non-finite entry")
     deviation = math.inf
     if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
         deviation = float(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max())
-    # a non-finite entry makes the deviation NaN, which fails this test too
     if not deviation <= UNITARY_TOL:
         raise CodebookError(f"matrix is not unitary: max |U U^H - I| = {deviation:.3e}")
     return mat

@@ -16,14 +16,16 @@ Two estimators are selectable per plan:
   and the estimate is a noise floor.
 * "importance" draws each trial from a DefensiveMixture, a proposal that
   over-samples the deep fades and destructive-interference cancellations
-  behind outages, and weights its Q value by the likelihood ratio p/q.  The
-  estimate stays unbiased, every weight is bounded by 1 / ALPHA_PLAIN, and
-  the diversity-2 and -3 curves of the bundled fig2 experiment are resolved
-  to a few percent at 1e6 trials even where the SER is 1e-15.  A trial
-  costs more than a plain one, and more so the more multi-relay vectors the
-  codebook has (CHANGES.md records the measurements): both share one draw
-  across the grid, but only this one maps, re-forms and weights it at every
-  power.
+  behind outages, and weights its Q value by the likelihood ratio p/q.  Its
+  fade component scales |z|^2 by k / P, with k derived from the network by
+  fade_factor, and each cancellation component pivots on its vector's
+  largest entry.  The estimate stays unbiased, every weight is bounded by
+  1 / ALPHA_PLAIN, and the diversity-2 and -3 curves of the bundled fig2
+  experiment are resolved to a few percent at 1e6 trials even where the SER
+  is 1e-15.  A trial costs more than a plain one, and more so the more
+  multi-relay vectors the codebook has (CHANGES.md records the
+  measurements): both share one draw across the grid, but only this one
+  maps, re-forms and weights it at every power.
 
 Trials are split into chunks of at most CHUNK_TRIALS, and estimate_ser picks
 the estimator's per-chunk code path once per group of plans (below).  Chunk
@@ -90,7 +92,7 @@ from scipy import special
 
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
-from .model import (NetworkConfig, PowerLevel, beamformed_sums, channel_products,
+from .model import (ZERO_TOL, NetworkConfig, PowerLevel, beamformed_sums, channel_products,
                     geometry_at_power, sample_channels, snr_terms, supports)
 
 CHUNK_TRIALS = 4096
@@ -327,7 +329,7 @@ class PreparedDraw:
 
     h: (2R, n) relay-major true-law states, f above g, a view of the
     arena's "prepared" role; fade_at: the flat indices into h of the
-    gains that fade by 1/P.  Of the trials drawn from a cancellation
+    gains that fade (by fade_scale).  Of the trials drawn from a cancellation
     component, in ascending order: k, that component; star_at and
     support_at, the flat indices of the trial at its r* and at its support
     relays (support[:, k]) into a relay-major (R, n) array; star_fades,
@@ -342,6 +344,34 @@ class PreparedDraw:
     star_fades: np.ndarray
 
 
+def fade_factor(config: NetworkConfig) -> int:
+    """k of the importance proposal's fade component, which scales a fading
+    gain's |z|^2 by k / P: the smallest integer above
+
+        sum_r 1 / (2 kappa_r),   kappa_r = min(s_0 var_f,r, s_r var_g,r),
+
+    with s the network's power scalers.  Why: deep in outage at high P, a
+    relay's SNR collapses when either of its gains does, so take one gain
+    per relay at scale 1 / P.  In u_r = P |z_r|^2 (z normalized to unit
+    variance), relay r's SNR is then about kappa_r u_r.  The fade
+    component's density there is about proportional to exp(-sum_r u_r / k),
+    while the squared Q value of the best relay decays as
+    exp(-2 max_r kappa_r u_r) or faster, so the second moment of the
+    weighted estimate stays bounded in P only when k exceeds the sum above;
+    below it the defensive share still caps every weight at 1 / ALPHA_PLAIN,
+    but the relative variance grows with P.  The rule gives k = 2 on the
+    fig2, fig3 and fig4 networks (sums 1.79, 1.0 and 1.5); on fig2 at
+    30-50 dB, k = 1 took about 1.5 times the trials to reach a 10% relative
+    error (CHANGES.md).  Where P < k the component widens its gains rather
+    than fading them; its density ratio to p stays positive and finite, and
+    the defensive share still bounds every weight.
+    """
+    scalers = config.power_scalers
+    threshold = sum(1.0 / (2.0 * min(scalers[0] * vf, sr * vg))
+                    for sr, vf, vg in zip(scalers[1:], config.variance_f, config.variance_g))
+    return math.floor(threshold) + 1
+
+
 class DefensiveMixture:
     """Importance proposal for the 2R channel gains at one power level.
 
@@ -350,14 +380,23 @@ class DefensiveMixture:
         q = ALPHA_PLAIN p + a_fade q_fade + sum_k a_k q_cancel,k,
 
     * p: the true channel law;
-    * q_fade: each gain independently keeps its law or has |z|^2 scaled by
-      1/P, with probability 1/2 each (the deep fades behind relay outages);
+    * q_fade: each gain independently keeps its law or is scaled by
+      fade_scale = sqrt(F / P), so that its |z|^2 is scaled by F / P, with
+      probability 1/2 each (the deep fades behind relay outages).  F is
+      fade_factor(config), derived from the network alone: the smallest
+      integer at which the estimator's relative variance stays bounded as
+      P grows (2 on the bundled networks).  Below P = F the component
+      widens the gains instead; the weights stay exact and bounded.
     * q_cancel,k: one component per canonical codebook vector k whose
       support (model.supports) holds two or more relays.  The other gains
-      fade as in q_fade; g at k's last active relay r* is drawn from
+      fade as in q_fade; g at k's pivot relay r*, the last relay of its
+      support within ZERO_TOL of the vector's peak magnitude, is drawn from
       CN(mu_k, s_k^2), where mu_k zeroes vector k's SNR numerator (see
       model.snr_geometry) and s_k^2 is the noise-to-signal scale of its SNR
-      (destructive interference between relays).
+      (destructive interference between relays).  Pivoting on the peak
+      keeps mu_k at the gains' scale: a tiny on-support entry as r* would
+      put mu_k about 1 / |entry| times beyond it, where the component's
+      trials get weights near 0.
       Components are built from the evaluator's canonical rows, one per
       beamformer by model's phase rule, so codebooks that differ only by
       per-vector phases, repeated vectors or off-support entries (e.g.
@@ -371,8 +410,8 @@ class DefensiveMixture:
       fade, and the cancellation trials with their components.  None of it
       depends on P, and the mixtures of one plan share their components, so
       one prepared draw serves every power.
-    * `states` (once per power): fades the draw by 1/P, redraws g at r* on
-      the cancellation trials, and returns the states with their one
+    * `states` (once per power): fades the draw by fade_scale, redraws g at
+      r* on the cancellation trials, and returns the states with their one
       snr_geometry, which the codebook's argmax reuses.
     * `weights`: the likelihood ratio p/q, evaluated in log space at the
       trials asked for; the weight never exceeds 1 / ALPHA_PLAIN, so the
@@ -390,25 +429,30 @@ class DefensiveMixture:
         self.variance = np.concatenate([config.variance_f, config.variance_g])[:, None]
         self.deviation = np.sqrt(self.variance[:, 0])
         self.p0 = config.power_scalers[0] * power.linear
-        self.fade_scale = 1.0 / math.sqrt(power.linear)
+        # a fading gain is scaled by sqrt(F / P), so its |z|^2 by F / P
+        factor = fade_factor(config)
+        self.fade_ratio = power.linear / factor
+        self.fade_scale = math.sqrt(factor / power.linear)
         rows = np.zeros((0, config.relay_count)) if vectors is None else np.asarray(vectors)
         rows = rows[supports(rows).sum(axis=1) >= 2]
-        # cancellation component k draws g at relay[k], its vector's last
-        # active relay, and pivot[k] is the vector's entry there.  Its other
-        # support entries are entries[:, k], at relays support[:, k]; shorter
-        # lists are padded with zero entries, which add exact zeros to sums
+        # cancellation component k draws g at relay[k], the last relay of its
+        # vector's support within ZERO_TOL of the vector's peak magnitude, and
+        # pivot[k] is the vector's entry there.  Its other support entries are
+        # entries[:, k], at relays support[:, k]; shorter lists are padded with
+        # zero entries, which add exact zeros to sums
         active = [np.flatnonzero(mask) for mask in supports(rows)]
-        self.relay = np.array([idx[-1] for idx in active], dtype=np.intp)
-        self.pivot = np.array([row[idx[-1]] for row, idx in zip(rows, active)],
-                              dtype=np.complex128)
+        self.relay = np.array([np.flatnonzero(m >= m.max() - ZERO_TOL)[-1]
+                               for m in np.abs(rows)], dtype=np.intp)
+        self.pivot = rows[np.arange(len(rows)), self.relay].astype(np.complex128)
         self.pivot_power = np.abs(self.pivot) ** 2
         self.star_deviation = self.deviation[config.relay_count + self.relay]
         slots = max((idx.size - 1 for idx in active), default=0)
         self.support = np.zeros((slots, len(rows)), dtype=np.intp)
         self.entries = np.zeros((slots, len(rows)), dtype=np.complex128)
-        for k, (row, idx) in enumerate(zip(rows, active)):
-            self.support[:idx.size - 1, k] = idx[:-1]
-            self.entries[:idx.size - 1, k] = row[idx[:-1]]
+        for k, (row, idx, star) in enumerate(zip(rows, active, self.relay)):
+            others = idx[idx != star]
+            self.support[:others.size, k] = others
+            self.entries[:others.size, k] = row[others]
         rest = 1.0 - ALPHA_PLAIN - ALPHA_FADE
         if len(rows):
             alphas = [ALPHA_PLAIN, ALPHA_FADE] + [rest / len(rows)] * len(rows)
@@ -514,19 +558,25 @@ class DefensiveMixture:
         log_gain = buffers.take("log_gain", (2 * r_count,), hits)
         # mode="clip" lets take write straight into `out`; every index is valid
         np.take(h, trials, axis=1, out=states, mode="clip")
-        p = self.power.linear
         # z2 = (re^2 + im^2) / variance, with log_gain as scratch
         np.square(states.real, out=z2)
         np.square(states.imag, out=log_gain)
         z2 += log_gain
         z2 /= self.variance
-        # q_fade / p per gain is (1 + P exp(-(P - 1) |z|^2)) / 2
-        np.multiply(z2, -(p - 1.0), out=log_gain)
-        np.maximum(log_gain, _EXP_FLOOR, out=log_gain)
-        np.exp(log_gain, out=log_gain)
-        log_gain *= 0.5 * p
-        log_gain += 0.5
-        np.log(log_gain, out=log_gain)
+        # q_fade / p per gain is (1 + r exp(-(r - 1) |z|^2)) / 2, r = P / F
+        r = self.fade_ratio
+        np.multiply(z2, -(r - 1.0), out=log_gain)
+        if r >= 1.0:
+            np.maximum(log_gain, _EXP_FLOOR, out=log_gain)
+            np.exp(log_gain, out=log_gain)
+            log_gain *= 0.5 * r
+            log_gain += 0.5
+            np.log(log_gain, out=log_gain)
+        else:
+            # below P = F the exponent is positive and exp could overflow
+            log_gain += math.log(r)
+            np.logaddexp(0.0, log_gain, out=log_gain)
+            log_gain -= math.log(2.0)
         terms = buffers.take("terms", (k + 2,), hits)
         log_fade = buffers.take("log_fade", (), hits)
         np.sum(log_gain, axis=0, out=log_fade)

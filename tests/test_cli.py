@@ -540,6 +540,8 @@ def test_undecodable_or_deeply_nested_file_names_it(tmp_path, capsys, command, c
     ({"vectors": [[[1, 0], [0, 0]]], "theta": [0.0]}, "unknown field 'theta'"),
     ({"type": "unitary", "base": dict(_SRS2, vectors=[]), "matrix": [[[1, 0]]]},
      "base: unknown field 'vectors'"),
+    ({"type": "unitary", "base": _SRS2, "matrix": [[[math.inf, 0], [0, 0]], [[0, 0], [1, 0]]]},
+     "matrix is not unitary: it has a non-finite entry"),
 ])
 def test_malformed_codebook_entry_names_it_once(tmp_path, capsys, command, entry, message):
     out = tmp_path / "out"

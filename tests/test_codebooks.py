@@ -93,6 +93,24 @@ def test_unitary_check_rejects_non_finite_matrix(tmp_path, capsys):
     assert "not unitary" in err and "must be finite" not in err and "Traceback" not in err
 
 
+def test_unitary_check_rejects_infinite_matrix_before_multiplying(tmp_path, capsys):
+    # U U^H of an infinite entry would warn "invalid value encountered in
+    # matmul", which the test settings turn into an error; the entries are
+    # checked first
+    bad = np.array([[np.inf, 0.0], [0.0, 1.0]])
+    for build in (lambda: UnitarySpec(SrsSpec((0.0, 0.0)), bad),
+                  lambda: apply_unitary(make_srs(2, np.zeros(2)), bad)):
+        with pytest.raises(CodebookError, match="not unitary: it has a non-finite entry"):
+            build()
+    spec = tmp_path / "inf.json"
+    spec.write_text(json.dumps({"type": "unitary", "base": {"type": "srs", "theta": [0, 0]},
+                                "matrix": [[[float("inf"), 0], [0, 0]], [[0, 0], [1, 0]]]}),
+                    encoding="utf-8")
+    assert main(["analyze", "-i", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spec}: matrix is not unitary: it has a non-finite entry\n"
+
+
 def test_diagonal_unitary_maps_srs_to_srs():
     cb = make_srs(3, np.zeros(3))
     diag = np.diag(np.exp(1j * np.array([0.3, -1.2, 2.5])))

@@ -23,8 +23,8 @@ from relayquant import (
 from relayquant.cli import main
 from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_codebook,
                                   spec_from_json, to_finite)
-from relayquant.montecarlo import (ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER, ChunkBuffers,
-                                   DefensiveMixture, draw_groups)
+from relayquant.montecarlo import (ALPHA_FADE, ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER,
+                                   ChunkBuffers, DefensiveMixture, draw_groups, fade_factor)
 from relayquant.structure import diversity_cap
 from tests.conftest import U1, U2
 
@@ -393,6 +393,162 @@ def test_importance_weights_are_bounded_likelihood_ratios():
             _, _, w = proposal.sample(rng.stream(5, 0, 0), 200_000)
             assert np.all(w >= 0.0) and w.max() <= 1.0 / ALPHA_PLAIN
             assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(w.size)
+
+
+def test_fade_factor_of_the_bundled_networks():
+    # sum_r 1 / (2 min(s_0 var_f, s_r var_g)) is 1.79, 1.0 and 1.5 on the
+    # fig2, fig3 and fig4 networks; k is the smallest integer above it
+    for name in ("fig2", "fig3", "fig4"):
+        net, _ = _bundled(name)
+        assert fade_factor(net) == 2, name
+        for p_db in (0.0, 40.0):
+            power = PowerLevel.from_db(p_db)
+            assert DefensiveMixture(net, power).fade_scale == math.sqrt(2.0 / power.linear)
+    # kappa = (0.25, 0.5): the sum is 3, and k lies strictly above it
+    assert fade_factor(NetworkConfig(2, (0.25, 1.0, 0.5), (1.0, 4.0), (1.0, 1.0))) == 4
+    assert fade_factor(NetworkConfig(1, (1.0, 1.0), (1.0,), (1.0,))) == 1
+
+
+_FADE_NETWORKS = {
+    2: NetworkConfig(2, (1.0, 0.5, 2.0), (1.2, 0.8), (1.5, 0.7)),
+    3: _fig2_network(),
+}
+
+
+@pytest.mark.parametrize("relays", [2, 3])
+@pytest.mark.parametrize("p_db", [0.0, 40.0])
+@pytest.mark.parametrize("kind", ["finite", "continuous"])
+def test_fade_rule_weights_are_bounded_likelihood_ratios(relays, p_db, kind):
+    # at 0 dB, P < k and the fade component widens the gains; at 40 dB it
+    # fades them.  Either way E_q[p/q] = 1 and the defensive share bounds
+    # every weight.  A continuous family gets the fade component alone
+    net = _FADE_NETWORKS[relays]
+    power = PowerLevel.from_db(p_db)
+    assert (power.linear < fade_factor(net)) == (p_db == 0.0)
+    rows = {2: [[1, 1], [1, 0]], 3: [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}[relays]
+    spec = (FiniteCodebook(np.array(rows, dtype=complex)) if kind == "finite"
+            else ConstrainedSpec(0.25, 1))
+    vectors = getattr(resolve_codebook(spec, power), "canonical", None)
+    proposal = DefensiveMixture(net, power, vectors)
+    multi_relay_rows = sum(np.count_nonzero(row) > 1 for row in rows)
+    assert proposal.relay.size == (multi_relay_rows if kind == "finite" else 0)
+    _, _, w = proposal.sample(rng.stream(23, 0, relays), 200_000)
+    assert np.all(w >= 0.0) and w.max() <= 1.0 / ALPHA_PLAIN
+    assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(w.size)
+
+
+def _log_cn(z, mean, variance):
+    """log of the CN(mean, variance) density at complex z."""
+    return -math.log(math.pi * variance) - abs(z - mean) ** 2 / variance
+
+
+def _mixture_weight(net, power, rows, f, g):
+    """p/q at one state, written from the mixture's definition in scalar Python.
+
+    rows are the canonical vectors with two or more support relays; k is
+    fade_factor(net).  q = ALPHA_PLAIN p + ALPHA_FADE q_fade + sum_k a_k q_k,
+    with the cancellation shares a_k splitting the rest evenly.
+    """
+    k = fade_factor(net)
+    p = power.linear
+    p0 = net.power_scalers[0] * p
+    gains = list(f) + list(g)
+    variances = list(net.variance_f) + list(net.variance_g)
+
+    def log_fade_gain(z, variance):
+        # each gain keeps its law, or has its variance scaled by k / P
+        return math.log(0.5) + np.logaddexp(_log_cn(z, 0.0, variance),
+                                            _log_cn(z, 0.0, variance * k / p))
+
+    log_p = sum(_log_cn(z, 0.0, v) for z, v in zip(gains, variances))
+    log_fade = [log_fade_gain(z, v) for z, v in zip(gains, variances)]
+    # with no cancellation component the fade component takes the whole rest
+    fade_share = ALPHA_FADE if rows else 1.0 - ALPHA_PLAIN
+    log_q = [math.log(ALPHA_PLAIN) + log_p, math.log(fade_share) + sum(log_fade)]
+    rest = (1.0 - ALPHA_PLAIN - ALPHA_FADE) / max(len(rows), 1)
+    rho = [net.power_scalers[r + 1] * p / (1.0 + abs(f[r]) ** 2 * p0) for r in range(len(f))]
+    for x in rows:
+        mags = [abs(v) for v in x]
+        star = max(r for r in range(len(x)) if mags[r] >= max(mags) - 1e-12)
+        others = [r for r in range(len(x)) if r != star and mags[r] > 1e-12]
+        # g at r* zeroes x's SNR numerator sum_r x_r f_r g_r sqrt(rho_r)
+        coef = x[star] * f[star] * math.sqrt(rho[star])
+        mu = -sum(x[r] * f[r] * g[r] * math.sqrt(rho[r]) for r in others) / coef
+        den = 1.0 + sum(mags[r] ** 2 * abs(g[r]) ** 2 * rho[r] for r in others)
+        den += mags[star] ** 2 * abs(mu) ** 2 * rho[star]
+        s2 = den / (p0 * abs(coef) ** 2)
+        at = len(f) + star
+        log_q.append(math.log(rest) + sum(log_fade) - log_fade[at]
+                     + _log_cn(gains[at], mu, s2))
+    top = max(log_q)
+    return math.exp(log_p - top) / sum(math.exp(v - top) for v in log_q)
+
+
+@pytest.mark.parametrize("label", ["C3", "SRS_U2", "SRS"])
+@pytest.mark.parametrize("p_db", [0.0, 40.0])
+def test_weights_equal_the_mixture_density_ratio(label, p_db):
+    net = _fig2_network()
+    power = PowerLevel.from_db(p_db)
+    canonical = resolve_codebook(_FIG2_CODEBOOKS[label], power).canonical
+    proposal = DefensiveMixture(net, power, canonical)
+    f, g, w = proposal.sample(rng.stream(29, 0, 0), 300)
+    rows = [x for x in canonical if np.count_nonzero(np.abs(x) > 1e-12) > 1]
+    expected = [_mixture_weight(net, power, rows, f[i], g[i]) for i in range(300)]
+    np.testing.assert_allclose(w, expected, rtol=1e-9, atol=0.0)
+
+
+def test_cancellation_pivots_on_the_largest_entry():
+    # r* is the last support relay within ZERO_TOL of the row's peak
+    # magnitude: a tiny on-support entry is never r*, and ties go to the
+    # last relay, so of fig2's codebooks only SRS_U2's components move
+    net = _fig2_network()
+    power = PowerLevel.from_db(30.0)
+    cases = {label: to_finite(spec).vectors for label, spec in _bundled("fig2")[1].items()}
+    cases["TINY"] = np.array([[1, 1e-7, 0], [0, 0, 1]], dtype=complex)
+    gen = np.random.default_rng(3)
+    cases["RANDOM"] = gen.uniform(0.1, 1.0, (20, 3)) * np.exp(1j * gen.uniform(0, 7, (20, 3)))
+    expected = {"C1": [2], "C2": [2, 2], "C3": [2, 2, 1], "O1": [2], "SRS": [],
+                "SRS_U1": [1, 1], "SRS_U2": [1, 0, 2], "TINY": [0]}
+    for label, vectors in cases.items():
+        canonical = resolve_codebook(FiniteCodebook(vectors), power).canonical
+        proposal = DefensiveMixture(net, power, canonical)
+        rows = canonical[np.count_nonzero(np.abs(canonical) > 1e-12, axis=1) > 1]
+        peak = np.abs(rows).max(axis=1)
+        assert np.array_equal(np.abs(proposal.pivot), peak), label
+        assert np.array_equal(rows[np.arange(len(rows)), proposal.relay], proposal.pivot)
+        if label in expected:
+            assert proposal.relay.tolist() == expected[label], label
+        for r, star in enumerate(proposal.relay):
+            later = np.abs(rows[r, star + 1:])
+            assert np.all(later < peak[r] - 1e-12), label
+
+
+@pytest.mark.parametrize("p_db", [30.0, 40.0])
+def test_srs_u2_weights_after_the_pivot_move(p_db):
+    # SRS_U2's rows peak off their last relay, so its pivots moved
+    net = _fig2_network()
+    power = PowerLevel.from_db(p_db)
+    proposal = DefensiveMixture(net, power,
+                                resolve_codebook(_FIG2_CODEBOOKS["SRS_U2"], power).canonical)
+    _, _, w = proposal.sample(rng.stream(31, 0, 0), 200_000)
+    assert np.all(w >= 0.0) and w.max() <= 1.0 / ALPHA_PLAIN
+    assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(w.size)
+
+
+def test_tiny_entry_costs_little_precision():
+    # [1, 1e-7, 0] pivots on its entry 1, so its cancellation component
+    # stays at the gains' scale.  fig2 network, 65,536 trials, seed 5:
+    # std_err / ser read 0.0261 and 0.0275 at 30 and 40 dB, against 0.0252
+    # and 0.0263 without the tiny entry.  Pivoting on the last support
+    # relay (the tiny entry) read 0.0473 and 0.0413
+    net = _fig2_network()
+    rel = {}
+    for label, rows in (("tiny", [[1, 1e-7, 0], [0, 0, 1]]), ("bare", [[1, 0, 0], [0, 0, 1]])):
+        curve = estimate_ser(SimulationPlan(net, FiniteCodebook(np.array(rows, dtype=complex)),
+                                            (30.0, 40.0), 65_536, 5, estimator="importance"))
+        rel[label] = [e / s for s, e in zip(curve.ser, curve.std_err)]
+    for tiny, bare in zip(rel["tiny"], rel["bare"]):
+        assert tiny <= 1.15 * bare, rel
 
 
 def _importance_config(tmp_path):

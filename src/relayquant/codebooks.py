@@ -19,6 +19,13 @@ closed-form stationary point between each pair (Jing & Jafarkhani, IEEE
 Trans. IT 55(6), 2009).  Checking those O(R) candidates costs O(R^2) per
 channel state and needs no tuning knob.  A finite codebook's argmax runs
 over one row per beamformer, by the phase rule stated in model.
+
+Both argmaxes work in a model.ChunkBuffers arena, the caller's or a private
+one: the maximizer's (R, n) and (n,) working arrays, its breakpoints and
+its result, and the finite argmax's running maximum, are roles of it, so a
+Monte Carlo strand evaluates chunk after chunk without fresh pages.  What
+they return is a view of the arena, valid until the next call on it.  The
+finite argmax's beamformed_sums accumulators are still allocated per call.
 """
 
 from __future__ import annotations
@@ -32,12 +39,13 @@ import numpy as np
 
 from .model import (
     MAGNITUDE_TOL,
+    ChunkBuffers,
     NetworkConfig,
     PowerLevel,
+    beamformed_snr,
     canonical_rows,
     phase_classes,
     snr_geometry,
-    snr_per_vector,
 )
 
 UNITARY_TOL = 1e-10
@@ -200,7 +208,8 @@ def to_finite(spec: FiniteSpec) -> FiniteCodebook:
 def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
                          power: PowerLevel, epsilon: float,
                          pinned_relay: Optional[int],
-                         grid_resolution: Optional[int] = None, *, geometry=None):
+                         grid_resolution: Optional[int] = None, *, geometry=None,
+                         buffers: Optional[ChunkBuffers] = None):
     """Exact per-state maximum SNR over a constrained family, vectorized.
 
     f, g: (n, R).  Returns (magnitudes (n, R), snr (n,)).  Phases are implied:
@@ -218,14 +227,18 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
     maximum.  The work is O(R^2) per state.
 
     `geometry` is snr_geometry(f, g, config, power) when the caller already
-    holds it.  grid_resolution is ignored.  It sized the magnitude grid of
-    an earlier, approximate maximizer, and callers that pass it positionally
-    (such as the benchmark in perfbench/) keep working.
+    holds it.  Every working array that grows with n is a role of
+    `buffers`, a ChunkBuffers of capacity >= n, or of a private one when
+    none is passed; both results are views of it (the magnitudes
+    transposed), valid until the next call on the same arena.
+    grid_resolution is ignored.  It sized the magnitude grid of an earlier,
+    approximate maximizer, and callers that pass it positionally (such as
+    the benchmark in perfbench/) keep working.
     """
     n, r_count = f.shape
     if not 0.0 <= epsilon <= 1.0:
         raise CodebookError(f"epsilon must lie in [0, 1], got {epsilon}")
-    lo = np.zeros(r_count)
+    lo = np.zeros((r_count, 1))
     if pinned_relay is not None:
         if not 1 <= pinned_relay <= r_count:
             raise CodebookError(f"pinned relay {pinned_relay} out of range 1..{r_count}")
@@ -234,41 +247,77 @@ def constrained_best_snr(f: np.ndarray, g: np.ndarray, config: NetworkConfig,
     p0 = config.power_scalers[0] * power.linear
     # relay-major (R, n) layout: sums over relays add contiguous rows
     _, a, w = geometry if geometry is not None else snr_geometry(f, g, config, power)
-    u = np.abs(a)
-    lo = lo[:, None]
+    if buffers is None:
+        buffers = ChunkBuffers(n)
+
+    def take(role, rows=(r_count,), dtype=float):
+        return buffers.take(role, rows, n, dtype)
+
+    u = np.abs(a, out=take("u"))
+    slope, enter, leave = take("slope"), take("enter"), take("leave")
+    mag, summand, mask = take("mag"), take("summand"), take("mask", dtype=bool)
 
     # Along the curve m_r leaves lo_r at c = enter_r and reaches 1 at
     # c = leave_r.  A relay with u_r = 0 adds nothing to the numerator, so
     # it stays at lo_r: both of its breakpoints are infinite.  A relay with
     # lo_r = 0 leaves it at c = 0, which adds no breakpoint.
-    active = u > 0.0
+    inactive = np.logical_not(np.greater(u, 0.0, out=mask), out=mask)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(active, u / w, 0.0)
-        leave = np.where(active, w / u, np.inf)
-        enter = np.where(active, lo * leave, np.inf)
-    edges = np.sort(np.concatenate([enter[lo[:, 0] > 0.0], leave]), axis=0)
-    lefts = np.concatenate([np.zeros((1, n)), edges])
-    rights = np.concatenate([edges, np.full((1, n), np.inf)])
+        np.divide(u, w, out=slope)
+        np.divide(w, u, out=leave)
+        np.copyto(leave, np.inf, where=inactive)
+        np.multiply(lo, leave, out=enter)
+    np.copyto(slope, 0.0, where=inactive)
+    np.copyto(enter, np.inf, where=inactive)
+    # the edges role has room for the pinned relay's entry point, so that
+    # families with and without one share it; it is sorted in place
+    cut = int(pinned_relay is not None and lo[pinned_relay - 1, 0] > 0.0)
+    edges = take("edges", (r_count + 1,))[:r_count + cut]
+    if cut:
+        edges[0] = enter[pinned_relay - 1]
+    edges[cut:] = leave
+    edges.sort(axis=0)
 
-    best_mag = np.empty((r_count, n))
-    best_val = np.full(n, -np.inf)
-    for left, right in zip(lefts, rights):
-        fixed = np.where(right <= enter, lo, left >= leave)
-        num0 = (u * fixed).sum(axis=0)
-        den0 = 1.0 + (w * fixed * fixed).sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # num0 = 0 (nothing fixed above 0): the objective rises through
-            # the segment, and the peak is its right end
-            c = np.clip(den0 / num0, left, right)
-            # m(c), with coordinates at a breakpoint set exactly to 1 or lo_r
-            mag = np.where(c >= leave, 1.0, np.where(c <= enter, lo, c * slope))
-        np.clip(mag, lo, 1.0, out=mag)
-        num = (u * mag).sum(axis=0)
-        val = p0 * num * num / (1.0 + (w * mag * mag).sum(axis=0))
-        better = val > best_val
-        np.copyto(best_val, val, where=better)
-        np.copyto(best_mag, mag, where=better)
-    return best_mag.T, best_val
+    def curve(c):
+        """m(c) into mag, with coordinates at a breakpoint set exactly to 1 or lo_r."""
+        np.multiply(c, slope, out=mag)
+        np.copyto(mag, lo, where=np.less_equal(c, enter, out=mask))
+        np.copyto(mag, 1.0, where=np.greater_equal(c, leave, out=mask))
+        return np.clip(mag, lo, 1.0, out=mag)
+
+    def sums():
+        """u.mag into num and 1 + w.(mag*mag) into den."""
+        np.multiply(u, mag, out=summand).sum(axis=0, out=num)
+        np.multiply(np.multiply(w, mag, out=summand), mag, out=summand)
+        np.add(summand.sum(axis=0, out=den), 1.0, out=den)
+
+    num, den, c, val = take("num", ()), take("den", ()), take("c", ()), take("val", ())
+    best_c, best_val, better = take("best_c", ()), take("snr", ()), take("better", (), bool)
+    best_val.fill(-np.inf)
+    # num = 0 (nothing fixed above 0) makes c infinite, and c * slope in
+    # m(c) then meets slope = 0; the clips and breakpoint rules replace both
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(edges.shape[0] + 1):
+            left = edges[i - 1] if i else 0.0
+            right = edges[i] if i < edges.shape[0] else np.inf
+            # the coordinates fixed on this segment, in mag: lo_r before
+            # relay r enters, 1 once it has left, 0 for the free ones
+            np.copyto(mag, np.greater_equal(left, leave, out=mask))
+            np.copyto(mag, lo, where=np.less_equal(right, enter, out=mask))
+            sums()
+            # at num = 0 the objective rises through the segment, and the
+            # peak is its right end
+            np.clip(np.divide(den, num, out=c), left, right, out=c)
+            curve(c)
+            sums()
+            np.multiply(num, p0, out=val)
+            val *= num
+            val /= den
+            np.greater(val, best_val, out=better)
+            np.copyto(best_val, val, where=better)
+            np.copyto(best_c, c, where=better)
+        # m(c) is a function of c alone, so the winning c gives the magnitudes
+        return curve(best_c).T, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +334,21 @@ class FiniteEvaluator:
         self.canonical = canonical_rows(codebook.vectors[phase_classes(codebook.vectors)])
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
-                 geometry=None) -> np.ndarray:
-        """Largest SNR over the codebook at each state; `geometry` as in snr_per_vector."""
-        return snr_per_vector(self.canonical, f, g, config, power,
-                              geometry=geometry).max(axis=1)
+                 geometry=None, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
+        """Largest SNR over the codebook at each state, the running maximum
+        of each canonical row's beamformed_snr; `geometry` and `buffers` as
+        in constrained_best_snr.  The max rounds nothing, so it equals the
+        max over model.snr_per_vector's table bit for bit."""
+        p0 = config.power_scalers[0] * power.linear
+        _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
+        n = a.shape[1]
+        if buffers is None:
+            buffers = ChunkBuffers(n)
+        best = beamformed_snr(self.canonical[0], a, b, p0, out=buffers.take("snr", (), n))
+        for x in self.canonical[1:]:
+            np.maximum(best, beamformed_snr(x, a, b, p0, out=buffers.take("snr_row", (), n)),
+                       out=best)
+        return best
 
 
 class ConstrainedEvaluator:
@@ -299,10 +359,11 @@ class ConstrainedEvaluator:
         self.pinned_relay = pinned_relay
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
-                 geometry=None) -> np.ndarray:
-        """Maximum SNR over the family at each state; `geometry` as in constrained_best_snr."""
+                 geometry=None, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
+        """Maximum SNR over the family at each state; `geometry` and
+        `buffers` as in constrained_best_snr."""
         _, val = constrained_best_snr(f, g, config, power, self.epsilon, self.pinned_relay,
-                                      geometry=geometry)
+                                      geometry=geometry, buffers=buffers)
         return val
 
 

@@ -21,7 +21,8 @@ snr_geometry is two steps in a row: channel_products forms the products
 that do not depend on P, (f g, |f|^2, |g|^2), and geometry_at_power forms
 (rho, a, b) from them at one power.  A caller that evaluates one draw at
 many powers runs the first step once.  Both steps, and sample_channels,
-can write into arrays the caller holds.
+can write into arrays the caller holds; ChunkBuffers is the arena that a
+Monte Carlo strand holds them in.
 
 Which rows of a codebook are one beamformer, in simulate and analyze alike,
 is decided here: supports (entries above ZERO_TOL), canonical_rows (pivot on
@@ -108,6 +109,41 @@ class PowerLevel:
             return cls(10.0 ** (float(db) / 10.0))
         except OverflowError:
             raise ValueError(f"power must be positive and finite, got {db!r} dB") from None
+
+
+class ChunkBuffers:
+    """The scratch arena that one strand reuses for its chunks.
+
+    `take` hands out views of named roles.  A role's flat store is
+    allocated at its first request, for `capacity` trials, and each caller
+    requests a role with one (rows, dtype) throughout, so a chunk after the
+    first takes no fresh pages for it, and a caller allocates only the roles
+    it requests.  Each strand has an arena of its own, so no role is taken
+    by two threads.
+
+    montecarlo's chunk loop draws the channels, forms their products and
+    each power's geometry, and writes the Q values into roles; the
+    importance proposal's prepare, states and weights, and the evaluators'
+    best_snr (with codebooks.constrained_best_snr) do the same with theirs.
+    An array they return from the arena is a view, valid until the next
+    call on the same arena.  Still allocated per call: beamformed_sums'
+    accumulators (each finite beamformer's SNR and the importance
+    proposal's cancellation points), the proposal's per-chunk coins and
+    indices, its gathers at r* and its weights, and the squared Q values
+    that a chunk's sums fold.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._flat = {}
+
+    def take(self, role: str, rows: tuple, n: int, dtype=float) -> np.ndarray:
+        """The C-contiguous (*rows, n) leading view of `role`'s store."""
+        size = math.prod(rows)
+        store = self._flat.get(role)
+        if store is None:
+            store = self._flat[role] = np.empty(size * self.capacity, dtype=dtype)
+        return store[:size * n].reshape(*rows, n)
 
 
 def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int, out=None):
@@ -225,10 +261,11 @@ def beamformed_sums(x, a, b):
     return acc, den
 
 
-def beamformed_snr(x, a, b, p0) -> np.ndarray:
-    """SNR p0 |sum_r x_r a_r|^2 / (1 + sum_r |x_r|^2 b_r), see beamformed_sums."""
+def beamformed_snr(x, a, b, p0, out=None) -> np.ndarray:
+    """SNR p0 |sum_r x_r a_r|^2 / (1 + sum_r |x_r|^2 b_r), see beamformed_sums,
+    written into `out` when given."""
     acc, den = beamformed_sums(x, a, b)
-    return (p0 * (acc.real * acc.real + acc.imag * acc.imag)) / den
+    return np.divide(p0 * (acc.real * acc.real + acc.imag * acc.imag), den, out=out)
 
 
 def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
@@ -246,7 +283,7 @@ def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
     # over vectors runs over whole rows
     out = np.empty((vectors.shape[0], a.shape[1])).T
     for k, x in enumerate(vectors):
-        out[:, k] = beamformed_snr(x, a, b, p0)
+        beamformed_snr(x, a, b, p0, out=out[:, k])
     return out
 
 

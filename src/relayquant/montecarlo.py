@@ -39,9 +39,11 @@ power's channel states.  Either way each power forms one SNR geometry,
 which the codebook's argmax reuses;
 "importance" then evaluates the likelihood ratio only at the trials whose Q
 value is positive, since a trial with Q = 0 adds 0 whatever its weight.
-Every array of a chunk that grows with its trials is a role of the strand's
-ChunkBuffers arena, allocated for a full chunk at its first request and
-reused by every later chunk, so later chunks take no fresh pages for them.
+The draw, its products, each power's geometry, the codebook's argmax (the
+continuous maximizer's working arrays included) and the Q values are roles
+of the strand's ChunkBuffers arena (model), allocated for a full chunk at
+their first request and reused by every later chunk, so later chunks take
+no fresh pages for them; ChunkBuffers lists what is still allocated per call.
 
 estimate_ser takes the plans of a whole experiment at once.  Plain plans of
 one network, seed, grid and trial count draw the same channels in every
@@ -92,8 +94,8 @@ from scipy import special
 
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
-from .model import (ZERO_TOL, NetworkConfig, PowerLevel, beamformed_sums, channel_products,
-                    geometry_at_power, sample_channels, snr_terms, supports)
+from .model import (ZERO_TOL, ChunkBuffers, NetworkConfig, PowerLevel, beamformed_sums,
+                    channel_products, geometry_at_power, sample_channels, snr_terms, supports)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -116,9 +118,11 @@ MAX_RESOLVED_REL_ERR = 0.3
 _EXP_FLOOR = -700.0
 
 
-def gaussian_tail(x):
-    """Q(x) = P[N(0,1) > x], evaluated as erfc(x / sqrt(2)) / 2."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+def gaussian_tail(x, out=None):
+    """Q(x) = P[N(0,1) > x], evaluated as erfc(x / sqrt(2)) / 2, written
+    into `out` when given (which may be x itself)."""
+    y = np.divide(np.asarray(x, dtype=float), math.sqrt(2.0), out=out)
+    return np.multiply(0.5, special.erfc(y, out=out), out=out)
 
 
 def _fold_sum(values) -> float:
@@ -281,29 +285,11 @@ class SerCurve:
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 
-class ChunkBuffers:
-    """The scratch arena that one strand reuses for its chunks.
-
-    The rule: every array of a chunk that grows with its trials is a view
-    that `take` hands out under a role name.  A role's flat store is
-    allocated at its first request, for `capacity` trials, and each caller
-    requests a role with one (rows, dtype) throughout, so a chunk after the
-    first takes no fresh pages for those arrays, and a plan allocates only
-    the roles its estimator requests.  Each strand has an arena of its own,
-    so no role is taken by two threads.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._flat = {}
-
-    def take(self, role: str, rows: tuple, n: int, dtype=float) -> np.ndarray:
-        """The C-contiguous (*rows, n) leading view of `role`'s store."""
-        size = math.prod(rows)
-        store = self._flat.get(role)
-        if store is None:
-            store = self._flat[role] = np.empty(size * self.capacity, dtype=dtype)
-        return store[:size * n].reshape(*rows, n)
+def _q_values(best, buffers: ChunkBuffers) -> np.ndarray:
+    """The "q" role holding Q(sqrt(2 best)), each trial's Q value at its best SNR."""
+    q = buffers.take("q", (), best.size)
+    np.sqrt(np.multiply(best, 2.0, out=q), out=q)
+    return gaussian_tail(q, out=q)
 
 
 def _draw_out(buffers: ChunkBuffers, relays: int, n: int) -> np.ndarray:
@@ -694,8 +680,8 @@ def _estimate_group(plans: list) -> list:
                 geometry = geometry_at_power(products, config, power,
                                              _geometry_out(buffers, r_count, size))
                 for plan in plans:
-                    yield gaussian_tail(np.sqrt(2.0 * plan.evaluators[i].best_snr(
-                        f, g, config, power, geometry=geometry)))
+                    yield _q_values(plan.evaluators[i].best_snr(
+                        f, g, config, power, geometry=geometry, buffers=buffers), buffers)
     else:
         proposals = [DefensiveMixture(config, power, ev.canonical
                                       if isinstance(ev, FiniteEvaluator) else None)
@@ -706,8 +692,8 @@ def _estimate_group(plans: list) -> list:
             prepared = proposals[0].prepare(gen, size, buffers)
             for proposal, power, ev in zip(proposals, powers, lead.evaluators):
                 h, geometry = proposal.states(prepared, buffers)
-                q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(
-                    h[:r_count].T, h[r_count:].T, config, power, geometry=geometry)))
+                q = _q_values(ev.best_snr(h[:r_count].T, h[r_count:].T, config, power,
+                                          geometry=geometry, buffers=buffers), buffers)
                 # a trial with Q = 0 adds 0 whatever its weight
                 hit = np.flatnonzero(q)
                 q[hit] *= proposal.weights(h, geometry, hit, buffers)

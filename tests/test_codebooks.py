@@ -21,7 +21,7 @@ from relayquant import (
 )
 from relayquant.cli import main
 from relayquant.codebooks import constrained_best_snr, to_finite
-from relayquant.model import relay_gains, snr_per_vector
+from relayquant.model import ChunkBuffers, relay_gains, snr_geometry, snr_per_vector
 from relayquant.structure import is_omrs, is_srs
 from tests.conftest import U1, U2, snr_reference
 
@@ -334,3 +334,92 @@ def test_exact_maximizer_edge_cases():
         assert np.all(mag == 1.0)
         u, w, p0 = _cophased_terms(f[:, :1], g[:, :1], single, power)
         assert np.allclose(val, p0 * u[:, 0] ** 2 / (1.0 + w[:, 0]), rtol=1e-12, atol=0.0)
+
+
+def _allocating_maximizer(f, g, config, power, epsilon, pinned_relay):
+    """The exact maximizer as it ran on fresh arrays, keeping each segment's
+    winning magnitudes; constrained_best_snr must match it bit for bit."""
+    n, r_count = f.shape
+    lo = np.zeros(r_count)
+    if pinned_relay is not None:
+        lo[pinned_relay - 1] = np.sqrt(epsilon)
+    p0 = config.power_scalers[0] * power.linear
+    _, a, w = snr_geometry(f, g, config, power)
+    u = np.abs(a)
+    lo = lo[:, None]
+    active = u > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(active, u / w, 0.0)
+        leave = np.where(active, w / u, np.inf)
+        enter = np.where(active, lo * leave, np.inf)
+    edges = np.sort(np.concatenate([enter[lo[:, 0] > 0.0], leave]), axis=0)
+    lefts = np.concatenate([np.zeros((1, n)), edges])
+    rights = np.concatenate([edges, np.full((1, n), np.inf)])
+    best_mag = np.empty((r_count, n))
+    best_val = np.full(n, -np.inf)
+    for left, right in zip(lefts, rights):
+        fixed = np.where(right <= enter, lo, left >= leave)
+        num0 = (u * fixed).sum(axis=0)
+        den0 = 1.0 + (w * fixed * fixed).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.clip(den0 / num0, left, right)
+            mag = np.where(c >= leave, 1.0, np.where(c <= enter, lo, c * slope))
+        np.clip(mag, lo, 1.0, out=mag)
+        num = (u * mag).sum(axis=0)
+        val = p0 * num * num / (1.0 + (w * mag * mag).sum(axis=0))
+        better = val > best_val
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_mag, mag, where=better)
+    return best_mag.T, best_val
+
+
+def test_arena_maximizer_matches_fresh_arrays_bit_for_bit():
+    # one arena per relay count serves every call, with n varying below its
+    # capacity; every relay and none pinned, epsilon 0 (where the first
+    # segment fixes nothing, num = 0) to 1, 0-50 dB; relays with f or g = 0
+    # (a dead relay), and a state whose relays are all dead
+    gen = np.random.default_rng(67)
+    for r_count in range(1, 6):
+        config = NetworkConfig(r_count, tuple(gen.uniform(0.3, 2.0, r_count + 1)),
+                               tuple(gen.uniform(0.5, 1.5, r_count)),
+                               tuple(gen.uniform(0.5, 1.5, r_count)))
+        arena = ChunkBuffers(300)
+        for pinned in (None, *range(1, r_count + 1)):
+            for eps in (0.0, 1 / 16, 1 / 4, 1.0):
+                for p_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0):
+                    power = PowerLevel.from_db(p_db)
+                    n = int(gen.integers(1, 301))
+                    f, g = _states(gen, n, r_count)
+                    f[gen.random((n, r_count)) < 0.1] = 0.0
+                    g[gen.random((n, r_count)) < 0.1] = 0.0
+                    f[0] = 0.0
+                    want = _allocating_maximizer(f, g, config, power, eps, pinned)
+                    case = (r_count, pinned, eps, p_db)
+                    for buffers in (None, arena):
+                        mag, val = constrained_best_snr(f, g, config, power, eps, pinned,
+                                                        buffers=buffers)
+                        assert mag.tobytes() == want[0].tobytes(), case
+                        assert val.tobytes() == want[1].tobytes(), case
+
+
+def test_evaluators_sharing_an_arena_read_no_stale_rows(asym_network):
+    # X, E4 (pinned relay 2, one edge more) and D_LOG take the maximizer's
+    # edges role at its largest shape in turn, then X again at a shorter n,
+    # and a finite codebook shares the "snr" role; each result must match a
+    # fresh evaluation, bit for bit
+    gen = np.random.default_rng(71)
+    power = PowerLevel.from_db(20.0)
+    specs = (FullCsiSpec(), ConstrainedSpec(0.25, 2), PowerDependentSpec(1), FullCsiSpec())
+    arena = ChunkBuffers(500)
+    for n, spec in zip((500, 500, 500, 137), specs):
+        f, g = _states(gen, n, 3)
+        ev = resolve_codebook(spec, power)
+        want = _allocating_maximizer(f, g, asym_network, power, ev.epsilon, ev.pinned_relay)[1]
+        got = ev.best_snr(f, g, asym_network, power, buffers=arena)
+        assert got.tobytes() == want.tobytes(), (n, spec)
+    c3 = resolve_codebook(FiniteCodebook([[0, 1, 1], [1, 0, 1], [1, 1, 0]]), power)
+    for n in (500, 61):
+        f, g = _states(gen, n, 3)
+        want = snr_per_vector(c3.canonical, f, g, asym_network, power).max(axis=1)
+        got = c3.best_snr(f, g, asym_network, power, buffers=arena)
+        assert got.tobytes() == want.tobytes(), n

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from relayquant import (
     FiniteCodebook,
+    FullCsiSpec,
     NetworkConfig,
     PowerLevel,
     SerCurve,
@@ -783,7 +784,8 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
     # strand's ChunkBuffers: each role keeps one (rows, dtype), is first
     # requested before that strand starts its second chunk (which calls
     # gaussian_tail for the (G + 1)th time on a grid of G powers), a plain
-    # plan requests no role of the importance proposal, and a finite group
+    # plan requests no role of the importance proposal (only the draw's, the
+    # geometry's, the evaluators' and the Q values'), and a finite group
     # takes every role on the calling thread
     import threading
 
@@ -798,13 +800,15 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
 
     tail = montecarlo.gaussian_tail
 
-    def marked_tail(x):
+    def marked_tail(x, **kwargs):
         events.append((threading.get_ident(), None, None, None, None))
-        return tail(x)
+        return tail(x, **kwargs)
 
     monkeypatch.setattr(montecarlo, "ChunkBuffers", RecordingArena)
     monkeypatch.setattr(montecarlo, "gaussian_tail", marked_tail)
-    plain_roles = {"states", "fg", "f2", "g2", "rho", "a", "b"}
+    plain_roles = {"states", "fg", "f2", "g2", "rho", "a", "b",
+                   "u", "slope", "enter", "leave", "edges", "mag", "summand", "mask", "num",
+                   "den", "c", "val", "best_c", "better", "snr", "snr_row", "q"}
     grid = (20.0, 40.0)
     # the last two cases are draw groups: a chunk calls the tail once per
     # power and plan
@@ -812,7 +816,8 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
                              ((_FIG2_CODEBOOKS["C3"],), "plain"),
                              ((ConstrainedSpec(0.25, 1),), "importance"),
                              (tuple(_FIG2_CODEBOOKS.values()), "plain"),
-                             ((ConstrainedSpec(0.25, 1), PowerDependentSpec(1)), "plain")):
+                             ((ConstrainedSpec(0.25, 1), PowerDependentSpec(1), FullCsiSpec()),
+                              "plain")):
         plans = [SimulationPlan(_fig2_network(), spec, grid, 3 * CHUNK_TRIALS + 7, 41,
                                 estimator=estimator) for spec in specs]
         for threads in ("1", "2"):
@@ -1035,3 +1040,32 @@ def test_importance_chunk_takes_few_fresh_bytes():
         tracemalloc.stop()
     assert hits > 1000
     assert peak <= 1_682_281 // 2, peak
+
+
+def test_continuous_chunk_takes_few_fresh_bytes(monkeypatch):
+    # after a warm-up chunk, a continuous plan's chunk takes its draw, its
+    # geometry, the maximizer's working arrays and its Q values from the
+    # strand's buffers; what is left is numpy's per-call scratch, the
+    # largest the 128 KiB cast buffer of the complex-by-real products in
+    # sample_channels and geometry_at_power.  Before the maximizer and the Q
+    # values took roles, the second chunk's peak here was 1,688,904 bytes,
+    # against 136,200 after (numpy 2.4, Python 3.11)
+    import tracemalloc
+
+    stream = rng.stream
+
+    def traced_from_chunk_1(seed, lane, block):
+        if block == 1:
+            tracemalloc.start()
+        return stream(seed, lane, block)
+
+    monkeypatch.setenv("RELAYQUANT_THREADS", "1")
+    monkeypatch.setattr(rng, "stream", traced_from_chunk_1)
+    plan = SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 2), (5.0, 15.0),
+                          2 * CHUNK_TRIALS, 1)
+    try:
+        estimate_ser(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_688_904 // 10, peak

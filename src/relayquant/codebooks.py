@@ -18,7 +18,7 @@ m(c) = clip(c u / w, lo, 1), which has at most 2R breakpoints and one
 closed-form stationary point between each pair (Jing & Jafarkhani, IEEE
 Trans. IT 55(6), 2009).  Checking those O(R) candidates costs O(R^2) per
 channel state and needs no tuning knob.  A finite codebook's argmax runs
-over one row per beamformer, by the phase rule stated in model.
+over FiniteCodebook.beamformers, one row per beamformer by model's phase rule.
 
 Both argmaxes work in a model.ChunkBuffers arena, the caller's or a private
 one: the maximizer's (R, n) and (n,) working arrays, its breakpoints and
@@ -30,6 +30,7 @@ finite argmax's beamformed_sums accumulators are still allocated per call.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -82,6 +83,11 @@ class FiniteCodebook:
     @property
     def relay_count(self) -> int:
         return self.vectors.shape[1]
+
+    @functools.cached_property
+    def beamformers(self) -> np.ndarray:
+        """One row per beamformer, the first of each model.phase_classes class."""
+        return self.vectors[phase_classes(self.vectors)]
 
 
 @dataclass(frozen=True)
@@ -331,7 +337,7 @@ class FiniteEvaluator:
 
     def __init__(self, codebook: FiniteCodebook):
         self.codebook = codebook
-        self.canonical = canonical_rows(codebook.vectors[phase_classes(codebook.vectors)])
+        self.canonical = canonical_rows(codebook.beamformers)
 
     def best_snr(self, f, g, config: NetworkConfig, power: PowerLevel, *,
                  geometry=None, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:

@@ -6,14 +6,14 @@ caps the achievable diversity order, so computing the collection exactly
 turns high-power decay questions into finite combinatorics.  hitting_sets
 returns it as a plain tuple of relay tuples, tuple[tuple[int, ...], ...],
 whose first member is a smallest one.  It is computed in one vectorized pass
-over all 2^R - 1 non-empty subsets, each held as an int32 bitmask (relay r
-is bit r - 1): the subsets that AND nonzero with every support mask are
-kept, sorted by (cardinality, lexicographic order of the relay tuple) and
-turned into tuples by joining two precomputed half-tuples.  The pass is
-exponential in R, so it is capped at R = 20.  The module also classifies
-codebooks as orthogonal multiple-relay selection (OMRS: pairwise disjoint
-supports) or single-relay selection (SRS: the cardinality-R special case),
-counting each model.phase_classes class as one vector, as simulate does.
+over all 2^R - 1 non-empty subsets, each held as an int32 bitmask (relay 1
+is the top bit, relay R bit 0): the subsets that AND nonzero with every
+support mask are kept, sorted by (cardinality, lexicographic order of the
+relay tuple) and turned into tuples by joining two precomputed half-tuples.
+The pass is exponential in R, so it is capped at R = 20.  The module also
+classifies codebooks as orthogonal multiple-relay selection (OMRS: pairwise
+disjoint supports) or single-relay selection (SRS: the cardinality-R special
+case), counting the rows of FiniteCodebook.beamformers, as simulate does.
 
 Entries and peak deviations from 1 count as zero when they are at most
 ZERO_TOL: a vector's support is model.supports, which the SNR kernel and the
@@ -30,25 +30,22 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .codebooks import FiniteCodebook
-from .model import MAGNITUDE_TOL, ZERO_TOL, phase_classes, relay_columns, supports
+from .model import MAGNITUDE_TOL, ZERO_TOL, relay_columns, supports
 
 MAX_ENUMERATION_RELAYS = 20
 
 
 def _half_tables(bits: int):
     """Tables over the values v < 2^bits of one half of a subset mask: the
-    popcount of v, v with its bits reversed, and the 0-based positions of
-    its set bits."""
+    popcount of v and the 0-based positions of its set bits."""
     positions = [tuple(b for b in range(bits) if v >> b & 1) for v in range(1 << bits)]
     popcount = np.array([len(p) for p in positions], dtype=np.int32)
-    reversed_bits = np.array([sum(1 << (bits - 1 - b) for b in p) for p in positions],
-                             dtype=np.int32)
-    return popcount, reversed_bits, positions
+    return popcount, positions
 
 
-def _tuple_table(positions, offset: int) -> np.ndarray:
-    """Object array of the 1-based relay tuples, shifted by offset relays."""
-    return np.fromiter((tuple(offset + b + 1 for b in p) for p in positions),
+def _tuple_table(positions, top: int) -> np.ndarray:
+    """Object array of the relay tuples of a half whose bit b is relay top - b."""
+    return np.fromiter((tuple(top - b for b in reversed(p)) for p in positions),
                        dtype=object, count=len(positions))
 
 
@@ -58,25 +55,24 @@ def hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     The collection is upward closed: any superset of a member is a member.
 
     An entry counts as nonzero iff model.supports holds it.  Every
-    non-empty subset is an int32 mask with relay r at bit r - 1; one
-    vectorized pass keeps the masks that AND nonzero with every support mask,
-    so a zero vector leaves the collection empty.  Guarded at R <= 20 because
-    the pass holds all 2^R - 1 subsets; the guard also keeps the sort key
-    below, at most 20 * 2^20, inside int32.
+    non-empty subset is an int32 mask with relay r at bit R - r, so relay 1
+    is the top bit; one vectorized pass keeps the masks that AND nonzero
+    with every support mask, so a zero vector leaves the collection empty.
+    Guarded at R <= 20 because the pass holds all 2^R - 1 subsets; the guard
+    also keeps the sort key below, at most 20 * 2^20, inside int32.
 
     Ordering rule: by cardinality, then lexicographically by the ascending
     relay tuple.  For two sets of one size, that order is the descending
-    order of the mask read with relay 1 as the high bit (the bit-reversed
-    mask, below 2^R), so one integer key, popcount * 2^R - reversed mask,
-    sorts ascending into it.  Popcount and reversal come from tables over
-    the low and high halves of each mask, and the tuples are joined from two
-    tables of precomputed half-tuples; nothing loops per subset or per bit.
+    order of their masks, so one integer key, popcount * 2^R - mask, sorts
+    ascending into it.  Popcount comes from a table over the low and high
+    halves of each mask, and the tuples are joined from two tables of
+    precomputed half-tuples; nothing loops per subset or per bit.
     """
     r_count = cb.relay_count
     if r_count > MAX_ENUMERATION_RELAYS:
         raise ValueError(
             f"exponential enumeration cap: relay_count {r_count} > {MAX_ENUMERATION_RELAYS}")
-    bits = np.int32(1) << np.arange(r_count, dtype=np.int32)
+    bits = np.int32(1) << np.arange(r_count - 1, -1, -1, dtype=np.int32)
     masks = np.unique(supports(cb.vectors) @ bits)
     subsets = np.arange(1, 1 << r_count, dtype=np.int32)
     hits = np.ones(subsets.size, dtype=bool)
@@ -85,15 +81,13 @@ def hitting_sets(cb: FiniteCodebook) -> tuple[tuple[int, ...], ...]:
     subsets = subsets[hits]
 
     half = (r_count + 1) // 2
-    popcount, reversed_bits, positions = _half_tables(half)
+    popcount, positions = _half_tables(half)
     low = subsets & ((1 << half) - 1)
     high = subsets >> half
-    # Reversal over r_count bits: the low half lands on top, and the high half
-    # (r_count - half bits wide) drops the zero padding of its reversal.
-    reversed_mask = (reversed_bits[low] << (r_count - half)
-                     | reversed_bits[high] >> (2 * half - r_count))
-    order = np.argsort(((popcount[low] + popcount[high]) << r_count) - reversed_mask)
-    joined = _tuple_table(positions, 0)[low[order]] + _tuple_table(positions, half)[high[order]]
+    order = np.argsort(((popcount[low] + popcount[high]) << r_count) - subsets)
+    # the high half holds relays 1 .. R - half, the low half the rest
+    joined = (_tuple_table(positions, r_count - half)[high[order]]
+              + _tuple_table(positions, r_count)[low[order]])
     return tuple(joined.tolist())
 
 
@@ -105,7 +99,7 @@ def min_max_weight(cb: FiniteCodebook, rset: Iterable[int]) -> float:
     of max_{r in rset} |x_r|^2.
     """
     cols = relay_columns(rset, cb.relay_count)
-    mags2 = np.abs(cb.vectors[phase_classes(cb.vectors)])[:, cols] ** 2
+    mags2 = np.abs(cb.beamformers)[:, cols] ** 2
     return float(mags2.max(axis=1).min())
 
 
@@ -147,7 +141,7 @@ def max_pairwise_overlap(cb: FiniteCodebook) -> float:
     (vectors equal up to a global phase are one beamformer, not a pair), as
     is_omrs counts them.  Raises if there are fewer than two distinct vectors.
     """
-    overlaps = _pairwise_overlaps(np.abs(cb.vectors[phase_classes(cb.vectors)]))
+    overlaps = _pairwise_overlaps(np.abs(cb.beamformers))
     if not overlaps.size:
         raise ValueError("overlap needs at least two distinct codebook vectors")
     return float(overlaps.max())
@@ -159,7 +153,7 @@ def is_omrs(cb: FiniteCodebook) -> bool:
     True iff no relay is in the support of two distinct vectors, one per
     phase class; a single distinct vector is OMRS.
     """
-    return bool((supports(cb.vectors[phase_classes(cb.vectors)]).sum(axis=0) <= 1).all())
+    return bool((supports(cb.beamformers).sum(axis=0) <= 1).all())
 
 
 def is_srs(cb: FiniteCodebook) -> bool:
@@ -171,7 +165,7 @@ def is_srs(cb: FiniteCodebook) -> bool:
     relay each.
     """
     r_count = cb.relay_count
-    if len(cb) != r_count or len(phase_classes(cb.vectors)) != r_count:
+    if len(cb) != r_count or len(cb.beamformers) != r_count:
         return False
     peaks = np.abs(cb.vectors).max(axis=1)
     return bool(np.all(np.abs(peaks - 1.0) <= ZERO_TOL) and is_omrs(cb))
@@ -218,13 +212,13 @@ def analyze_codebook(cb: FiniteCodebook) -> StructuralReport:
     collection = _nonzero_hitting_sets(cb)
     witness = collection[0]
     cap = len(witness)
-    classes = phase_classes(cb.vectors)
-    card = min(cb.relay_count, len(classes))
+    distinct = len(cb.beamformers)
+    card = min(cb.relay_count, distinct)
     full_set = tuple(range(1, cb.relay_count + 1))
     weights = [(witness, min_max_weight(cb, witness))]
     if full_set != witness:
         weights.append((full_set, min_max_weight(cb, full_set)))
-    overlap = max_pairwise_overlap(cb) if len(classes) >= 2 else None
+    overlap = max_pairwise_overlap(cb) if distinct >= 2 else None
     return StructuralReport(
         label=cb.label,
         relay_count=cb.relay_count,

@@ -77,7 +77,7 @@ def measurable_curves():
         "O1": rq.FiniteCodebook(np.array([[1, 0, 0], [0, -0.8, 1]], dtype=complex)),
         "SRS": rq.SrsSpec((0.0, 0.0, 0.0)),
     }
-    from tests.conftest import U1, U2
+    from conftest import U1, U2
     specs["SRS_U1"] = rq.UnitarySpec(rq.SrsSpec((0.0, 0.0, 0.0)), U1)
     specs["SRS_U2"] = rq.UnitarySpec(rq.SrsSpec((0.0, 0.0, 0.0)), U2)
     return {label: rq.estimate_ser(rq.SimulationPlan(net, spec, grid, 2_000_000, 777))

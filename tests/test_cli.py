@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,9 +211,12 @@ def test_analyze_reads_supports_at_zero_tol(tmp_path, capsys):
 
 
 def test_oracle_small_sample_run(capsys):
-    assert main(["oracle", "--samples", "2000", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    # 100 samples is the smallest count at which the density audit must
+    # pass a correct build
+    for samples, seed in (("2000", "3"), ("100", "5")):
+        assert main(["oracle", "--samples", samples, "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -236,6 +240,15 @@ def test_cli_entry_point_subprocess():
         [sys.executable, "-m", "relayquant.cli", "oracle", "--samples", "1000"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    # the first python block after the README's "## Library" heading
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md ## Library", "exec"), {"__name__": "readme_library"})
+    assert "(1, (3,))" in capsys.readouterr().out
 
 
 def test_simulate_ignores_grid_resolution_key(tmp_path, capsys):

@@ -23,7 +23,7 @@ from relayquant.cli import main
 from relayquant.codebooks import constrained_best_snr, to_finite
 from relayquant.model import ChunkBuffers, relay_gains, snr_geometry, snr_per_vector
 from relayquant.structure import is_omrs, is_srs
-from tests.conftest import U1, U2, snr_reference
+from conftest import U1, U2, snr_reference
 
 
 def test_make_srs_zero_phases():

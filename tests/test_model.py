@@ -15,7 +15,7 @@ from relayquant.model import (ZERO_TOL, canonical_rows, channel_products, geomet
                               phase_classes, relay_gains, sample_channels, snr_geometry,
                               snr_per_vector, supports)
 from relayquant.rng import Lane, stream
-from tests.conftest import snr_reference
+from conftest import snr_reference
 
 
 def test_config_rejects_zero_variance():

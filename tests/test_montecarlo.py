@@ -1,5 +1,6 @@
 import importlib.resources
 import io
+import itertools
 import json
 import math
 
@@ -27,7 +28,7 @@ from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_c
 from relayquant.montecarlo import (ALPHA_FADE, ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER,
                                    ChunkBuffers, DefensiveMixture, draw_groups, fade_factor)
 from relayquant.structure import diversity_cap
-from tests.conftest import U1, U2
+from conftest import U1, U2
 
 
 def _q_reference(x):
@@ -766,9 +767,12 @@ def test_thread_pool_follows_codebook_kind(monkeypatch, kind, threads, chunks, p
 
 def test_continuous_family_thread_invariant_with_partial_chunk(monkeypatch):
     # at 3 threads the five chunks split into strands of 2, 2 and 1, which
-    # must interleave back into chunk order
-    for estimator in ("plain", "importance"):
-        plan = SimulationPlan(_fig2_network(), ConstrainedSpec(0.25, 1), (5.0, 15.0),
+    # must interleave back into chunk order; X, E4 pinned to relay 2 and
+    # D_LOG are the plans of the R = 3 draw group below
+    for spec, estimator in itertools.product(
+            (ConstrainedSpec(0.25, 1), FullCsiSpec(), ConstrainedSpec(0.25, 2),
+             PowerDependentSpec(1)), ("plain", "importance")):
+        plan = SimulationPlan(_fig2_network(), spec, (5.0, 15.0),
                               4 * CHUNK_TRIALS + 7, 37, estimator=estimator)
         curves = []
         for threads in ("1", "2", "3", "8"):
@@ -861,12 +865,16 @@ def _csv_bytes(curve):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "8"])
+@pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
 def test_draw_group_curves_equal_each_plan_alone(monkeypatch, threads):
     # fig2's seven codebooks share each chunk's draw, products and geometry
     # (a finite group: the calling thread), and so do fig4's continuous
     # families (a continuous group: strands); a curve's bytes must not depend
-    # on the other plans of its group
+    # on the other plans of its group.  The last group puts X, E4 pinned to
+    # relay 2 and D_LOG on fig2's network, whose maximizers take different
+    # numbers of breakpoint rows from each strand's arena; its plans are
+    # those of the partial-chunk thread-invariance test, so its curves are
+    # also the same at every thread count
     monkeypatch.setenv("RELAYQUANT_THREADS", threads)
     trials = 3 * CHUNK_TRIALS + 7
     fig2_net, fig2 = _bundled("fig2")
@@ -876,6 +884,9 @@ def test_draw_group_curves_equal_each_plan_alone(monkeypatch, threads):
     plans += [SimulationPlan(fig4_net, spec, (5.0, 15.0), trials, 47)
               for label, spec in fig4.items() if label != "SRS"]
     assert draw_groups(plans) == [list(range(7)), list(range(7, 12))]
+    plans += [SimulationPlan(fig2_net, spec, (5.0, 15.0), 4 * CHUNK_TRIALS + 7, 37)
+              for spec in (FullCsiSpec(), ConstrainedSpec(0.25, 2), PowerDependentSpec(1))]
+    assert draw_groups(plans) == [list(range(7)), list(range(7, 12)), list(range(12, 15))]
     grouped = estimate_ser(*plans)
     assert len(grouped) == len(plans)
     for i, (plan, curve) in enumerate(zip(plans, grouped)):

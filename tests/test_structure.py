@@ -17,7 +17,7 @@ from relayquant import (
     min_max_weight,
 )
 from relayquant.model import canonical_rows, phase_classes
-from tests.conftest import U1, U2
+from conftest import U1, U2
 
 
 def _sets(cb):

@@ -125,12 +125,13 @@ class ChunkBuffers:
     each power's geometry, and writes the Q values into roles; the
     importance proposal's prepare, states and weights, and the evaluators'
     best_snr (with codebooks.constrained_best_snr) do the same with theirs.
-    An array they return from the arena is a view, valid until the next
-    call on the same arena.  Still allocated per call: beamformed_sums'
-    accumulators (each finite beamformer's SNR and the importance
-    proposal's cancellation points), the proposal's per-chunk coins and
-    indices, its gathers at r* and its weights, and the squared Q values
-    that a chunk's sums fold.
+    montecarlo.gaussian_tail takes its working arrays from the arena it
+    is given.  An array they return from the arena is a view, valid until
+    the next call on the same arena.  Still allocated per call:
+    beamformed_sums' accumulators (each finite beamformer's SNR and the
+    importance proposal's cancellation points), the proposal's per-chunk
+    coins and indices, its gathers at r*, its weights and the hit set's
+    indices, and the squared Q values that a chunk's sums fold.
     """
 
     def __init__(self, capacity: int):
@@ -158,9 +159,12 @@ def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int,
     if out is None:
         out = np.empty((2, count, r), dtype=np.complex128)
     for states, variance in zip(out, (config.variance_f, config.variance_g)):
-        # each trailing (re, im) pair of float64 normals is one complex128
-        gen.standard_normal((count, r, 2), out=states.view(np.float64).reshape(count, r, 2))
-        np.multiply(states, np.sqrt(np.asarray(variance) / 2.0), out=states)
+        # each trailing (re, im) pair of float64 normals is one complex128;
+        # both parts are scaled as floats, which spares numpy's cast of a
+        # real factor to complex (a 128 KiB buffer per call)
+        parts = states.view(np.float64)
+        gen.standard_normal((count, r, 2), out=parts.reshape(count, r, 2))
+        parts *= np.repeat(np.sqrt(np.asarray(variance) / 2.0), 2)
     return out[0], out[1]
 
 
@@ -224,7 +228,9 @@ def geometry_at_power(products, config: NetworkConfig, power, out=None):
     rho, a, b = out
     relay_gains(None, config, power, f2.T, rho.T)
     np.sqrt(rho, out=b)
-    np.multiply(fg, b, out=a)
+    # a's parts are scaled as floats, as in sample_channels
+    np.multiply(fg.real, b, out=a.real)
+    np.multiply(fg.imag, b, out=a.imag)
     np.multiply(g2, rho, out=b)
     return out
 

@@ -36,14 +36,17 @@ proposal.  Under "plain" the draw is the channels, whose power-independent
 products are formed once per chunk; under "importance" it is
 DefensiveMixture.prepare's, which DefensiveMixture.states maps to each
 power's channel states.  Either way each power forms one SNR geometry,
-which the codebook's argmax reuses;
-"importance" then evaluates the likelihood ratio only at the trials whose Q
-value is positive, since a trial with Q = 0 adds 0 whatever its weight.
+which the codebook's argmax reuses; "importance" then evaluates the Gaussian
+tail and the likelihood ratio only at the trials whose best SNR is below 700
+(the hit set): gaussian_tail is exactly 0 from there on, and a trial with
+Q = 0 adds 0 whatever its weight.  On the bundled fig2 the hit set holds
+75-89% of a chunk's trials at 30 dB and 26-60% at 40 and 50 dB (seed 5).
 The draw, its products, each power's geometry, the codebook's argmax (the
-continuous maximizer's working arrays included) and the Q values are roles
-of the strand's ChunkBuffers arena (model), allocated for a full chunk at
-their first request and reused by every later chunk, so later chunks take
-no fresh pages for them; ChunkBuffers lists what is still allocated per call.
+continuous maximizer's working arrays included), the Gaussian tail's working
+arrays and the Q values are roles of the strand's ChunkBuffers arena
+(model), allocated for a full chunk at their first request and reused by
+every later chunk, so later chunks take no fresh pages for them;
+ChunkBuffers lists what is still allocated per call.
 
 estimate_ser takes the plans of a whole experiment at once.  Plain plans of
 one network, seed, grid and trial count draw the same channels in every
@@ -70,10 +73,12 @@ Per-point partial sums are combined in chunk order, one rounding per
 addition, so the output of either estimator is bit-identical at any thread
 count, and point i of a curve equals a one-point plan at that power.  The
 bits are fixed for a given Python version and numpy build; another numpy may
-round its elementwise functions differently.  The points of a curve share
-their draws (common random numbers), so their errors are positively
-correlated, which usually steadies slope fits; each point's std_err is still
-the standard error of that point alone.
+round its elementwise functions differently.  The Q values are numpy's exp
+times a polynomial (gaussian_tail), so they follow numpy's exp; scipy plays
+no part in a curve.  The points of a curve share their draws (common random
+numbers), so their errors are positively correlated, which usually steadies
+slope fits; each point's std_err is still the standard error of that point
+alone.
 
 Diversity order is estimated as the log-log slope of the SER curve over a
 power window: the fit is -log10(ser) against log10(P).  The fit also reports
@@ -90,7 +95,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
-from scipy import special
 
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
@@ -114,15 +118,126 @@ ALPHA_FADE = 0.3
 MAX_RESOLVED_REL_ERR = 0.3
 
 # exp() arguments are clamped here: below it the result is negligible next
-# to the terms it is added to, and subnormal results are slow to compute.
+# to the terms it is added to, and exp is slow to compute there (several
+# times slower below -745, and far slower where its result is subnormal).
 _EXP_FLOOR = -700.0
 
+# gaussian_tail evaluates Q(x) = exp(-x^2 / 2) G(x), where G(x) =
+# erfcx(x / sqrt 2) / 2 is smooth and falls slowly, about as 1 / (x sqrt(2 pi)).
+# On piece j of u = x * _TAIL_STEPS, j <= u < j + 1, G is a polynomial of
+# degree 4 in v = u - j; _TAIL_STEPS is a power of 2, so u and v are exact.
+# The pieces end at _TAIL_END, the last piece boundary at or below
+# sqrt(-2 _EXP_FLOOR), and Q is 0 from there on, so exp's argument never
+# falls below _EXP_FLOOR.
+_TAIL_STEPS = 128.0
+_TAIL_END = math.floor(math.sqrt(-2.0 * _EXP_FLOOR) * _TAIL_STEPS) / _TAIL_STEPS
+# a piece's coefficients of v^4, v^3, v^2 and v as one 32-byte record, so
+# that one gather fetches all four (numpy gathers 32-byte items fast)
+_QUAD = np.dtype((np.void, 32))
 
-def gaussian_tail(x, out=None):
-    """Q(x) = P[N(0,1) > x], evaluated as erfc(x / sqrt(2)) / 2, written
-    into `out` when given (which may be x itself)."""
-    y = np.divide(np.asarray(x, dtype=float), math.sqrt(2.0), out=out)
-    return np.multiply(0.5, special.erfc(y, out=out), out=out)
+
+def _tail_table() -> tuple[np.ndarray, np.ndarray]:
+    """G's polynomials by piece, built from math.erfc in a few milliseconds:
+    the constant terms, G at each piece's left end, as a float array, and the
+    other coefficients as _QUAD records, highest degree first.
+
+    Each piece interpolates G at the five Chebyshev-Lobatto points of [0, 1]
+    in v, both ends among them, and its constant term is G at its left end
+    as computed, so neighbouring pieces meet at their common end and
+    Q(0) = G(0) = 0.5 exactly.  The last piece, at _TAIL_END, is zeros.
+    G = erfc(t) exp(t^2) / 2 at t = x / sqrt 2 is computed with t^2 split
+    exactly into hi + lo, so that exp's argument keeps every bit.
+    """
+    pieces = round(_TAIL_END * _TAIL_STEPS)
+    v = (1.0 - np.cos(np.pi * np.arange(5) / 4)) / 2.0
+    # the nodes: u = 0, then each piece's points after its left end
+    u = np.concatenate([[0.0], (np.arange(pieces)[:, None] + v[1:]).ravel()])
+    t = u / (_TAIL_STEPS * math.sqrt(2.0))
+    split = t * 134217729.0  # 2^27 + 1: t_hi keeps t's upper 26 bits
+    t_hi = split - (split - t)
+    t_lo = t - t_hi
+    hi = t * t
+    lo = ((t_hi * t_hi - hi) + 2.0 * t_hi * t_lo) + t_lo * t_lo
+    g = 0.5 * np.array([math.erfc(s) for s in t.tolist()]) * np.exp(hi) * (1.0 + lo)
+    left = np.zeros(pieces + 1)
+    left[:pieces] = g[:-1:4]
+    # the higher coefficients interpolate the rise from the left end; row k
+    # of the inverse gives the coefficient of v^(k + 1)
+    rise = g[1:].reshape(pieces, 4) - left[:pieces, None]
+    inverse = np.linalg.inv(v[1:, None] ** np.arange(1, 5))
+    quads = np.zeros((pieces + 1, 4))
+    quads[:pieces] = (inverse[::-1, None, :] * rise).sum(axis=2).T
+    return left, quads.view(_QUAD).ravel()
+
+
+_TAIL_LEFT, _TAIL_RISE = _tail_table()
+
+
+def gaussian_tail(x, out=None, buffers: Optional[ChunkBuffers] = None):
+    """Q(x) = P[N(0,1) > x] = erfc(x / sqrt 2) / 2, written into `out` when
+    given (a contiguous float array, which may be x itself); a scalar x
+    gives a float.
+
+    Q(x) = exp(-x^2 / 2) G(x) for x >= 0, with G from the piecewise
+    polynomial of _tail_table, and Q(x) = 1 - Q(-x) for x < 0.  Q is
+    exactly 0 from _TAIL_END = 37.4140625 on, where x^2 / 2 >= 699.906 (the
+    true Q is below 1.2e-306 there), so in particular wherever
+    x^2 / 2 >= 700; +inf gives 0, -inf gives 1 and NaN gives NaN.
+    Elsewhere its relative error is below 1e-13, most of it from the
+    rounding of x^2 (oracles.audit_gaussian_tail checks it).  The working
+    arrays are roles of `buffers`, a ChunkBuffers of capacity at least
+    x.size, or of a fresh one.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return float(gaussian_tail(x.reshape(1))[0])
+    if out is None:
+        out = np.empty(x.shape)
+    if x.size == 0:
+        return out
+    if buffers is None:
+        buffers = ChunkBuffers(x.size)
+    x, q = x.reshape(-1), out.reshape(-1)
+    # the Monte Carlo chunks pass x >= 0 and no NaN
+    if np.minimum.reduce(x) >= 0.0:
+        _tail_of_nonnegative(x, q, buffers)
+        return out
+    negative, nan = x < 0.0, np.isnan(x)
+    a = np.abs(x)
+    a[nan] = 0.0
+    _tail_of_nonnegative(a, q, buffers)
+    np.subtract(1.0, q, out=q, where=negative)
+    q[nan] = math.nan
+    return out
+
+
+def _tail_of_nonnegative(a, q, buffers: ChunkBuffers) -> None:
+    """Q(a) into q (which may be a) for a >= 0, without NaN; see gaussian_tail."""
+    n = a.size
+    v = buffers.take("tail_v", (), n)
+    arg = buffers.take("tail_arg", (), n)
+    piece = buffers.take("tail_piece", (), n, np.intp)
+    # from _TAIL_END on the table is zero; clipping there also keeps the
+    # square finite and exp's argument at or above _EXP_FLOOR
+    np.minimum(a, _TAIL_END, out=v)
+    np.square(v, out=arg)
+    arg *= -0.5
+    v *= _TAIL_STEPS
+    np.copyto(piece, v, casting="unsafe")
+    v -= piece
+    # a is read for the last time above, so q may be a; mode="clip" lets
+    # take write straight into its output, and every index is valid.
+    # Horner's rule, from the coefficient of v^4 down
+    quads = np.take(_TAIL_RISE, piece, out=buffers.take("tail_quads", (), n, _QUAD),
+                    mode="clip")
+    coef = quads.view(np.float64).reshape(n, 4)
+    np.multiply(coef[:, 0], v, out=q)
+    for k in (1, 2, 3):
+        q += coef[:, k]
+        q *= v
+    # v is read for the last time above, so it takes the constant terms
+    q += np.take(_TAIL_LEFT, piece, out=v, mode="clip")
+    q *= np.exp(arg, out=arg)
 
 
 def _fold_sum(values) -> float:
@@ -285,11 +400,15 @@ class SerCurve:
         return cls(tuple(p), tuple(s), tuple(e), tuple(t))
 
 
-def _q_values(best, buffers: ChunkBuffers) -> np.ndarray:
-    """The "q" role holding Q(sqrt(2 best)), each trial's Q value at its best SNR."""
-    q = buffers.take("q", (), best.size)
-    np.sqrt(np.multiply(best, 2.0, out=q), out=q)
-    return gaussian_tail(q, out=q)
+def _q_values(best, buffers: ChunkBuffers, hit=None) -> np.ndarray:
+    """The "q" role holding Q(sqrt(2 best)), each trial's Q value at its best
+    SNR, or at the trials `hit` only, in their order."""
+    if hit is None:
+        q = np.multiply(best, 2.0, out=buffers.take("q", (), best.size))
+    else:
+        q = np.take(best, hit, out=buffers.take("q", (), hit.size), mode="clip")
+        q *= 2.0
+    return gaussian_tail(np.sqrt(q, out=q), out=q, buffers=buffers)
 
 
 def _draw_out(buffers: ChunkBuffers, relays: int, n: int) -> np.ndarray:
@@ -692,12 +811,17 @@ def _estimate_group(plans: list) -> list:
             prepared = proposals[0].prepare(gen, size, buffers)
             for proposal, power, ev in zip(proposals, powers, lead.evaluators):
                 h, geometry = proposal.states(prepared, buffers)
-                q = _q_values(ev.best_snr(h[:r_count].T, h[r_count:].T, config, power,
-                                          geometry=geometry, buffers=buffers), buffers)
-                # a trial with Q = 0 adds 0 whatever its weight
-                hit = np.flatnonzero(q)
-                q[hit] *= proposal.weights(h, geometry, hit, buffers)
-                yield q
+                best = ev.best_snr(h[:r_count].T, h[r_count:].T, config, power,
+                                   geometry=geometry, buffers=buffers)
+                # Q(sqrt(2 s)) is 0 from s = -_EXP_FLOOR on (gaussian_tail), and a
+                # trial with Q = 0 adds 0 whatever its weight
+                hit = np.flatnonzero(best < -_EXP_FLOOR)
+                q = _q_values(best, buffers, hit)
+                q *= proposal.weights(h, geometry, hit, buffers)
+                weighted = buffers.take("weighted_q", (), size)
+                weighted.fill(0.0)
+                weighted[hit] = q
+                yield weighted
 
     n = lead.trials_per_point
     capacity = min(CHUNK_TRIALS, n)

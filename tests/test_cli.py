@@ -242,6 +242,20 @@ def test_cli_entry_point_subprocess():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_and_oracle_load_no_scipy_special():
+    # scipy.special costs about 0.3 s of import CPU and 16 MB of memory; only
+    # oracles.single_relay_ser imports it, when called
+    probe = ("import sys\n"
+             "import relayquant.cli\n"
+             "assert 'scipy.special' not in sys.modules, 'import'\n"
+             "code = relayquant.cli.main(['oracle', '--samples', '1000'])\n"
+             "assert code == 0, code\n"
+             "assert 'scipy.special' not in sys.modules, 'oracle'\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_library_example_runs(capsys):
     # the first python block after the README's "## Library" heading
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

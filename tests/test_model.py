@@ -99,6 +99,39 @@ def test_sample_channels_matches_componentwise_assembly():
     assert np.array_equal(g.view(np.uint64), ref_g.view(np.uint64))
 
 
+def test_float_scaling_differs_from_the_complex_product_only_in_signed_zeros():
+    # sample_channels and geometry_at_power scale the real and imaginary
+    # parts of a complex array by a positive real factor as floats.  Value
+    # for value that is numpy's complex product with the factor; the parts
+    # keep the sign of their own products, where the complex product's
+    # (re s - im 0) + (re 0 + im s) i can turn a -0 part into +0.  Nothing
+    # reads the sign of a zero part: the SNR uses squared magnitudes
+    values = np.array([0.0, -0.0, 1.5, -2.0, 3e-300, -7.25])
+    pairs = np.array([[re, im] for re in values for im in values])  # (36, 2)
+
+    class Replay:
+        def standard_normal(self, size, out):
+            out[...] = pairs.reshape(size)
+
+    def check(got, z, scale):
+        ref = z * scale  # numpy's complex-by-real product
+        assert np.array_equal(got, ref)
+        for part, zpart in ((got.real, z.real), (got.imag, z.imag)):
+            assert np.array_equal(np.signbit(part), np.signbit(zpart))
+        differ = got.view(np.uint64) != ref.view(np.uint64)
+        assert differ.any() and np.all(got.view(np.float64)[differ] == 0.0)
+
+    config = NetworkConfig(2, (1.0,) * 3, (1.2, 0.8), (1.5, 0.7))
+    f, g = sample_channels(config, Replay(), 18)
+    z = pairs.view(complex).reshape(18, 2)
+    check(f, z, np.sqrt(np.array(config.variance_f) / 2.0))
+    check(g, z, np.sqrt(np.array(config.variance_g) / 2.0))
+    fg = np.ascontiguousarray(z.T)
+    f2 = np.linspace(0.1, 4.0, 36).reshape(2, 18)
+    rho, a, _ = geometry_at_power((fg, f2, f2[::-1].copy()), config, PowerLevel(30.0))
+    check(a, fg, np.sqrt(rho))
+
+
 def test_relay_gain_zero_channel():
     config = NetworkConfig(2, (1.0, 3.0, 1.0), (1.0, 1.0), (1.0, 1.0))
     f = np.array([0.0, 1.0 + 0j])

@@ -54,6 +54,67 @@ def test_gaussian_tail_lower_bound_points():
         assert gaussian_tail(x) >= bound
 
 
+def test_gaussian_tail_relative_error_against_math_and_scipy():
+    # the references carry the rounding of x / sqrt 2, up to about 2e-13
+    # relative at the grid's top; the kernel's own error is below 1e-13
+    from scipy import special
+
+    x = np.linspace(0.0, 37.5, 200_001)
+    got = gaussian_tail(x)
+    for name, ref in (("math", np.array([0.5 * math.erfc(v / math.sqrt(2.0))
+                                         for v in x.tolist()])),
+                      ("scipy", 0.5 * special.erfc(x / math.sqrt(2.0)))):
+        keep = ref >= 1e-300
+        assert keep.sum() > 190_000, name
+        assert np.abs(got[keep] / ref[keep] - 1.0).max() <= 5e-13, name
+
+
+def test_gaussian_tail_exact_zero_half_and_reflection():
+    assert gaussian_tail(0.0) == 0.5
+    assert gaussian_tail(-0.0) == 0.5
+    # Q is exactly 0 wherever x^2 / 2 >= 700: from the table's end at
+    # x = 37.4140625 (x^2 / 2 = 699.906) on, and positive below it
+    edges = [math.sqrt(1400.0), 37.4140625]
+    x = np.concatenate([np.linspace(37.0, 60.0, 20_001), [1e10, 1e300]]
+                       + [[math.nextafter(e, 0.0), e, math.nextafter(e, 99.0)] for e in edges])
+    q = gaussian_tail(x)
+    capped = np.minimum(x, 100.0)
+    assert (capped * capped / 2.0 >= 700.0).sum() > 10_000
+    assert np.all(q[capped * capped / 2.0 >= 700.0] == 0.0)
+    assert np.all(q[x >= 37.4140625] == 0.0) and not np.any(np.signbit(q))
+    assert (x < 37.4140625).sum() > 100 and np.all(q[x < 37.4140625] > 0.0)
+    # Q(-x) = 1 - Q(x) bit for bit, for x >= 0
+    x = np.linspace(0.0, 40.0, 40_001)
+    assert gaussian_tail(-x).tobytes() == (1.0 - gaussian_tail(x)).tobytes()
+
+
+def test_gaussian_tail_special_inputs_and_scalars():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nan, inf = float("nan"), float("inf")
+        assert math.isnan(gaussian_tail(nan))
+        assert gaussian_tail(inf) == 0.0
+        assert gaussian_tail(-inf) == 1.0
+        for value in (0.0, 1.5, -1.5, 40.0, np.float64(2.0), np.array(3.0)):
+            assert type(gaussian_tail(value)) is float, value
+        got = gaussian_tail(np.array([nan, inf, -inf, 1.0, -1.0]))
+        assert math.isnan(got[0]) and list(got[1:3]) == [0.0, 1.0]
+        assert got[3] == gaussian_tail(1.0) and got[4] == gaussian_tail(-1.0)
+        assert gaussian_tail(np.zeros(0)).shape == (0,)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert gaussian_tail(grid).shape == (3, 4)
+        assert gaussian_tail(grid).tobytes() == gaussian_tail(grid.ravel()).tobytes()
+        # in place, and in an arena
+        x = np.linspace(0.0, 40.0, 999)
+        expected = gaussian_tail(x)
+        buffers = ChunkBuffers(1000)
+        assert gaussian_tail(x.copy(), buffers=buffers).tobytes() == expected.tobytes()
+        assert gaussian_tail(x, out=x, buffers=buffers) is x
+        assert x.tobytes() == expected.tobytes()
+
+
 def _tiny_net():
     return NetworkConfig(2, (1.0, 1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 
@@ -812,7 +873,8 @@ def test_arena_roles_keep_one_shape_and_are_taken_in_the_first_chunk(monkeypatch
     monkeypatch.setattr(montecarlo, "gaussian_tail", marked_tail)
     plain_roles = {"states", "fg", "f2", "g2", "rho", "a", "b",
                    "u", "slope", "enter", "leave", "edges", "mag", "summand", "mask", "num",
-                   "den", "c", "val", "best_c", "better", "snr", "snr_row", "q"}
+                   "den", "c", "val", "best_c", "better", "snr", "snr_row", "q",
+                   "tail_v", "tail_arg", "tail_piece", "tail_quads"}
     grid = (20.0, 40.0)
     # the last two cases are draw groups: a chunk calls the tail once per
     # power and plan
@@ -1055,12 +1117,14 @@ def test_importance_chunk_takes_few_fresh_bytes():
 
 def test_continuous_chunk_takes_few_fresh_bytes(monkeypatch):
     # after a warm-up chunk, a continuous plan's chunk takes its draw, its
-    # geometry, the maximizer's working arrays and its Q values from the
-    # strand's buffers; what is left is numpy's per-call scratch, the
-    # largest the 128 KiB cast buffer of the complex-by-real products in
-    # sample_channels and geometry_at_power.  Before the maximizer and the Q
-    # values took roles, the second chunk's peak here was 1,688,904 bytes,
-    # against 136,200 after (numpy 2.4, Python 3.11)
+    # geometry, the maximizer's working arrays, the Gaussian tail's working
+    # arrays and its Q values from the strand's buffers; what is left is
+    # numpy's per-call scratch.  Before the maximizer and the Q values took
+    # roles, the second chunk's peak here was 1,688,904 bytes, against
+    # 135,120 after, most of it the 128 KiB buffer in which numpy cast the
+    # real factor of sample_channels' and geometry_at_power's complex
+    # products to complex.  Scaling the real and imaginary parts as floats
+    # took the peak to 73,312 bytes (numpy 2.4, Python 3.11)
     import tracemalloc
 
     stream = rng.stream

@@ -17,6 +17,7 @@ from relayquant import (
 from relayquant.model import snr_per_vector
 from relayquant.oracles import (
     audit_cophased_maximizer,
+    audit_gaussian_tail,
     audit_q_bound,
     audit_ratio_cdf,
     audit_ratio_pdf_bound,
@@ -117,6 +118,27 @@ def test_q_lower_bound_values():
 def test_q_lower_bound_grid():
     check = audit_q_bound(points=1000)
     assert check.passed
+
+
+def test_gaussian_tail_audit_passes_and_catches_a_perturbed_table(monkeypatch):
+    import relayquant.montecarlo as montecarlo
+
+    check = audit_gaussian_tail()
+    assert check.passed and 0.0 < check.statistic <= check.threshold == 5e-13
+    # a relative error of 1e-12 in every piece's constant term
+    monkeypatch.setattr(montecarlo, "_TAIL_LEFT", montecarlo._TAIL_LEFT * (1.0 + 1e-12))
+    check = audit_gaussian_tail()
+    assert not check.passed and check.statistic > 9e-13
+
+
+def test_ratio_sample_equals_row_reductions():
+    # sample reduces over the relay axis by a chain of elementwise maxima
+    # and minima; it must give the bits of max(axis=1) / min(axis=1)
+    for count in (2, 3, 4, 7):
+        draws = stream(11, 0, count).standard_exponential((5000, count))
+        expected = draws.max(axis=1) / draws.min(axis=1)
+        got = MaxMinRatio(count).sample(5000, stream(11, 0, count))
+        assert got.tobytes() == expected.tobytes(), count
 
 
 def test_snr_upper_bound_zero_vector_trivially_true():

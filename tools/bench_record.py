@@ -1,25 +1,27 @@
 """Record the end-to-end benchmark trajectory as BENCH_<n>.json.
 
-    python3 tools/bench_record.py [--out BENCH_1.json] [--seeds 1 2 ... 10]
-                                  [--seconds 24] [--repeats 3]
+    python3 tools/bench_record.py [--out BENCH_1.json]
 
 Run from anywhere; it works on the checkout it sits in and needs only the
-standard library (the package itself needs numpy and scipy).  It records:
+standard library (the package itself needs numpy, and Tier-1 also scipy).
+It records:
 
-* every perfbench workload, once per seed, through
-  `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, one
-  run at a time, reading each run's perfbench/out/result-W-S-trace0.json;
+* every perfbench workload (perfbench/spread.py's WORKLOADS) on each of
+  SEEDS, through spread.run_once, which runs
+  `perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` and
+  reads that run's perfbench/out/result-W-S-trace0.json;
 * the wall and CPU time of `relayquant simulate` on the bundled fig2, fig3
   and fig4 configs, and of the Tier-1 suite (`python -m pytest -q
   --continue-on-collection-errors` with PYTHONPATH=src), REPEATS times at
   RELAYQUANT_THREADS 1 and 2.
 
-For each metric it writes the median, the quartiles, every value with its
-seed or repeat, and whether every run was correct with 0 failed operations.
-The file also holds the commit, the machine, and NOTES, the known defects of
-the metrics, so that a later reader does not take them at face value.
-Simulate and Tier-1 times are raw, not scaled to machine speed as perfbench
-scales its own.
+SEEDS, SECONDS and REPEATS are fixed so that every BENCH_<n>.json compares
+with BENCH_1.json.  For each metric it writes the median, the quartiles,
+the unit, every value with its seed or repeat, and whether every run was
+correct with 0 failed operations.  The file also holds the commit, the
+machine, and NOTES, the known defects of the metrics, so that a later
+reader does not take them at face value.  Simulate and Tier-1 times are raw,
+not scaled to machine speed as perfbench scales its own.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("fig2_importance", "fig2_plain", "sym_continuous", "analyze_wide")
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spread import WORKLOADS, run_once  # noqa: E402
+
+SEEDS = tuple(range(1, 11))
+SECONDS = 24.0
+REPEATS = 3
 CONFIGS = ("fig2", "fig3", "fig4")
 THREADS = (1, 2)
 
@@ -64,10 +71,7 @@ NOTES = [
 
 def summary(values) -> dict:
     """Median and quartiles (statistics.quantiles, exclusive method) of `values`."""
-    if len(values) >= 2:
-        q1, _, q3 = statistics.quantiles(values, n=4)
-    else:
-        q1 = q3 = values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
@@ -82,47 +86,45 @@ def timed(cmd, env, cwd) -> tuple[subprocess.CompletedProcess, float, float]:
     return proc, wall, cpu
 
 
-def record_workload(workload: str, seeds, seconds: float) -> dict:
+def record_workload(workload: str) -> dict:
+    """Every end-to-end metric of `workload` over SEEDS, with the name and unit run.py gives it.
+
+    A run that exits non-zero or times out is kept as incorrect, so that one
+    failed seed does not lose the rest of the record.
+    """
     runs = []
-    for seed in seeds:
-        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                              cwd=ROOT, capture_output=True, text=True)
-        result = ROOT / "perfbench" / "out" / f"result-{workload}-{seed}-trace0.json"
-        if proc.returncode != 0 or not result.is_file():
-            runs.append({"seed": seed, "correct": False, "failed": None, "metrics": {},
-                         "error": proc.stderr.strip().splitlines()[-1:]})
+    for seed in SEEDS:
+        try:
+            result = run_once(workload, seed, SECONDS, 0)
+        except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
+            runs.append({"seed": seed, "correct": False, "failed": None, "metrics": {}})
+            print(f"  {workload} seed {seed}: {exc}", flush=True)
             continue
-        detail = json.loads(result.read_text(encoding="utf-8"))
-        runs.append({"seed": seed, "correct": detail["correct"], "failed": detail["failed"],
-                     "attempted": detail["attempted"],
-                     "metrics": {k: v["value"] for k, v in detail["metrics"].items()}})
+        runs.append({"seed": seed, "correct": result["correct"], "failed": result["failed"],
+                     "metrics": result["metrics"]})
         print(f"  {workload} seed {seed}: " + ", ".join(
-            f"{k} {v:.5g}" for k, v in runs[-1]["metrics"].items()), flush=True)
-    units = {"setup_s": "s", "cpu_s": "s", "cpu_to_rse10_s": "s", "peak_rss_mb": "MB"}
+            f"{k} {m['value']:.5g}" for k, m in result["metrics"].items()), flush=True)
     metrics = {}
-    for name in units:
-        values = [r["metrics"][name] for r in runs if name in r["metrics"]]
-        if not values:
-            continue
-        metrics[name] = dict(summary(values), unit=units[name],
-                             seeds=[r["seed"] for r in runs if name in r["metrics"]],
-                             values=values)
-    return {"seeds": list(seeds),
+    for name in dict.fromkeys(k for r in runs for k in r["metrics"]):
+        got = [(r["seed"], r["metrics"][name]) for r in runs if name in r["metrics"]]
+        values = [m["value"] for _, m in got]
+        metrics[name] = dict(summary(values), unit=got[0][1]["unit"],
+                             seeds=[seed for seed, _ in got], values=values)
+    return {"seeds": list(SEEDS),
             "correct": all(r["correct"] and r["failed"] == 0 for r in runs),
             "failed": [r["failed"] for r in runs],
             "metrics": metrics}
 
 
-def record_command(name: str, cmd_for, repeats: int, parse=None) -> dict:
-    """Wall and CPU of `cmd_for(out_dir)` at each of THREADS, `repeats` times."""
+def record_command(name: str, cmd_for, parse=None) -> dict:
+    """Wall and CPU of `cmd_for(out_dir)` at each of THREADS, REPEATS times."""
     out = {}
     for t in THREADS:
         env = dict(os.environ, RELAYQUANT_THREADS=str(t))
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         walls, cpus, correct, extra = [], [], True, []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             with tempfile.TemporaryDirectory() as tmp:
                 proc, wall, cpu = timed(cmd_for(tmp), env, ROOT)
             walls.append(wall)
@@ -134,7 +136,7 @@ def record_command(name: str, cmd_for, repeats: int, parse=None) -> dict:
                   f"exit {proc.returncode}", flush=True)
         entry = {"wall_s": dict(summary(walls), unit="s", values=walls),
                  "cpu_s": dict(summary(cpus), unit="s", values=cpus),
-                 "repeats": repeats, "correct": correct}
+                 "repeats": REPEATS, "correct": correct}
         if extra:
             entry["outcome"] = extra
         out[f"threads_{t}"] = entry
@@ -180,9 +182,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=None,
                         help="output file (default: the next free BENCH_<n>.json at the root)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     out_path = args.out or next_path()
 
@@ -191,19 +190,18 @@ def main(argv=None) -> int:
                   timespec="seconds"),
               "notes": NOTES, "perfbench": {}, "simulate": {}, "tier1": None}
     record["perfbench_command"] = ("python3 perfbench/run.py --workload W --seed S "
-                                   f"--seconds {args.seconds:g} --trace 0")
+                                   f"--seconds {SECONDS:g} --trace 0")
     for workload in WORKLOADS:
-        record["perfbench"][workload] = record_workload(workload, args.seeds, args.seconds)
+        record["perfbench"][workload] = record_workload(workload)
     for config in CONFIGS:
         record["simulate"][config] = record_command(
             f"simulate {config}",
             lambda tmp, c=config: [sys.executable, "-m", "relayquant.cli", "simulate",
-                                   "-c", c, "-o", tmp],
-            args.repeats)
+                                   "-c", c, "-o", tmp])
     record["tier1"] = record_command(
         "tier1", lambda tmp: [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                               "--continue-on-collection-errors"],
-        args.repeats, tier1_outcome)
+        tier1_outcome)
     out_path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out_path}")
     return 0

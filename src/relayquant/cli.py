@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .codebooks import (CodebookError, FiniteSpec, json_fields, json_floats, json_int,
@@ -212,7 +211,7 @@ def cmd_simulate(args) -> int:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": outputs,
         "versions": {"relayquant": __version__, "python": sys.version.split()[0],
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "chunk_trials": CHUNK_TRIALS,
         "threads": threads,
         "draw_groups": [[labels[i] for i in group] for group in draw_groups(sims)],

@@ -8,7 +8,8 @@ constrained continuous families
 
 optimized per channel state by an inner maximizer.  A power-dependent variant
 resolves eps = 1/log(P) at each power level, so one spec object describes a
-whole family of per-power codebooks.
+whole family of per-power codebooks.  The spec classes check their numbers by
+json_float's and json_int's rules (types before ranges), from JSON or Python.
 
 The continuous maximizer is exact.  For fixed magnitudes the best phases
 align every numerator term: set arg(x_q) = -arg(f_q g_q).  That leaves the
@@ -97,7 +98,8 @@ class SrsSpec:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
+        object.__setattr__(self, "theta", tuple(_spec_number(json_float, t, f"theta[{i}]")
+                                                for i, t in enumerate(self.theta)))
         if len(self.theta) < 1:
             raise CodebookError("srs spec needs at least one phase")
         for i, t in enumerate(self.theta):
@@ -124,13 +126,14 @@ class ConstrainedSpec:
     pinned_relay: int
 
     def __post_init__(self):
-        e = float(self.epsilon)
+        e = _spec_number(json_float, self.epsilon, "epsilon")
+        r = _spec_number(json_int, self.pinned_relay, "pinned_relay")
         if not 0.0 <= e <= 1.0:
             raise CodebookError(f"epsilon must lie in [0, 1], got {e}")
-        if int(self.pinned_relay) < 1:
+        if r < 1:
             raise CodebookError("pinned_relay is a 1-based relay index")
         object.__setattr__(self, "epsilon", e)
-        object.__setattr__(self, "pinned_relay", int(self.pinned_relay))
+        object.__setattr__(self, "pinned_relay", r)
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,10 @@ class PowerDependentSpec:
     pinned_relay: int
 
     def __post_init__(self):
-        if int(self.pinned_relay) < 1:
+        r = _spec_number(json_int, self.pinned_relay, "pinned_relay")
+        if r < 1:
             raise CodebookError("pinned_relay is a 1-based relay index")
-        object.__setattr__(self, "pinned_relay", int(self.pinned_relay))
+        object.__setattr__(self, "pinned_relay", r)
 
 
 FiniteSpec = Union[FiniteCodebook, SrsSpec, UnitarySpec]
@@ -343,8 +347,9 @@ class FiniteEvaluator:
                  geometry=None, buffers: Optional[ChunkBuffers] = None) -> np.ndarray:
         """Largest SNR over the codebook at each state, the running maximum
         of each canonical row's beamformed_snr; `geometry` and `buffers` as
-        in constrained_best_snr.  The max rounds nothing, so it equals the
-        max over model.snr_per_vector's table bit for bit."""
+        in constrained_best_snr.  The max rounds nothing, so it equals, bit
+        for bit, the largest of the rows' beamformed_snr values on the same
+        geometry, taken in any order."""
         p0 = config.power_scalers[0] * power.linear
         _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
         n = a.shape[1]
@@ -445,6 +450,14 @@ def json_float(value, name: str) -> float:
     return float(value)
 
 
+def _spec_number(parse, value, name: str):
+    """parse(value, name), json_float or json_int, raising CodebookError."""
+    try:
+        return parse(value, name)
+    except ValueError as exc:
+        raise CodebookError(str(exc)) from None
+
+
 def json_list(value, name: str) -> list:
     """value itself, if it is a JSON list."""
     if not isinstance(value, list):
@@ -521,15 +534,14 @@ def _decode_spec(obj) -> CodebookSpec:
         return FiniteCodebook(_matrix_from_json(json_required(obj, "vectors"), "vectors"),
                               label=label)
     if kind == "srs":
-        return SrsSpec(json_floats(json_required(obj, "theta"), "theta"))
+        return SrsSpec(json_list(json_required(obj, "theta"), "theta"))
     if kind == "unitary":
         base = spec_from_json(json_required(obj, "base"), "base")
         if not isinstance(base, FiniteSpec):
             raise CodebookError("base: must be a finite codebook spec")
         return UnitarySpec(base, _matrix_from_json(json_required(obj, "matrix"), "matrix"))
     if kind == "constrained":
-        return ConstrainedSpec(json_float(json_required(obj, "epsilon"), "epsilon"),
-                               json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
+        return ConstrainedSpec(json_required(obj, "epsilon"), json_required(obj, "pinned_relay"))
     if kind == "full_csi":
         return FullCsiSpec()
-    return PowerDependentSpec(json_int(json_required(obj, "pinned_relay"), "pinned_relay"))
+    return PowerDependentSpec(json_required(obj, "pinned_relay"))

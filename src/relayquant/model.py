@@ -25,8 +25,10 @@ can write into arrays the caller holds; ChunkBuffers is the arena that a
 Monte Carlo strand holds them in.
 
 Which rows of a codebook are one beamformer, in simulate and analyze alike,
-is decided here: supports (entries above ZERO_TOL), canonical_rows (pivot on
-the first entry within ZERO_TOL of the peak) and phase_classes.
+is decided here: supports (entries above ZERO_TOL), pivots (the last entry
+within ZERO_TOL of the row's peak), canonical_rows (each row turned so that
+its pivot is real and >= 0) and phase_classes.  The importance proposal's
+cancellation components pivot on the same entries.
 
 Relay indices in public arguments and reports are 1-based, matching the usual
 "relay 1 .. relay R" numbering; arrays are of course 0-based internally.
@@ -168,17 +170,13 @@ def sample_channels(config: NetworkConfig, gen: np.random.Generator, count: int,
     return out[0], out[1]
 
 
-def relay_gains(f, config: NetworkConfig, power, absf2=None, out=None) -> np.ndarray:
+def relay_gains(absf2, config: NetworkConfig, power, out=None) -> np.ndarray:
     """Channel-inversion gains rho_r = p_r P / (1 + |f_r|^2 p_0 P), vectorized.
 
-    `f` has shape (..., R); the result matches its shape.  `power` is a
-    PowerLevel, or linear power: a float or one value per channel state.  A
-    caller that already holds |f|^2 passes it as `absf2` in place of f, and
-    `out` receives the result.
+    `absf2` is |f|^2, of shape (..., R); the result matches its shape.
+    `power` is a PowerLevel, or linear power: a float or one value per
+    channel state.  `out` receives the result.
     """
-    if absf2 is None:
-        f = np.asarray(f, dtype=np.complex128)
-        absf2 = f.real * f.real + f.imag * f.imag
     p = np.asarray(getattr(power, "linear", power), dtype=float)[..., None]
     scal = np.asarray(config.power_scalers)
     out = np.multiply(absf2, scal[0] * p, out=out)
@@ -226,7 +224,7 @@ def geometry_at_power(products, config: NetworkConfig, power, out=None):
     if out is None:
         out = (np.empty(f2.shape), np.empty(fg.shape, dtype=np.complex128), np.empty(f2.shape))
     rho, a, b = out
-    relay_gains(None, config, power, f2.T, rho.T)
+    relay_gains(f2.T, config, power, rho.T)
     np.sqrt(rho, out=b)
     # a's parts are scaled as floats, as in sample_channels
     np.multiply(fg.real, b, out=a.real)
@@ -274,51 +272,40 @@ def beamformed_snr(x, a, b, p0, out=None) -> np.ndarray:
     return np.divide(p0 * (acc.real * acc.real + acc.imag * acc.imag), den, out=out)
 
 
-def snr_per_vector(vectors: np.ndarray, f: np.ndarray, g: np.ndarray,
-                   config: NetworkConfig, power: PowerLevel, *, geometry=None) -> np.ndarray:
-    """Received SNR of each candidate vector at each channel state.
-
-    vectors: (K, R) complex, f/g: (n, R).  Returns (n, K), evaluated by
-    beamformed_snr on one snr_geometry: `geometry` when the caller already
-    holds snr_geometry(f, g, config, power), else a fresh one.
-    """
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    p0 = config.power_scalers[0] * power.linear
-    _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
-    # K-major storage: each vector's column is contiguous, so a reduction
-    # over vectors runs over whole rows
-    out = np.empty((vectors.shape[0], a.shape[1])).T
-    for k, x in enumerate(vectors):
-        beamformed_snr(x, a, b, p0, out=out[:, k])
-    return out
-
-
 def supports(vectors) -> np.ndarray:
     """(K, R) bool mask of the entries of (K, R) `vectors` that are in their
     row's support: those whose magnitude exceeds ZERO_TOL."""
     return np.abs(np.asarray(vectors)) > ZERO_TOL
 
 
-def canonical_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each row's global phase so its pivot entry is real >= 0.
+def pivots(rows) -> np.ndarray:
+    """Each row's pivot: the index of its last entry within ZERO_TOL of the
+    row's peak magnitude, for (K, R) `rows`."""
+    mags = np.abs(np.asarray(rows))
+    ties = mags >= mags.max(axis=1, keepdims=True) - ZERO_TOL
+    return mags.shape[1] - 1 - np.argmax(ties[:, ::-1], axis=1)
 
-    The pivot is the row's first entry within ZERO_TOL of its peak magnitude,
-    so copies of a vector that differ by a global phase pivot alike and agree
+
+def canonical_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each row's global phase so its pivot entry (pivots) is real >= 0.
+
+    Copies of a vector that differ by a global phase pivot alike and agree
     entrywise within ZERO_TOL; received SNR does not change under that phase.
-    A pivot within ZERO_TOL of magnitude 1 is snapped to exactly 1.0, and every
-    entry outside its row's support is set to exactly 0, so code that skips
-    zero entries follows the support rule.
+    A pivot within ZERO_TOL of magnitude 1 is snapped to exactly 1.0 unless
+    that would take it out of its row's ties (an entry above 1 + ZERO_TOL),
+    so the canonical rows keep their pivots.  Every entry outside its row's
+    support is set to exactly 0, so code that skips zeros follows supports.
     """
     vectors = np.asarray(vectors, dtype=np.complex128)
     out = vectors.copy()
-    for i, row in enumerate(vectors):
+    for i, (row, pivot) in enumerate(zip(vectors, pivots(vectors))):
         mags = np.abs(row)
-        pivot = int(np.argmax(mags >= mags.max() - ZERO_TOL))
         peak = float(mags[pivot])
         if peak == 0.0:
             continue
         out[i] = row * (np.conj(row[pivot]) / peak)
-        out[i, pivot] = 1.0 if abs(peak - 1.0) <= ZERO_TOL else peak
+        snap = abs(peak - 1.0) <= ZERO_TOL and mags.max() <= 1.0 + ZERO_TOL
+        out[i, pivot] = 1.0 if snap else peak
     out[~supports(vectors)] = 0.0
     return out
 

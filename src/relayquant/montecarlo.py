@@ -38,9 +38,10 @@ DefensiveMixture.prepare's, which DefensiveMixture.states maps to each
 power's channel states.  Either way each power forms one SNR geometry,
 which the codebook's argmax reuses; "importance" then evaluates the Gaussian
 tail and the likelihood ratio only at the trials whose best SNR is below 700
-(the hit set): gaussian_tail is exactly 0 from there on, and a trial with
-Q = 0 adds 0 whatever its weight.  On the bundled fig2 the hit set holds
-75-89% of a chunk's trials at 30 dB and 26-60% at 40 and 50 dB (seed 5).
+(the hit set), and sums the weighted Q values of those trials alone:
+gaussian_tail is exactly 0 from there on, and a trial with Q = 0 adds 0
+whatever its weight.  On the bundled fig2 the hit set holds 75-89% of a
+chunk's trials at 30 dB and 26-60% at 40 and 50 dB (seed 5).
 The draw, its products, each power's geometry, the codebook's argmax (the
 continuous maximizer's working arrays included), the Gaussian tail's working
 arrays and the Q values are roles of the strand's ChunkBuffers arena
@@ -98,8 +99,8 @@ import numpy as np
 
 from . import rng as _rng
 from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
-from .model import (ZERO_TOL, ChunkBuffers, NetworkConfig, PowerLevel, beamformed_sums,
-                    channel_products, geometry_at_power, sample_channels, snr_terms, supports)
+from .model import (ChunkBuffers, NetworkConfig, PowerLevel, beamformed_sums, channel_products,
+                    geometry_at_power, pivots, sample_channels, snr_terms, supports)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -494,18 +495,19 @@ class DefensiveMixture:
       widens the gains instead; the weights stay exact and bounded.
     * q_cancel,k: one component per canonical codebook vector k whose
       support (model.supports) holds two or more relays.  The other gains
-      fade as in q_fade; g at k's pivot relay r*, the last relay of its
-      support within ZERO_TOL of the vector's peak magnitude, is drawn from
-      CN(mu_k, s_k^2), where mu_k zeroes vector k's SNR numerator (see
-      model.snr_geometry) and s_k^2 is the noise-to-signal scale of its SNR
-      (destructive interference between relays).  Pivoting on the peak
-      keeps mu_k at the gains' scale: a tiny on-support entry as r* would
-      put mu_k about 1 / |entry| times beyond it, where the component's
-      trials get weights near 0.
-      Components are built from the evaluator's canonical rows, one per
-      beamformer by model's phase rule, so codebooks that differ only by
-      per-vector phases, repeated vectors or off-support entries (e.g.
-      rotated SRS, or SRS times U U^H) sample identically.
+      fade as in q_fade; g at k's pivot relay r* (model.pivots: the last
+      entry within ZERO_TOL of the vector's peak magnitude, where its
+      canonical entry is real and >= 0) is drawn from CN(mu_k, s_k^2),
+      where mu_k zeroes vector k's SNR numerator (see model.snr_geometry)
+      and s_k^2 is the noise-to-signal scale of its SNR (destructive
+      interference between relays).  Pivoting on the peak keeps mu_k at
+      the gains' scale: a tiny on-support entry as r* would put mu_k about
+      1 / |entry| times beyond it, where the component's trials get
+      weights near 0.
+      `vectors` are the evaluator's canonical rows, one per beamformer by
+      model's phase rule, so codebooks that differ only by per-vector
+      phases, repeated vectors or off-support entries (e.g. rotated SRS,
+      or SRS times U U^H) sample identically.
       Continuous families pass no vectors and get the fade component alone.
 
     Drawing is split in three steps, so that a Monte Carlo chunk does each
@@ -540,16 +542,15 @@ class DefensiveMixture:
         self.fade_scale = math.sqrt(factor / power.linear)
         rows = np.zeros((0, config.relay_count)) if vectors is None else np.asarray(vectors)
         rows = rows[supports(rows).sum(axis=1) >= 2]
-        # cancellation component k draws g at relay[k], the last relay of its
-        # vector's support within ZERO_TOL of the vector's peak magnitude, and
-        # pivot[k] is the vector's entry there.  Its other support entries are
-        # entries[:, k], at relays support[:, k]; shorter lists are padded with
-        # zero entries, which add exact zeros to sums
+        # cancellation component k draws g at relay[k], its vector's pivot
+        # (model.pivots), and pivot[k] is the vector's entry there, real and
+        # >= 0 in canonical phase.  Its other support entries are entries[:, k],
+        # at relays support[:, k]; shorter lists are padded with zero entries,
+        # which add exact zeros to sums
         active = [np.flatnonzero(mask) for mask in supports(rows)]
-        self.relay = np.array([np.flatnonzero(m >= m.max() - ZERO_TOL)[-1]
-                               for m in np.abs(rows)], dtype=np.intp)
-        self.pivot = rows[np.arange(len(rows)), self.relay].astype(np.complex128)
-        self.pivot_power = np.abs(self.pivot) ** 2
+        self.relay = pivots(rows)
+        self.pivot = rows[np.arange(len(rows)), self.relay].real
+        self.pivot_power = self.pivot ** 2
         self.star_deviation = self.deviation[config.relay_count + self.relay]
         slots = max((idx.size - 1 for idx in active), default=0)
         self.support = np.zeros((slots, len(rows)), dtype=np.intp)
@@ -818,10 +819,7 @@ def _estimate_group(plans: list) -> list:
                 hit = np.flatnonzero(best < -_EXP_FLOOR)
                 q = _q_values(best, buffers, hit)
                 q *= proposal.weights(h, geometry, hit, buffers)
-                weighted = buffers.take("weighted_q", (), size)
-                weighted.fill(0.0)
-                weighted[hit] = q
-                yield weighted
+                yield q
 
     n = lead.trials_per_point
     capacity = min(CHUNK_TRIALS, n)

@@ -43,7 +43,6 @@ from .model import (
     PowerLevel,
     beamformed_snr,
     relay_columns,
-    relay_gains,
     sample_channels,
     snr_geometry,
     supports,
@@ -370,7 +369,8 @@ def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
     the sign of g_r = u_r D - N w_r m_r.  At the maximum g_r vanishes at a
     free coordinate, is >= 0 at m_r = 1 and <= 0 at m_r = lo_r (a pinned
     relay with lo_r = 1 is fixed).  The statistic is the worst violation of
-    these conditions, with g_r normalized by u_r D + N w_r m_r, over
+    these conditions, with g_r normalized by u_r D + N w_r m_r (u_r = |a_r|
+    and w_r = b_r from snr_geometry, as the maximizer reads them), over
     `samples` draws spread evenly over AUDIT_NETWORKS, epsilon in
     {0, 1/16, 1/4, 1} on relay 1 and 0-50 dB.  A magnitude outside
     [lo_r, 1] counts as a violation of its size.
@@ -383,9 +383,8 @@ def audit_cophased_maximizer(samples: int, seed: int) -> AuditCheck:
         power = PowerLevel.from_db(p_db)
         f, g = sample_channels(config, _rng.stream(seed, _rng.Lane.KKT, i), per_cell)
         mag, _ = constrained_best_snr(f, g, config, power, eps, 1)
-        rho = relay_gains(f, config, power)
-        u = np.abs(f * g) * np.sqrt(rho)
-        w = np.abs(g) ** 2 * rho
+        _, a, w = snr_geometry(f, g, config, power)
+        u, w = np.abs(a).T, w.T
         lo = np.zeros(config.relay_count)
         lo[0] = math.sqrt(eps)
         num = (u * mag).sum(axis=1, keepdims=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relayquant import FiniteCodebook, NetworkConfig
+from relayquant.model import beamformed_snr, snr_geometry
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -34,6 +35,25 @@ def snr_reference(x, f, g, scalers, p):
         num += x[r] * f[r] * g[r] * cmath.sqrt(rho)
         den += abs(x[r]) ** 2 * abs(g[r]) ** 2 * rho
     return p0 * abs(num) ** 2 / den
+
+
+def snr_per_vector(vectors, f, g, config, power, *, geometry=None):
+    """Received SNR of each candidate vector at each channel state, the
+    table whose row maximum FiniteEvaluator.best_snr must equal bit for bit.
+
+    vectors: (K, R) complex, f/g: (n, R).  Returns (n, K), evaluated by
+    beamformed_snr on one snr_geometry: `geometry` when the caller already
+    holds snr_geometry(f, g, config, power), else a fresh one.
+    """
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    p0 = config.power_scalers[0] * power.linear
+    _, a, b = geometry if geometry is not None else snr_geometry(f, g, config, power)
+    # K-major storage: each vector's column is contiguous, so a reduction
+    # over vectors runs over whole rows
+    out = np.empty((vectors.shape[0], a.shape[1])).T
+    for k, x in enumerate(vectors):
+        beamformed_snr(x, a, b, p0, out=out[:, k])
+    return out
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ def test_simulate_writes_curves_and_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 99
     assert manifest["outputs"] == {"pair": "pair.csv", "SRS": "SRS.csv"}
-    assert set(manifest["versions"]) == {"relayquant", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"relayquant", "python", "numpy"}
     assert manifest["versions"]["python"] == ".".join(map(str, sys.version_info[:3]))
     assert manifest["chunk_trials"] == CHUNK_TRIALS
     assert manifest["threads"] == worker_count()
@@ -242,18 +242,30 @@ def test_cli_entry_point_subprocess():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_and_oracle_load_no_scipy_special():
+def test_import_and_oracle_load_no_scipy_special(tmp_path):
     # scipy.special costs about 0.3 s of import CPU and 16 MB of memory; only
-    # oracles.single_relay_ser imports it, when called
+    # oracles.single_relay_ser imports it, when called.  No command loads
+    # any scipy module at all
+    cfg = _write(tmp_path, "cfg.json", dict(TINY_CONFIG, trials_per_point=100))
+    spec = _write(tmp_path, "srs.json", TINY_CONFIG["codebooks"][1])
     probe = ("import sys\n"
              "import relayquant.cli\n"
-             "assert 'scipy.special' not in sys.modules, 'import'\n"
-             "code = relayquant.cli.main(['oracle', '--samples', '1000'])\n"
-             "assert code == 0, code\n"
-             "assert 'scipy.special' not in sys.modules, 'oracle'\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=300)
+             "def check(step):\n"
+             "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+             "    assert not loaded, (step, loaded)\n"
+             "check('import')\n"
+             "cfg, spec, out = sys.argv[1:]\n"
+             "for step, argv in (('oracle', ['oracle', '--samples', '1000']),\n"
+             "                   ('analyze', ['analyze', '-i', spec]),\n"
+             "                   ('simulate', ['simulate', '-c', cfg, '-o', out])):\n"
+             "    code = relayquant.cli.main(argv)\n"
+             "    assert code == 0, (step, code)\n"
+             "    check(step)\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-c", probe, str(cfg), str(spec), str(out)],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (out / "SRS.csv").is_file()
 
 
 def test_readme_library_example_runs(capsys):

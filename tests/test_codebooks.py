@@ -21,9 +21,9 @@ from relayquant import (
 )
 from relayquant.cli import main
 from relayquant.codebooks import constrained_best_snr, to_finite
-from relayquant.model import ChunkBuffers, relay_gains, snr_geometry, snr_per_vector
+from relayquant.model import ChunkBuffers, relay_gains, snr_geometry
 from relayquant.structure import is_omrs, is_srs
-from conftest import U1, U2, snr_reference
+from conftest import U1, U2, snr_per_vector, snr_reference
 
 
 def test_make_srs_zero_phases():
@@ -219,6 +219,32 @@ def test_finite_evaluator_matches_brute_force(cb_c3, asym_network):
         assert best == pytest.approx(max(snrs), rel=1e-12)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstrainedSpec(0.25, 1.9), "pinned_relay must be an integer, got 1.9"),
+    (lambda: PowerDependentSpec(2.7), "pinned_relay must be an integer, got 2.7"),
+    (lambda: ConstrainedSpec(True, True), "epsilon must be a number, got True"),
+    (lambda: ConstrainedSpec(0.25, True), "pinned_relay must be an integer, got True"),
+    (lambda: ConstrainedSpec("0.25", 1), "epsilon must be a number, got '0.25'"),
+    (lambda: PowerDependentSpec("2"), "pinned_relay must be an integer, got '2'"),
+    (lambda: SrsSpec((0.0, "1")), r"theta\[1\] must be a number, got '1'"),
+    (lambda: SrsSpec((False,)), r"theta\[0\] must be a number, got False"),
+    # the type of every field is checked before any range
+    (lambda: ConstrainedSpec(2.0, 0.5), "pinned_relay must be an integer, got 0.5"),
+    (lambda: SrsSpec((float("nan"), "x")), r"theta\[1\] must be a number"),
+])
+def test_spec_fields_follow_the_json_number_rules(build, message):
+    with pytest.raises(CodebookError, match=message):
+        build()
+
+
+def test_integral_floats_pass_as_integers():
+    for spec in (ConstrainedSpec(1, 2.0), PowerDependentSpec(2.0),
+                 spec_from_json({"type": "constrained", "epsilon": 1, "pinned_relay": 2.0})):
+        assert spec.pinned_relay == 2 and type(spec.pinned_relay) is int
+    assert ConstrainedSpec(1, 2).epsilon == 1.0 and type(ConstrainedSpec(1, 2).epsilon) is float
+    assert SrsSpec([0, 1]).theta == (0.0, 1.0)
+
+
 def test_finite_codebook_rejects_overweight_vector():
     with pytest.raises(CodebookError):
         FiniteCodebook(np.array([[1.2, 0.0]], dtype=complex))
@@ -259,7 +285,7 @@ def test_to_finite_rejects_continuous():
 
 def _cophased_terms(f, g, config, power):
     """(u, w, p0) of the co-phased SNR p0 (u.m)^2 / (1 + w.(m*m))."""
-    rho = relay_gains(f, config, power)
+    rho = relay_gains(np.abs(f) ** 2, config, power)
     return np.abs(f * g) * np.sqrt(rho), np.abs(g) ** 2 * rho, config.power_scalers[0] * power.linear
 
 

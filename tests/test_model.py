@@ -12,10 +12,10 @@ from relayquant import (
     resolve_codebook,
 )
 from relayquant.model import (ZERO_TOL, canonical_rows, channel_products, geometry_at_power,
-                              phase_classes, relay_gains, sample_channels, snr_geometry,
-                              snr_per_vector, supports)
+                              phase_classes, pivots, relay_gains, sample_channels, snr_geometry,
+                              supports)
 from relayquant.rng import Lane, stream
-from conftest import snr_reference
+from conftest import snr_per_vector, snr_reference
 
 
 def test_config_rejects_zero_variance():
@@ -134,14 +134,14 @@ def test_float_scaling_differs_from_the_complex_product_only_in_signed_zeros():
 
 def test_relay_gain_zero_channel():
     config = NetworkConfig(2, (1.0, 3.0, 1.0), (1.0, 1.0), (1.0, 1.0))
-    f = np.array([0.0, 1.0 + 0j])
-    assert relay_gains(f, config, PowerLevel(2.0))[0] == pytest.approx(3.0 * 2.0)
+    absf2 = np.array([0.0, 1.0])
+    assert relay_gains(absf2, config, PowerLevel(2.0))[0] == pytest.approx(3.0 * 2.0)
 
 
 def test_relay_gain_hand_value():
     # p_r = p_0 = P = 1 and |f_r|^2 = 1 gives 1 / (1 + 1) = 1/2.
     config = NetworkConfig(1, (1.0, 1.0), (1.0,), (1.0,))
-    assert relay_gains(np.array([1.0 + 0j]), config, PowerLevel(1.0))[0] == pytest.approx(0.5)
+    assert relay_gains(np.array([1.0]), config, PowerLevel(1.0))[0] == pytest.approx(0.5)
 
 
 def test_relay_gain_bounded_and_monotone():
@@ -149,14 +149,15 @@ def test_relay_gain_bounded_and_monotone():
     gen = np.random.default_rng(3)
     for _ in range(200):
         f = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+        absf2 = np.abs(f) ** 2
         p = PowerLevel(float(gen.uniform(0.01, 1e4)))
-        rho = relay_gains(f, config, p)
+        rho = relay_gains(absf2, config, p)
         assert np.all(rho > 0)
         assert np.all(rho <= np.array(config.power_scalers[1:]) * p.linear + 1e-12)
         # nonincreasing in |f_r|, nondecreasing in P
-        rho_bigger_f = relay_gains(2.0 * f, config, p)
+        rho_bigger_f = relay_gains(4.0 * absf2, config, p)
         assert np.all(rho_bigger_f <= rho + 1e-15)
-        rho_bigger_p = relay_gains(f, config, PowerLevel(2.0 * p.linear))
+        rho_bigger_p = relay_gains(absf2, config, PowerLevel(2.0 * p.linear))
         assert np.all(rho_bigger_p >= rho - 1e-15)
 
 
@@ -177,10 +178,11 @@ def test_two_step_geometry_equals_closed_form():
     config = NetworkConfig(4, (1.0, 0.5, 2.0, 2.0, 0.7), (1.2, 0.8, 1.0, 0.4),
                            (1.5, 1.7, 0.7, 1.1))
     f, g = sample_channels(config, stream(11, 2, 0), 777)
+    absf2 = f.real * f.real + f.imag * f.imag
     products = channel_products(f, g)
     for p_db in (-3.0, 0.0, 17.0, 50.0):
         power = PowerLevel.from_db(p_db)
-        rho = relay_gains(f, config, power).T
+        rho = relay_gains(absf2, config, power).T
         expect = (rho, (f * g).T * np.sqrt(rho), (g.real * g.real + g.imag * g.imag).T * rho)
         for got in (snr_geometry(f, g, config, power), geometry_at_power(products, config, power)):
             for x, y in zip(got, expect):
@@ -188,7 +190,7 @@ def test_two_step_geometry_equals_closed_form():
                 assert x.tobytes() == np.ascontiguousarray(y).tobytes(), p_db
     # per-state power, as the oracles pass it
     power = np.linspace(0.5, 300.0, 777)
-    rho = relay_gains(f, config, power)
+    rho = relay_gains(absf2, config, power)
     assert snr_geometry(f, g, config, power)[0].tobytes() == np.ascontiguousarray(rho.T).tobytes()
 
 
@@ -333,7 +335,7 @@ def test_canonical_rows_zero_every_entry_off_the_support():
 
 
 def test_phase_classes_keep_rotated_copies_with_tied_peaks_together():
-    # the pivot is the first entry within ZERO_TOL of the peak, so rounding
+    # the pivot is the last entry within ZERO_TOL of the peak, so rounding
     # after a rotation cannot move it between two tied magnitudes
     x = np.array([1.0, np.exp(0.3j)]) / np.sqrt(2.0)
     for theta in np.linspace(0.0, 2.0 * np.pi, 1000):
@@ -346,3 +348,59 @@ def test_phase_classes_keep_rotated_copies_with_tied_peaks_together():
         v[second] *= np.abs(v[first]) / np.abs(v[second])  # the two largest tie
         copy = np.exp(2j * np.pi * gen.uniform()) * v
         assert phase_classes(np.array([v, copy])) == [0], v
+
+
+def _tied_rows(gen):
+    """Random (24, 4) rows: exact ties at the peak, ties within ZERO_TOL,
+    rows with no tie, tiny and zero entries, and phase-rotated copies."""
+    mags = gen.uniform(0.1, 1.0, (8, 4))
+    mags[0, [1, 3]] = mags[0].max() + 0.5 * (1.0 - mags[0].max())
+    mags[1, :] = 0.7
+    mags[2, [0, 2]] = 1.0
+    mags[2, 3] = 1.0 - 0.5 * ZERO_TOL
+    mags[3, [1, 2]] = 0.9, 0.9 - 0.9 * ZERO_TOL
+    mags[4, [0, 3]] = 0.8 - 0.4 * ZERO_TOL, 0.8
+    mags[5, [1, 2]] = 0.6, 0.6 - 2.0 * ZERO_TOL
+    mags[6, [0, 1]] = 0.0, 1e-13
+    # hand-entered magnitudes may exceed 1 by up to MAGNITUDE_TOL; snapping
+    # the tied entry to 1 would leave it out of the first one's reach
+    mags[7, [0, 1, 2]] = 1.0 + 1.8 * ZERO_TOL, 1.0 + 0.9 * ZERO_TOL, 1.0
+    rows = mags * np.exp(2j * np.pi * gen.uniform(size=mags.shape))
+    turns = np.exp(2j * np.pi * gen.uniform(size=(16, 1)))
+    return np.vstack([rows, turns * rows[np.arange(16) % 8]])
+
+
+def test_pivots_tie_to_the_last_entry_within_zero_tol_of_the_peak():
+    gen = np.random.default_rng(2731)
+    for _ in range(20):
+        rows = _tied_rows(gen)
+        mags = np.abs(rows)
+        want = [max(r for r in range(4) if m[r] >= m.max() - ZERO_TOL) for m in mags]
+        assert pivots(rows).tolist() == want
+        # a rotated copy pivots like its row
+        assert np.array_equal(pivots(rows[8:]), pivots(rows[np.arange(16) % 8]))
+    assert pivots(np.array([[0.5, 0.5 + 0.5 * ZERO_TOL, 0.5, 0.0]])).tolist() == [2]
+    assert pivots(np.zeros((2, 3))).tolist() == [2, 2]
+    assert pivots(np.zeros((0, 3))).size == 0
+
+
+def test_canonical_pivot_is_the_proposal_pivot():
+    # canonical_rows turns each row so that its pivot entry is real and
+    # >= 0, and the importance proposal draws each cancellation component's
+    # g at the same entry of the canonical row: one tie-break for both
+    from relayquant.montecarlo import DefensiveMixture
+
+    net = NetworkConfig(4, (1.0, 0.5, 2.0, 2.0, 0.7), (1.2, 0.8, 1.0, 0.4), (1.5, 1.7, 0.7, 1.1))
+    gen = np.random.default_rng(2732)
+    for _ in range(20):
+        rows = _tied_rows(gen)
+        star = pivots(rows)
+        canon = canonical_rows(rows)
+        at = canon[np.arange(len(rows)), star]
+        assert np.all(at.imag == 0.0) and np.all(at.real >= 0.0)
+        assert np.all((at.real == 1.0) | (at.real == np.abs(rows[np.arange(len(rows)), star])))
+        assert np.array_equal(pivots(canon), star)
+        proposal = DefensiveMixture(net, PowerLevel(1e3), canon)
+        multi = supports(rows).sum(axis=1) >= 2
+        assert np.array_equal(proposal.relay, star[multi])
+        assert np.array_equal(proposal.pivot, at.real[multi])

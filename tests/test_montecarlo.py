@@ -28,7 +28,7 @@ from relayquant.codebooks import (ConstrainedSpec, PowerDependentSpec, resolve_c
 from relayquant.montecarlo import (ALPHA_FADE, ALPHA_PLAIN, CHUNK_TRIALS, CSV_HEADER,
                                    ChunkBuffers, DefensiveMixture, draw_groups, fade_factor)
 from relayquant.structure import diversity_cap
-from conftest import U1, U2
+from conftest import U1, U2, snr_per_vector
 
 
 def _q_reference(x):
@@ -673,8 +673,10 @@ _FIG2_CODEBOOKS = {
 
 def test_importance_chunk_equals_sample_reference():
     # estimate_ser prepares a chunk once, shares each power's geometry with
-    # the argmax and weights only trials with Q > 0; none of that may change
-    # a bit against sample + best_snr + gaussian_tail over every trial
+    # the argmax and weights and sums only the trials whose best SNR is below
+    # 700 (the hit set; Q is 0 elsewhere); none of that may change a bit
+    # against sample + best_snr + gaussian_tail over every trial, summed
+    # over the same hit set
     net = _fig2_network()
     n = CHUNK_TRIALS
     for label, spec in _FIG2_CODEBOOKS.items():
@@ -685,7 +687,10 @@ def test_importance_chunk_equals_sample_reference():
             ev = resolve_codebook(spec, power)
             proposal = DefensiveMixture(net, power, ev.canonical)
             f, g, w = proposal.sample(rng.stream(77, 0, 0), n)
-            q = gaussian_tail(np.sqrt(2.0 * ev.best_snr(f, g, net, power))) * w
+            best = ev.best_snr(f, g, net, power)
+            q = gaussian_tail(np.sqrt(2.0 * best)) * w
+            assert np.all(q[best >= 700.0] == 0.0), (label, p_db)
+            q = q[best < 700.0]
             mean = float(q.sum()) / n
             var = max(0.0, (float(np.square(q).sum()) - n * mean * mean) / (n - 1))
             assert (curve.ser[i], curve.std_err[i]) == (mean, math.sqrt(var / n)), (label, p_db)
@@ -741,7 +746,7 @@ def test_importance_thread_invariant_with_dense_vectors(monkeypatch):
 def _fresh_chunk_q(plan, chunk, size, power, ev):
     """Q values of one plain chunk from fresh arrays: sample, geometry, argmax, tail."""
     from relayquant.codebooks import FiniteEvaluator
-    from relayquant.model import sample_channels, snr_geometry, snr_per_vector
+    from relayquant.model import sample_channels, snr_geometry
 
     net = plan.network
     f, g = sample_channels(net, rng.stream(plan.seed, 0, chunk), size)

@@ -14,7 +14,6 @@ from relayquant import (
     gaussian_tail,
     q_lower_bound,
 )
-from relayquant.model import snr_per_vector
 from relayquant.oracles import (
     audit_cophased_maximizer,
     audit_gaussian_tail,
@@ -27,6 +26,7 @@ from relayquant.oracles import (
     snr_upper_bounds,
 )
 from relayquant.rng import stream
+from conftest import snr_per_vector
 
 
 def test_ratio_cdf_below_one_is_zero():

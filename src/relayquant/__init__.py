@@ -29,7 +29,7 @@ from .montecarlo import (
     estimate_ser,
     gaussian_tail,
 )
-from .oracles import MaxMinRatio, q_lower_bound, run_audits
+from .oracles import q_lower_bound, run_audits
 from .structure import (
     StructuralReport,
     analyze_codebook,

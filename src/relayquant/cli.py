@@ -30,9 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codebooks import (CodebookError, FiniteSpec, json_fields, json_floats, json_int,
-                        json_label, json_required, spec_from_json, to_finite)
-from .model import NetworkConfig
+from .codebooks import (CodebookError, FiniteSpec, json_fields, json_label, json_list,
+                        json_required, spec_from_json, to_finite)
+from .model import NetworkConfig, json_int
 from .montecarlo import (
     CHUNK_TRIALS,
     MAX_RESOLVED_REL_ERR,
@@ -109,9 +109,9 @@ def _network_from_json(obj) -> NetworkConfig:
     if not isinstance(obj, dict):
         raise ValueError("expected an object")
     json_fields(obj, _NETWORK_FIELDS)
-    lists = {key: json_floats(json_required(obj, key), key)
+    lists = {key: json_list(json_required(obj, key), key)
              for key in ("power_scalers", "variance_f", "variance_g")}
-    return NetworkConfig(json_int(json_required(obj, "relay_count"), "relay_count"), **lists)
+    return NetworkConfig(json_required(obj, "relay_count"), **lists)
 
 
 def _output_name(label: str) -> str:
@@ -149,7 +149,7 @@ def _experiment_from_json(cfg, where: str):
         if not isinstance(entries, list) or not entries:
             raise ValueError("need a non-empty list")
     with _blame(f"{where}.p_grid_db"):
-        p_grid = power_grid(json_floats(json_required(cfg, "p_grid_db"), "p_grid_db"))
+        p_grid = power_grid(json_list(json_required(cfg, "p_grid_db"), "p_grid_db"))
     with _blame(f"{where}.trials_per_point"):
         trials = check_trials(cfg.get("trials_per_point", 10**6))
     with _blame(f"{where}.seed"):
@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="run the analytic audit suite")
     oracle.add_argument("--samples", type=int, default=AUDIT_SAMPLES,
-                        help="Monte Carlo samples per distribution audit")
+                        help="sizes the SNR-cap audit: samples // 10 random channel "
+                             "draws, at least 1000")
     oracle.add_argument("--seed", type=int, default=AUDIT_SEED)
     oracle.set_defaults(func=cmd_oracle)
     return parser

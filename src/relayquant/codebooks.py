@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -46,6 +45,8 @@ from .model import (
     PowerLevel,
     beamformed_snr,
     canonical_rows,
+    json_float,
+    json_int,
     phase_classes,
     snr_geometry,
 )
@@ -424,15 +425,6 @@ def json_fields(obj: dict, fields) -> None:
             raise ValueError(f"unknown field {key!r}")
 
 
-def json_int(value, name: str) -> int:
-    """An integral JSON number as an int; 1e6 passes, bools and fractions raise."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def json_label(obj: dict, default: str = "") -> str:
     """obj["label"], which must be a non-empty string when present, else default."""
     if "label" not in obj:
@@ -441,13 +433,6 @@ def json_label(obj: dict, default: str = "") -> str:
     if not isinstance(label, str) or not label:
         raise ValueError(f"label must be a non-empty string, got {label!r}")
     return label
-
-
-def json_float(value, name: str) -> float:
-    """A JSON number (int or float) as a float; strings and bools raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _spec_number(parse, value, name: str):
@@ -463,11 +448,6 @@ def json_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list, got {value!r}")
     return value
-
-
-def json_floats(values, name: str) -> tuple[float, ...]:
-    """A JSON list of numbers as floats; an error names the entry as name[i]."""
-    return tuple(json_float(v, f"{name}[{i}]") for i, v in enumerate(json_list(values, name)))
 
 
 def _matrix_from_json(rows, name: str) -> np.ndarray:

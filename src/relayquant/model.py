@@ -30,6 +30,11 @@ within ZERO_TOL of the row's peak), canonical_rows (each row turned so that
 its pivot is real and >= 0) and phase_classes.  The importance proposal's
 cancellation components pivot on the same entries.
 
+NetworkConfig and PowerLevel check their numbers by the JSON number rules,
+json_int and json_float (types before ranges), which codebooks, montecarlo
+and cli apply as well: a string or a bool is not a number, and an integral
+float such as 1e6 is an integer.
+
 Relay indices in public arguments and reports are 1-based, matching the usual
 "relay 1 .. relay R" numbering; arrays are of course 0-based internally.
 """
@@ -37,6 +42,7 @@ Relay indices in public arguments and reports are 1-based, matching the usual
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +56,20 @@ MAGNITUDE_TOL = 1e-9
 ZERO_TOL = 1e-12
 
 
-def _positive_tuple(name: str, values, expect_len: int) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) != expect_len:
-        raise ValueError(f"{name} must have length {expect_len}, got {len(out)}")
-    for v in out:
-        if not (v > 0.0) or not math.isfinite(v):
-            raise ValueError(f"{name} entries must be positive and finite, got {v}")
-    return out
+def json_int(value, name: str) -> int:
+    """An integral JSON number as an int; 1e6 passes, bools and fractions raise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_float(value, name: str) -> float:
+    """A JSON number (int or float) as a float; strings and bools raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def relay_columns(rset, relay_count: int) -> list[int]:
@@ -83,14 +95,22 @@ class NetworkConfig:
     variance_g: tuple[float, ...]
 
     def __post_init__(self):
-        r = self.relay_count
-        if not isinstance(r, int) or r < 1:
+        # json_float's and json_int's rules, types before ranges
+        lists = {name: tuple(json_float(v, f"{name}[{i}]")
+                             for i, v in enumerate(getattr(self, name)))
+                 for name in ("power_scalers", "variance_f", "variance_g")}
+        r = json_int(self.relay_count, "relay_count")
+        if r < 1:
             raise ValueError(f"relay_count must be an integer >= 1, got {r!r}")
-        object.__setattr__(
-            self, "power_scalers", _positive_tuple("power_scalers", self.power_scalers, r + 1)
-        )
-        object.__setattr__(self, "variance_f", _positive_tuple("variance_f", self.variance_f, r))
-        object.__setattr__(self, "variance_g", _positive_tuple("variance_g", self.variance_g, r))
+        object.__setattr__(self, "relay_count", r)
+        for name, values in lists.items():
+            expect_len = r + 1 if name == "power_scalers" else r
+            if len(values) != expect_len:
+                raise ValueError(f"{name} must have length {expect_len}, got {len(values)}")
+            for i, v in enumerate(values):
+                if not (v > 0.0) or not math.isfinite(v):
+                    raise ValueError(f"{name}[{i}] must be positive and finite, got {v}")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -100,7 +120,7 @@ class PowerLevel:
     linear: float
 
     def __post_init__(self):
-        p = float(self.linear)
+        p = json_float(self.linear, "power")
         if not (p > 0.0) or not math.isfinite(p):
             raise ValueError(f"power must be positive and finite, got {self.linear!r}")
         object.__setattr__(self, "linear", p)
@@ -108,7 +128,7 @@ class PowerLevel:
     @classmethod
     def from_db(cls, db: float) -> "PowerLevel":
         try:
-            return cls(10.0 ** (float(db) / 10.0))
+            return cls(10.0 ** (json_float(db, "power") / 10.0))
         except OverflowError:
             raise ValueError(f"power must be positive and finite, got {db!r} dB") from None
 

@@ -98,9 +98,10 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import rng as _rng
-from .codebooks import CodebookSpec, FiniteEvaluator, json_int, resolve_codebook
+from .codebooks import CodebookSpec, FiniteEvaluator, resolve_codebook
 from .model import (ChunkBuffers, NetworkConfig, PowerLevel, beamformed_sums, channel_products,
-                    geometry_at_power, pivots, sample_channels, snr_terms, supports)
+                    geometry_at_power, json_float, json_int, pivots, sample_channels, snr_terms,
+                    supports)
 
 CHUNK_TRIALS = 4096
 CSV_HEADER = "p_db,ser,std_err,trials"
@@ -277,9 +278,10 @@ def worker_count() -> int:
 
 
 def power_grid(p_grid_db) -> tuple[float, ...]:
-    """The grid as floats; it must be non-empty, strictly ascending, and each
-    point a positive, finite power."""
-    grid = tuple(float(p) for p in p_grid_db)
+    """The grid as floats; each point a number by json_float's rule, and the
+    grid non-empty, strictly ascending, and each point a positive, finite
+    power."""
+    grid = tuple(json_float(p, f"p_grid_db[{i}]") for i, p in enumerate(p_grid_db))
     if not grid:
         raise ValueError("p_grid_db must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -21,12 +21,11 @@ class Lane(enum.IntEnum):
     """The lane of each consumer of streams, with the block it draws from.
 
     A lane's number is part of every value drawn on it, so no number changes
-    or is reused.
+    or is reused.  Lanes 1 and 2 drew the retired max/min fading-ratio
+    audits; they stay unused.
     """
 
     CHUNKS = 0      # montecarlo: trial chunk c, block c
-    RATIO_CDF = 1   # oracles.audit_ratio_cdf: block = relay count
-    RATIO_PDF = 2   # oracles.audit_ratio_pdf_bound: block = relay count
     SNR_BOUND = 3   # oracles.audit_snr_bound: block 0
     KKT = 4         # oracles.audit_cophased_maximizer: block = cell index
 

@@ -21,7 +21,7 @@ import pytest
 
 import relayquant as rq
 from relayquant.cli import main
-from relayquant.oracles import audit_q_bound, audit_ratio_cdf, audit_snr_bound
+from relayquant.oracles import run_audits
 
 pytestmark = pytest.mark.slow
 
@@ -347,10 +347,10 @@ def test_power_dependent_family_tracks_constraint(fig3_curves):
 
 
 def test_analytic_audit_suite():
+    # run_audits' defaults: 10**6 samples (100,000 SNR-cap draws) at
+    # AUDIT_SEED, the Q bound on 1000 grid points, the tail and the KKT check
     t0 = time.perf_counter()
-    checks = [audit_ratio_cdf(r, 10**6, seed=20260808) for r in (2, 3, 4)]
-    checks.append(audit_q_bound(points=1000))
-    checks.append(audit_snr_bound(100_000, seed=20260808))
+    checks = run_audits()
     elapsed = time.perf_counter() - t0
     bad = [c.name for c in checks if not c.passed]
     ok = not bad and elapsed < 60.0

@@ -14,6 +14,7 @@ from relayquant import (
 from relayquant.model import (ZERO_TOL, canonical_rows, channel_products, geometry_at_power,
                               phase_classes, pivots, relay_gains, sample_channels, snr_geometry,
                               supports)
+from relayquant.montecarlo import power_grid
 from relayquant.rng import Lane, stream
 from conftest import snr_per_vector, snr_reference
 
@@ -36,6 +37,42 @@ def test_power_level_db_round_trip():
     assert 10.0 * math.log10(p.linear) == pytest.approx(23.0)
     with pytest.raises(ValueError):
         PowerLevel(0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NetworkConfig(True, (1.0, 2.0), (0.5,), (1.0,)),
+     "relay_count must be an integer, got True"),
+    (lambda: NetworkConfig(1.5, (1.0, 2.0), (0.5,), (1.0,)),
+     "relay_count must be an integer, got 1.5"),
+    (lambda: NetworkConfig(1, ("1", 2.0), (0.5,), (1.0,)),
+     r"power_scalers\[0\] must be a number, got '1'"),
+    (lambda: NetworkConfig(1, (1.0, 2.0), ("0.5",), (1.0,)),
+     r"variance_f\[0\] must be a number, got '0.5'"),
+    (lambda: NetworkConfig(1, (1.0, 2.0), (0.5,), (True,)),
+     r"variance_g\[0\] must be a number, got True"),
+    (lambda: NetworkConfig(1, (1.0, -2.0), (0.5,), (1.0,)),
+     r"power_scalers\[1\] must be positive and finite, got -2.0"),
+    # the type of every field is checked before any range
+    (lambda: NetworkConfig(0, (1.0,), (), ("x",)), r"variance_g\[0\] must be a number"),
+    (lambda: PowerLevel("10"), "power must be a number, got '10'"),
+    (lambda: PowerLevel(True), "power must be a number, got True"),
+    (lambda: PowerLevel.from_db("3"), "power must be a number, got '3'"),
+    (lambda: PowerLevel.from_db(False), "power must be a number, got False"),
+    (lambda: power_grid([True, 10.0]), r"p_grid_db\[0\] must be a number, got True"),
+    (lambda: power_grid([5.0, "10"]), r"p_grid_db\[1\] must be a number, got '10'"),
+])
+def test_model_numbers_follow_the_json_number_rules(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_model_integral_floats_pass_as_integers():
+    config = NetworkConfig(2.0, (1, 2, 3), (1, 1), (1, 1))
+    assert config.relay_count == 2 and type(config.relay_count) is int
+    assert config.power_scalers == (1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in config.power_scalers + config.variance_f)
+    assert PowerLevel(10).linear == 10.0 and PowerLevel.from_db(10).linear == 10.0
+    assert power_grid([0, 10]) == (0.0, 10.0)
 
 
 def test_sample_channel_second_moment():
@@ -79,9 +116,9 @@ def test_stream_rejects_lane_and_block_outside_counter_range(value):
 
 
 def test_stream_lanes_keep_their_numbers():
-    # every curve and audit statistic is drawn at these lane numbers
-    assert {lane.name: int(lane) for lane in Lane} == {
-        "CHUNKS": 0, "RATIO_CDF": 1, "RATIO_PDF": 2, "SNR_BOUND": 3, "KKT": 4}
+    # every curve and audit statistic is drawn at these lane numbers; 1 and
+    # 2 are retired and never reused
+    assert {lane.name: int(lane) for lane in Lane} == {"CHUNKS": 0, "SNR_BOUND": 3, "KKT": 4}
     assert stream(9, Lane.KKT, 2).random() == stream(9, 4, 2).random()
 
 
